@@ -1,35 +1,11 @@
 #include "analysis/critical_path.h"
 
-#include <algorithm>
+#include "analysis/kernels.h"
 
 namespace inspector::analysis {
 
 CriticalPath critical_path(const cpg::Graph& graph) {
-  CriticalPath result;
-  result.total_nodes = graph.nodes().size();
-  if (result.total_nodes == 0) return result;
-
-  const auto order = graph.topological_view();
-  // depth[v]: longest chain ending at v; pred[v]: predecessor on it.
-  std::vector<std::size_t> depth(result.total_nodes, 1);
-  std::vector<cpg::NodeId> pred(result.total_nodes, cpg::kInvalidNode);
-  for (cpg::NodeId v : order) {
-    for (std::uint32_t e : graph.in_edges(v)) {
-      const cpg::NodeId u = graph.edges()[e].from;
-      if (depth[u] + 1 > depth[v]) {
-        depth[v] = depth[u] + 1;
-        pred[v] = u;
-      }
-    }
-  }
-  cpg::NodeId tail = static_cast<cpg::NodeId>(
-      std::max_element(depth.begin(), depth.end()) - depth.begin());
-  result.length = depth[tail];
-  for (cpg::NodeId v = tail; v != cpg::kInvalidNode; v = pred[v]) {
-    result.nodes.push_back(v);
-  }
-  std::reverse(result.nodes.begin(), result.nodes.end());
-  return result;
+  return kernels::critical_path(GraphView(graph));
 }
 
 std::vector<ThreadSummary> per_thread_summary(const cpg::Graph& graph) {

@@ -1,127 +1,14 @@
 #include "analysis/propagation.h"
 
-#include <algorithm>
-#include <cstddef>
-#include <vector>
-
-#include "util/parallel.h"
+#include "analysis/kernels.h"
 
 namespace inspector::analysis {
 
 Propagation propagate_pages(const cpg::Graph& graph,
                             const PageSet& seed_pages,
                             bool thread_carryover) {
-  Propagation result;
-  result.pages = seed_pages;
-  page_set_normalize(result.pages);
-
-  // Dense mark bits over the graph's page universe (the shared query
-  // index assigns every touched page a dense slot); seed pages no node
-  // ever touched cannot propagate and only appear in the result set.
-  std::vector<char> page_marked(graph.page_count(), 0);
-  for (std::uint64_t page : result.pages) {
-    if (const auto idx = graph.page_index_of(page)) page_marked[*idx] = 1;
-  }
-  std::vector<char> thread_marked(graph.thread_count(), 0);
-
-  // Level-synchronous frontier over the topological levels: a node's
-  // mark normally depends only on page/thread marks from strictly
-  // lower levels (no recorded path joins two nodes of one level, and a
-  // thread's nodes all sit on distinct levels thanks to their
-  // control-edge chain), so each level scans chunk-parallel against
-  // the bitmap snapshot. Workers collect their newly marked
-  // nodes/pages/threads in per-worker scratch; the deltas are
-  // OR-merged into the dense bitmaps between rounds.
-  //
-  // Nodes of one level with conflicting page sets are concurrent --
-  // that is a data race, and whether the flow happens is
-  // schedule-dependent. We stay conservative (racy flows may carry
-  // data, so soundness requires assuming they do): whenever a round
-  // marks anything, the level's remaining nodes are rescanned against
-  // the grown bitmaps until a fixpoint. The closure is monotone, so
-  // the result is order-independent -- bit-identical at every worker
-  // count, and a superset of what any serial scan order would mark.
-  struct Delta {
-    std::vector<cpg::NodeId> nodes;
-    std::vector<std::size_t> pages;  ///< dense page indices
-    std::vector<cpg::ThreadId> threads;
-  };
-  const auto pool = util::shared_pool();
-  util::WorkerLocal<Delta> local(*pool);
-  const auto page_universe = graph.pages();
-  std::vector<char> node_marked(graph.nodes().size(), 0);
-  std::vector<cpg::NodeId> pending;
-  std::vector<cpg::NodeId> still_unmarked;
-
-  for (std::size_t lvl = 0; lvl < graph.level_count(); ++lvl) {
-    const auto frontier = graph.level_nodes(lvl);
-    pending.assign(frontier.begin(), frontier.end());
-    while (!pending.empty()) {
-      pool->parallel_for(
-          0, pending.size(), 64,
-          [&](std::size_t b, std::size_t e, unsigned worker) {
-            Delta& d = local[worker];
-            for (std::size_t k = b; k < e; ++k) {
-              const cpg::NodeId id = pending[k];
-              const auto& node = graph.node(id);
-              bool marked =
-                  thread_carryover && thread_marked[node.thread] != 0;
-              if (!marked) {
-                for (std::uint64_t page : node.read_set) {
-                  if (page_marked[*graph.page_index_of(page)] != 0) {
-                    marked = true;
-                    break;
-                  }
-                }
-              }
-              if (!marked) continue;
-              d.nodes.push_back(id);
-              // Thread bits only matter under carry-over; skipping
-              // them otherwise avoids rescans that cannot mark.
-              if (thread_carryover) d.threads.push_back(node.thread);
-              for (std::uint64_t page : node.write_set) {
-                const std::size_t idx = *graph.page_index_of(page);
-                if (page_marked[idx] == 0) d.pages.push_back(idx);
-              }
-            }
-          });
-      // A rescan can only find something if this round actually grew
-      // the mark state the remaining nodes test against (a page or
-      // thread bit flipped) -- node marks alone cannot influence them.
-      bool marks_grew = false;
-      for (unsigned w = 0; w < pool->worker_count(); ++w) {
-        Delta& d = local[w];
-        result.nodes.insert(result.nodes.end(), d.nodes.begin(),
-                            d.nodes.end());
-        for (const cpg::NodeId id : d.nodes) node_marked[id] = 1;
-        for (const cpg::ThreadId t : d.threads) {
-          if (char& bit = thread_marked[t]; bit == 0) {
-            bit = 1;
-            marks_grew = true;
-          }
-        }
-        for (const std::size_t idx : d.pages) {
-          if (char& bit = page_marked[idx]; bit == 0) {
-            bit = 1;
-            marks_grew = true;
-            result.pages.push_back(page_universe[idx]);
-          }
-        }
-        d.nodes.clear();
-        d.pages.clear();
-        d.threads.clear();
-      }
-      if (!marks_grew) break;
-      still_unmarked.clear();
-      for (const cpg::NodeId id : pending) {
-        if (node_marked[id] == 0) still_unmarked.push_back(id);
-      }
-      pending.swap(still_unmarked);
-    }
-  }
-  std::sort(result.nodes.begin(), result.nodes.end());
-  page_set_normalize(result.pages);
-  return result;
+  return kernels::propagate_pages(GraphView(graph), seed_pages,
+                                  thread_carryover);
 }
 
 }  // namespace inspector::analysis

@@ -5,13 +5,10 @@
 // walk the topological levels in order, mark every node that reads a
 // marked page (optionally carrying the mark along its thread, for
 // register survival across pthreads calls), and mark the pages it
-// writes. This helper implements that pass on the graph's dense page
-// index so the two analyses cannot drift apart. Levels are scanned
-// chunk-parallel on the shared analysis pool (util/parallel.h) with
-// per-worker deltas OR-merged between rounds, iterating each level to
-// a fixpoint so conflicting *concurrent* nodes (racy, schedule-
-// dependent flows) are covered conservatively; the result is
-// bit-identical at every worker count.
+// writes. Both call the one level-synchronous kernel in
+// analysis/kernels.h, so the analyses -- and the sharded store --
+// cannot drift apart; the result is bit-identical at every worker
+// count.
 #pragma once
 
 #include <cstdint>

@@ -1,15 +1,8 @@
 #include "analysis/races.h"
 
-#include <algorithm>
-#include <cstdint>
 #include <ostream>
-#include <span>
-#include <utility>
-#include <vector>
 
-#include "analysis/race_pairs.h"
-#include "util/page_set.h"
-#include "util/parallel.h"
+#include "analysis/kernels.h"
 
 namespace inspector::analysis {
 
@@ -19,115 +12,10 @@ std::ostream& operator<<(std::ostream& os, const RaceReport& report) {
             << report.second;
 }
 
-namespace {
-
-using detail::note_page;
-using detail::PairConflicts;
-using detail::PairMap;
-
-/// Scan one page's writer/reader buckets into `pairs`. Only concurrent
-/// (racy) pairs are stored -- hb-ordered pairs are recheck-on-probe (a
-/// cheap clock compare) so memory stays O(races) no matter how many
-/// ordered pairs share a hot page.
-void scan_page(const cpg::Graph& graph, std::uint64_t page,
-               std::span<const cpg::NodeId> writers,
-               std::span<const cpg::NodeId> readers, PairMap& pairs) {
-  const auto conflicts_of = [&](cpg::NodeId a,
-                                cpg::NodeId b) -> PairConflicts* {
-    const auto key = std::minmax(a, b);
-    const std::uint64_t packed =
-        (static_cast<std::uint64_t>(key.first) << 32) | key.second;
-    if (const auto it = pairs.find(packed); it != pairs.end()) {
-      return &it->second;
-    }
-    if (!graph.concurrent(key.first, key.second)) return nullptr;
-    return &pairs.try_emplace(packed).first->second;
-  };
-  for (std::size_t i = 0; i < writers.size(); ++i) {
-    for (std::size_t j = i + 1; j < writers.size(); ++j) {
-      const cpg::NodeId a = writers[i];
-      const cpg::NodeId b = writers[j];
-      if (graph.node(a).thread == graph.node(b).thread) continue;
-      if (PairConflicts* c = conflicts_of(a, b)) {
-        note_page(c->ww, page);
-      }
-    }
-    for (const cpg::NodeId r : readers) {
-      const cpg::NodeId w = writers[i];
-      if (w == r) continue;
-      if (graph.node(w).thread == graph.node(r).thread) continue;
-      if (PairConflicts* c = conflicts_of(w, r)) {
-        // Orient the conflict the way the (first, second) pair sees it.
-        note_page(w < r ? c->wr : c->rw, page);
-      }
-    }
-  }
-}
-
-}  // namespace
-
 std::vector<RaceReport> find_races(const cpg::Graph& graph,
                                    const RaceOptions& options) {
-  PageSet ignored = options.ignored_pages;
-  page_set_normalize(ignored);
-  const auto pages = graph.pages();
-  const auto node_of = [&graph](cpg::NodeId id) -> const cpg::SubComputation& {
-    return graph.node(id);
-  };
-
-  // Page-major scan over the inverted index: candidate pairs are only
-  // the nodes that actually touched the same page, instead of all
-  // O(n^2) node pairs. The flat key keeps pair probes O(1) in the
-  // innermost loop; reports are sorted into (first, second) order at
-  // the end.
-  //
-  // With a limit, stop scanning once that many racy pairs exist; the
-  // caller asked for "at most N", not the globally smallest pages (the
-  // race_free() fast path hits this with limit 1). The check sits at
-  // page granularity: each page is processed whole, so when the scan
-  // runs out of pages naturally the accumulated minima are exact.
-  // Short-circuiting is inherently scan-order dependent, so limited
-  // scans stay serial; only the full scan parallelizes.
-  if (options.limit != 0) {
-    PairMap pairs;
-    bool truncated = false;
-    for (std::size_t idx = 0; idx < pages.size(); ++idx) {
-      if (pairs.size() >= options.limit) {
-        truncated = true;
-        break;
-      }
-      const std::uint64_t page = pages[idx];
-      if (page_set_contains(ignored, page)) continue;
-      scan_page(graph, page, graph.writers_at(idx), graph.readers_at(idx),
-                pairs);
-    }
-    return detail::emit_reports(node_of, pairs, ignored, truncated,
-                                options.limit);
-  }
-
-  // Full scan, partitioned by dense page index: per-page buckets are
-  // independent, each worker accumulates into its own pair map, and the
-  // merge takes the per-slot minimum -- commutative, so the merged map
-  // (and the sorted report list) is identical at every worker count.
-  const auto pool = util::shared_pool();
-  util::WorkerLocal<PairMap> local(*pool);
-  pool->parallel_for(
-      0, pages.size(), 32,
-      [&](std::size_t b, std::size_t e, unsigned worker) {
-        PairMap& pairs = local[worker];
-        for (std::size_t idx = b; idx < e; ++idx) {
-          const std::uint64_t page = pages[idx];
-          if (page_set_contains(ignored, page)) continue;
-          scan_page(graph, page, graph.writers_at(idx), graph.readers_at(idx),
-                    pairs);
-        }
-      });
-  PairMap merged = std::move(local[0]);
-  for (unsigned w = 1; w < pool->worker_count(); ++w) {
-    detail::merge_min(merged, local[w]);
-  }
-  return detail::emit_reports(node_of, merged, ignored, /*truncated=*/false,
-                              /*limit=*/0);
+  return kernels::find_races(GraphView(graph), options.ignored_pages,
+                             options.limit);
 }
 
 bool race_free(const cpg::Graph& graph) {

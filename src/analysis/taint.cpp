@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "analysis/kernels.h"
 #include "analysis/propagation.h"
 
 namespace inspector::analysis {
@@ -24,13 +25,8 @@ TaintResult propagate_taint(const cpg::Graph& graph,
 std::vector<cpg::NodeId> tainted_sinks(const cpg::Graph& graph,
                                        const TaintResult& taint,
                                        sync::SyncEventKind sink_kind) {
-  std::vector<cpg::NodeId> sinks;
-  for (const auto& node : graph.nodes()) {
-    if (node.end.kind == sink_kind && taint.node_tainted(node.id)) {
-      sinks.push_back(node.id);
-    }
-  }
-  return sinks;
+  return kernels::tainted_sinks(GraphView(graph), taint.tainted_nodes,
+                                sink_kind);
 }
 
 }  // namespace inspector::analysis

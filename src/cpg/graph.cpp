@@ -8,7 +8,7 @@
 #include <stdexcept>
 #include <string>
 
-#include "util/bitset.h"
+#include "analysis/kernels.h"
 #include "util/page_set.h"
 #include "util/parallel.h"
 
@@ -321,17 +321,12 @@ std::optional<NodeId> Graph::find(ThreadId tid, std::uint64_t alpha) const {
 }
 
 bool Graph::happens_before(NodeId a, NodeId b) const {
-  // Fast reject first: rank embeds happens-before (clock dominance
-  // strictly grows the weight rank sorts by, and alpha breaks ties
-  // within a thread), so rank(a) >= rank(b) rules out a-hb-b with two
-  // u32 loads from one contiguous array -- no node structs, no clock
-  // walk. Half of all random probes and every self/descendant probe
-  // exit here without ever touching the node table.
-  if (rank_.at(a) >= rank_.at(b)) return false;
-  const auto& na = nodes_[a];
-  const auto& nb = nodes_[b];
-  if (na.thread == nb.thread) return na.alpha < nb.alpha;
-  return na.clock.happens_before(nb.clock);
+  // rank_.at() range-checks each id before its node is addressed (a
+  // braced list evaluates left to right). The rank fast-reject then
+  // answers half of all random probes, and every self or descendant
+  // probe, from two u32 loads without touching the node table.
+  return analysis::happens_before({a, rank_.at(a), &nodes_[a]},
+                                  {b, rank_.at(b), &nodes_[b]});
 }
 
 bool Graph::concurrent(NodeId a, NodeId b) const {
@@ -340,9 +335,7 @@ bool Graph::concurrent(NodeId a, NodeId b) const {
 }
 
 std::optional<std::size_t> Graph::page_index_of(std::uint64_t page) const {
-  const auto it = std::lower_bound(pages_.begin(), pages_.end(), page);
-  if (it == pages_.end() || *it != page) return std::nullopt;
-  return static_cast<std::size_t>(it - pages_.begin());
+  return analysis::kernels::page_index(pages_, page);
 }
 
 std::span<const NodeId> Graph::page_writers(std::uint64_t page) const {
@@ -371,78 +364,13 @@ std::span<const NodeId> Graph::readers_at(std::size_t page_index) const {
           readers_.data() + reader_offsets_[page_index + 1]};
 }
 
-namespace {
-/// First position in the rank-sorted `list` whose rank is >= `bound`.
-std::size_t rank_lower_bound(std::span<const NodeId> list,
-                             const std::vector<std::uint32_t>& rank,
-                             std::uint32_t bound) {
-  const auto it = std::lower_bound(
-      list.begin(), list.end(), bound,
-      [&rank](NodeId id, std::uint32_t r) { return rank[id] < r; });
-  return static_cast<std::size_t>(it - list.begin());
-}
-
-/// Visit (page, dense index) for every page of `set` present in the
-/// sorted page universe. Both sides are sorted and a read set is
-/// usually tiny against the universe, so a galloping cursor replaces
-/// the per-page binary search over all pages.
-template <typename Fn>
-void for_each_indexed_page(std::span<const std::uint64_t> universe,
-                           const PageSet& set, Fn&& fn) {
-  std::size_t pos = 0;
-  for (std::uint64_t page : set) {
-    pos = page_set_gallop(universe, pos, page);
-    if (pos == universe.size()) break;
-    if (universe[pos] == page) fn(page, pos);
-  }
-}
-}  // namespace
-
 std::vector<Edge> Graph::data_dependencies(NodeId reader) const {
-  const auto& r = node(reader);
-  std::vector<Edge> result;
-  for_each_indexed_page(pages_, r.read_set, [&](std::uint64_t page,
-                                                std::size_t idx) {
-    const auto writers = writers_at(idx);
-    // happens_before(w, reader) implies rank(w) < rank(reader), so the
-    // candidate window ends at reader's rank.
-    const std::size_t end = rank_lower_bound(writers, rank_, rank_[reader]);
-    for (std::size_t i = 0; i < end; ++i) {
-      const NodeId w = writers[i];
-      if (happens_before(w, reader)) {
-        result.push_back({w, reader, EdgeKind::kData, page});
-      }
-    }
-  });
-  return result;
+  return analysis::kernels::data_dependencies(analysis::GraphView(*this),
+                                              reader);
 }
 
 std::vector<Edge> Graph::latest_writers(NodeId reader) const {
-  const auto& r = node(reader);
-  std::vector<Edge> result;
-  std::vector<NodeId> maximal;
-  for_each_indexed_page(pages_, r.read_set, [&](std::uint64_t page,
-                                                std::size_t idx) {
-    const auto writers = writers_at(idx);
-    const std::size_t end = rank_lower_bound(writers, rank_, rank_[reader]);
-    maximal.clear();
-    // Backward walk in rank order: any writer that would supersede the
-    // current candidate has a higher rank and was already collected, so
-    // one pass against `maximal` finds exactly the un-superseded set.
-    for (std::size_t i = end; i-- > 0;) {
-      const NodeId w = writers[i];
-      if (!happens_before(w, reader)) continue;
-      const bool superseded =
-          std::any_of(maximal.begin(), maximal.end(),
-                      [&](NodeId d) { return happens_before(w, d); });
-      if (!superseded) maximal.push_back(w);
-    }
-    std::sort(maximal.begin(), maximal.end());
-    for (NodeId w : maximal) {
-      result.push_back({w, reader, EdgeKind::kData, page});
-    }
-  });
-  return result;
+  return analysis::kernels::latest_writers(analysis::GraphView(*this), reader);
 }
 
 std::vector<NodeId> Graph::writers_of_page(std::uint64_t page) const {
@@ -455,80 +383,12 @@ std::vector<NodeId> Graph::readers_of_page(std::uint64_t page) const {
   return {span.begin(), span.end()};
 }
 
-// The slice BFS kernels run batched: the frontier is expanded a whole
-// generation at a time into a reusable next-vector, and the visited
-// set is a flat word bitset whose fused test_and_set replaces the
-// vector<bool> probe + proxy write. The slice is sorted before
-// returning, so the traversal order change is invisible in replies.
-
 std::vector<NodeId> Graph::backward_slice(NodeId start) const {
-  (void)node(start);  // bounds check, same throw as the walk would hit
-  util::Bitset visited(nodes_.size());
-  std::vector<NodeId> frontier{start};
-  std::vector<NodeId> next;
-  visited.set(start);
-  std::vector<NodeId> slice;
-  while (!frontier.empty()) {
-    next.clear();
-    for (const NodeId cur : frontier) {
-      slice.push_back(cur);
-      // Recorded control/sync predecessors.
-      for (std::uint32_t e : in_edges(cur)) {
-        const NodeId pred = edges_[e].from;
-        if (!visited.test_and_set(pred)) next.push_back(pred);
-      }
-      // Data predecessors: latest writers of each page read.
-      for (const Edge& e : latest_writers(cur)) {
-        if (!visited.test_and_set(e.from)) next.push_back(e.from);
-      }
-    }
-    frontier.swap(next);
-  }
-  std::sort(slice.begin(), slice.end());
-  return slice;
+  return analysis::kernels::backward_slice(analysis::GraphView(*this), start);
 }
 
 std::vector<NodeId> Graph::forward_slice(NodeId start) const {
-  (void)node(start);  // bounds check, same throw as the walk would hit
-  util::Bitset visited(nodes_.size());
-  std::vector<NodeId> frontier{start};
-  std::vector<NodeId> next;
-  visited.set(start);
-  std::vector<NodeId> slice;
-  while (!frontier.empty()) {
-    next.clear();
-    for (const NodeId cur : frontier) {
-      slice.push_back(cur);
-      // Recorded control/sync successors.
-      for (std::uint32_t e : out_edges(cur)) {
-        const NodeId succ = edges_[e].to;
-        if (!visited.test_and_set(succ)) next.push_back(succ);
-      }
-      // Data successors: readers (under happens-before) of pages this
-      // node wrote. happens_before(cur, reader) implies a higher rank,
-      // so the walk starts just past cur's rank in the reader list.
-      for (std::uint64_t page : nodes_[cur].write_set) {
-        const auto readers = page_readers(page);
-        for (std::size_t i =
-                 rank_lower_bound(readers, rank_, rank_[cur] + 1);
-             i < readers.size(); ++i) {
-          const NodeId reader = readers[i];
-          if (!visited.test(reader) && happens_before(cur, reader)) {
-            visited.set(reader);
-            next.push_back(reader);
-          }
-        }
-      }
-    }
-    frontier.swap(next);
-  }
-  std::sort(slice.begin(), slice.end());
-  return slice;
-}
-
-std::vector<NodeId> Graph::topological_order() const {
-  const auto view = topological_view();
-  return {view.begin(), view.end()};
+  return analysis::kernels::forward_slice(analysis::GraphView(*this), start);
 }
 
 std::span<const NodeId> Graph::topological_view() const {

@@ -131,15 +131,14 @@ class Graph {
   /// incremental-computation workflow (§I, iThreads).
   [[nodiscard]] std::vector<NodeId> forward_slice(NodeId start) const;
 
-  /// Topological order consistent with happens-before; throws
+  /// Zero-copy view of the topological order consistent with
+  /// happens-before, computed once at construction; throws
   /// std::logic_error when the recorded graph has a cycle (which would
   /// indicate a recorder bug -- the CPG is a DAG by construction).
-  /// Computed once at construction; this returns a copy of the cache.
-  [[deprecated("copies the cached order; use topological_view()")]]
-  [[nodiscard]] std::vector<NodeId> topological_order() const;
-
-  /// Zero-copy view of the cached topological order (same cycle check).
   [[nodiscard]] std::span<const NodeId> topological_view() const;
+  /// False when the recorded edges contain a cycle, i.e. when
+  /// topological_view() and the level accessors throw.
+  [[nodiscard]] bool acyclic() const noexcept { return !has_cycle_; }
 
   // --- topological levels ----------------------------------------------
   /// The cached order is grouped into levels: level k holds the nodes

@@ -441,7 +441,8 @@ constexpr std::array<std::string_view, 5> kWallClockCalls = {
 
 void rule_determinism(const LexedFile& file, std::vector<Finding>& out) {
   bool in_scope = file.path == "src/shard/engine.cpp" ||
-                  file.path == "src/shard/engine.h";
+                  file.path == "src/shard/engine.h" ||
+                  file.path == "src/analysis/kernels.h";
   for (const std::string_view s : kDeterminismDirScopes) {
     in_scope = in_scope || starts_with(file.path, s);
   }

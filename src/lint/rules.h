@@ -29,7 +29,8 @@
 //   determinism-hygiene        unordered_{map,set} iteration, rand(),
 //                              and wall-clock reads in reply-producing
 //                              paths (src/query/, src/net/,
-//                              src/shard/engine.cpp)
+//                              src/shard/engine.*, and the query
+//                              kernels in src/analysis/kernels.h)
 //   format-version-discipline  a diff touching serialize/deserialize
 //                              code in cpg/ or shard/format.cpp must
 //                              also touch the matching k*FormatVersion

@@ -135,14 +135,6 @@ void init_sink_from_env() {
   static std::once_flag once;
   std::call_once(once, [] {
     const char* path = std::getenv("INSPECTOR_TRACE");
-    if (path == nullptr || *path == '\0') {
-      // Historic ad-hoc net trace switch: now an alias for the
-      // structured JSON trace on stderr.
-      const char* legacy = std::getenv("INSPECTOR_NET_TRACE");
-      if (legacy != nullptr && *legacy != '\0' && *legacy != '0') {
-        path = "stderr";
-      }
-    }
     if (path != nullptr && *path != '\0') {
       Sink& s = sink();
       std::lock_guard lock(s.mu);

@@ -13,8 +13,6 @@
 // The sink is configured by environment:
 //   INSPECTOR_TRACE=<path>    append JSON lines to <path>
 //   INSPECTOR_TRACE=stderr    write them to stderr
-//   INSPECTOR_NET_TRACE=...   alias for INSPECTOR_TRACE=stderr (the
-//                             historic ad-hoc net trace, now structured)
 //   INSPECTOR_SLOW_QUERY_MS=N log queries slower than N ms even when
 //                             tracing is off (to the sink, else stderr)
 //

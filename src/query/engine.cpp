@@ -8,12 +8,9 @@
 #include <stdexcept>
 #include <utility>
 
-#include "analysis/critical_path.h"
-#include "analysis/incremental.h"
-#include "analysis/races.h"
-#include "analysis/taint.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "query/dispatch.h"
 #include "query/overloaded.h"
 #include "query/wire.h"
 #include "util/parallel.h"
@@ -71,27 +68,26 @@ KindMetrics& kind_metrics(const Query& q) {
   return *m;
 }
 
+/// The in-memory backend: one immutable graph snapshot.
+class GraphQueryBackend final : public QueryBackend {
+ public:
+  explicit GraphQueryBackend(std::shared_ptr<const cpg::Graph> graph)
+      : graph_(graph ? std::move(graph)
+                     : std::make_shared<const cpg::Graph>()) {}
+
+  [[nodiscard]] Result<Execution> execute(const Query& q) const override {
+    return detail::execute_on(analysis::GraphView(*graph_), q);
+  }
+
+  [[nodiscard]] const cpg::Graph& graph() const noexcept { return *graph_; }
+
+ private:
+  std::shared_ptr<const cpg::Graph> graph_;
+};
+
 }  // namespace
 
 namespace detail {
-
-Status node_range_error(cpg::NodeId id, std::size_t count) {
-  return {StatusCode::kOutOfRange,
-          "node id " + std::to_string(id) + " out of range [0, " +
-              std::to_string(count) + ")"};
-}
-
-Status untouched_page_error(std::uint64_t page) {
-  return {StatusCode::kNotFound,
-          "page " + std::to_string(page) +
-              " was not touched by any recorded node"};
-}
-
-Status cyclic_error(const char* what) {
-  return {StatusCode::kFailedPrecondition,
-          std::string(what) +
-              " requires a topological order, but the graph has a cycle"};
-}
 
 Status cursor_not_found_error(std::uint64_t cursor) {
   return {StatusCode::kNotFound,
@@ -106,20 +102,6 @@ Status cursor_exhausted_error(std::uint64_t cursor) {
 }
 
 }  // namespace detail
-
-using detail::cyclic_error;
-using detail::node_range_error;
-using detail::untouched_page_error;
-
-GraphQueryBackend::GraphQueryBackend(std::shared_ptr<const cpg::Graph> graph)
-    : graph_(std::move(graph)) {
-  if (!graph_) graph_ = std::make_shared<const cpg::Graph>();
-  try {
-    (void)graph_->topological_view();
-  } catch (const std::logic_error&) {
-    cyclic_ = true;
-  }
-}
 
 QueryEngine::QueryEngine(std::shared_ptr<const cpg::Graph> graph,
                          Options options)
@@ -145,17 +127,6 @@ const cpg::Graph& QueryEngine::graph() const {
   return graph_backend->graph();
 }
 
-std::shared_ptr<const cpg::Graph> QueryEngine::snapshot() const {
-  const auto* graph_backend =
-      dynamic_cast<const GraphQueryBackend*>(backend_.get());
-  if (graph_backend == nullptr) {
-    // lint: allow(no-throw-across-boundary) documented throwing accessor; calling it on a non-graph engine is a programming error, not a request failure
-    throw std::logic_error(
-        "QueryEngine::snapshot(): engine is not graph-backed");
-  }
-  return graph_backend->snapshot();
-}
-
 QueryEngine::SessionId QueryEngine::open_session() {
   std::lock_guard lock(mu_);
   const SessionId id = next_session_id_++;
@@ -174,108 +145,6 @@ Status QueryEngine::close_session(SessionId session) {
             "unknown session " + std::to_string(session)};
   }
   return Status::Ok();
-}
-
-Result<Execution> GraphQueryBackend::execute(const Query& q) const {
-  auto result = run_query(q);
-  if (!result.ok()) return result.status();
-  // The in-memory graph is whole by construction: never degraded.
-  return Execution{std::move(result).value(), false};
-}
-
-Result<QueryResult> GraphQueryBackend::run_query(const Query& q) const {
-  const cpg::Graph& g = *graph_;
-  const std::size_t node_count = g.nodes().size();
-  const auto valid_node = [&](cpg::NodeId id) { return id < node_count; };
-
-  return std::visit(
-      Overloaded{
-          [&](const BackwardSliceQuery& s) -> Result<QueryResult> {
-            if (!valid_node(s.node)) return node_range_error(s.node, node_count);
-            return QueryResult(NodeListResult{g.backward_slice(s.node)});
-          },
-          [&](const ForwardSliceQuery& s) -> Result<QueryResult> {
-            if (!valid_node(s.node)) return node_range_error(s.node, node_count);
-            return QueryResult(NodeListResult{g.forward_slice(s.node)});
-          },
-          [&](const LatestWritersQuery& s) -> Result<QueryResult> {
-            if (!valid_node(s.node)) return node_range_error(s.node, node_count);
-            return QueryResult(EdgeListResult{g.latest_writers(s.node)});
-          },
-          [&](const DataDependenciesQuery& s) -> Result<QueryResult> {
-            if (!valid_node(s.node)) return node_range_error(s.node, node_count);
-            return QueryResult(EdgeListResult{g.data_dependencies(s.node)});
-          },
-          [&](const PageAccessorsQuery& s) -> Result<QueryResult> {
-            if (!g.page_index_of(s.page)) {
-              return untouched_page_error(s.page);
-            }
-            PageAccessorsResult out;
-            out.page = s.page;
-            out.writers = g.writers_of_page(s.page);
-            out.readers = g.readers_of_page(s.page);
-            return QueryResult(std::move(out));
-          },
-          [&](const HappensBeforeQuery& s) -> Result<QueryResult> {
-            if (!valid_node(s.first)) {
-              return node_range_error(s.first, node_count);
-            }
-            if (!valid_node(s.second)) {
-              return node_range_error(s.second, node_count);
-            }
-            HappensBeforeResult out;
-            if (s.first == s.second) {
-              out.ordering = Ordering::kEqual;
-            } else if (g.happens_before(s.first, s.second)) {
-              out.ordering = Ordering::kBefore;
-            } else if (g.happens_before(s.second, s.first)) {
-              out.ordering = Ordering::kAfter;
-            } else {
-              out.ordering = Ordering::kConcurrent;
-            }
-            return QueryResult(out);
-          },
-          [&](const RacesQuery& s) -> Result<QueryResult> {
-            analysis::RaceOptions options;
-            options.limit = static_cast<std::size_t>(s.limit);
-            // Pre-sorted: dispatch only sees canonicalized() queries.
-            options.ignored_pages = s.ignored_pages;
-            return QueryResult(
-                RaceListResult{analysis::find_races(g, options)});
-          },
-          [&](const TaintQuery& s) -> Result<QueryResult> {
-            if (cyclic_) return cyclic_error("taint");
-            analysis::TaintOptions options;
-            options.track_register_carryover = s.track_register_carryover;
-            const auto taint = analysis::propagate_taint(g, s.seed_pages,
-                                                         options);
-            FlowResult out;
-            out.sinks = analysis::tainted_sinks(g, taint, s.sink_kind);
-            out.nodes = taint.tainted_nodes;
-            out.pages = taint.tainted_pages;
-            return QueryResult(std::move(out));
-          },
-          [&](const InvalidateQuery& s) -> Result<QueryResult> {
-            if (cyclic_) return cyclic_error("invalidate");
-            const auto inv = analysis::invalidate(g, s.changed_pages);
-            FlowResult out;
-            out.nodes = inv.dirty;
-            out.pages = inv.dirty_pages;
-            return QueryResult(std::move(out));
-          },
-          [&](const CriticalPathQuery&) -> Result<QueryResult> {
-            if (cyclic_) return cyclic_error("critical_path");
-            const auto cp = analysis::critical_path(g);
-            CriticalPathResult out;
-            out.nodes = cp.nodes;
-            out.total_nodes = cp.total_nodes;
-            return QueryResult(std::move(out));
-          },
-          [&](const StatsQuery&) -> Result<QueryResult> {
-            return QueryResult(StatsResult{g.stats()});
-          },
-      },
-      q);
 }
 
 Result<QueryEngine::FullOutcome> QueryEngine::execute_full(

@@ -8,7 +8,9 @@
 // cache, and batched fan-out over the shared util::TaskPool with the
 // analysis runtime's determinism contract -- run_batch() output,
 // including cursor page boundaries, is bit-identical at every worker
-// count and at every backend.
+// count and at every backend. Each query kind is computed once, by a
+// kernel in analysis/kernels.h over whichever storage view the backend
+// presents; the backends differ only in that view.
 //
 // Sessions scope cursors: each session has its own cursor id space,
 // ids are handed out in request order (deterministic), and closing a
@@ -48,12 +50,13 @@ struct Execution {
 
 /// Where the answers come from. The engine owns everything
 /// backend-independent -- canonicalization, the result cache, sessions,
-/// cursors, pagination, batched fan-out -- and delegates the actual
-/// analysis to a backend: the in-memory graph (GraphQueryBackend) or
-/// the out-of-core sharded store (shard::ShardBackend). Backends must
-/// return the exact same QueryResult payloads and Status messages for
-/// the same graph, so a reply stream never reveals which backend
-/// served it.
+/// cursors, pagination, batched fan-out -- and delegates execution to a
+/// backend: an immutable in-memory cpg::Graph snapshot or the
+/// out-of-core sharded store (shard::ShardedQueryEngine). Both run one
+/// per-kind dispatch (query/dispatch.h) over a storage view of their
+/// data, so they return the exact same QueryResult payloads and Status
+/// messages for the same graph, and a reply stream never reveals which
+/// backend served it.
 class QueryBackend {
  public:
   virtual ~QueryBackend() = default;
@@ -65,32 +68,7 @@ class QueryBackend {
   [[nodiscard]] virtual Result<Execution> execute(const Query& q) const = 0;
 };
 
-/// The classic backend: every query answered from one immutable
-/// in-memory cpg::Graph snapshot.
-class GraphQueryBackend final : public QueryBackend {
- public:
-  explicit GraphQueryBackend(std::shared_ptr<const cpg::Graph> graph);
-
-  [[nodiscard]] Result<Execution> execute(const Query& q) const override;
-
-  [[nodiscard]] const cpg::Graph& graph() const noexcept { return *graph_; }
-  [[nodiscard]] std::shared_ptr<const cpg::Graph> snapshot() const noexcept {
-    return graph_;
-  }
-
- private:
-  [[nodiscard]] Result<QueryResult> run_query(const Query& q) const;
-
-  std::shared_ptr<const cpg::Graph> graph_;
-  bool cyclic_ = false;  ///< detected once at construction
-};
-
 namespace detail {
-/// Shared error constructors: every backend must produce these exact
-/// messages so replies are backend-independent byte for byte.
-[[nodiscard]] Status node_range_error(cpg::NodeId id, std::size_t count);
-[[nodiscard]] Status untouched_page_error(std::uint64_t page);
-[[nodiscard]] Status cyclic_error(const char* what);
 /// Cursor lifecycle errors, shared with the serving router: when the
 /// router rewrites a worker-local cursor id into its own id space it
 /// must synthesize the exact bytes the engine would have produced.
@@ -146,8 +124,8 @@ class QueryEngine {
 
   explicit QueryEngine(std::shared_ptr<const cpg::Graph> graph,
                        Options options = Options());
-  /// Serve from an arbitrary backend (the sharded store). graph() and
-  /// snapshot() are unavailable on such engines.
+  /// Serve from an arbitrary backend (the sharded store). graph() is
+  /// unavailable on such engines.
   explicit QueryEngine(std::shared_ptr<const QueryBackend> backend,
                        Options options = Options());
 
@@ -159,7 +137,6 @@ class QueryEngine {
   /// std::logic_error on a backend-constructed engine (use the backend
   /// you constructed it with instead).
   [[nodiscard]] const cpg::Graph& graph() const;
-  [[nodiscard]] std::shared_ptr<const cpg::Graph> snapshot() const;
 
   /// Open an isolated cursor namespace. Never fails.
   [[nodiscard]] SessionId open_session();

@@ -1,29 +1,18 @@
 // ShardedQueryEngine: the unsharded Query surface served out-of-core.
 //
-// ShardBackend implements query::QueryBackend over a ShardStore, and
-// ShardedQueryEngine is a query::QueryEngine wired to one -- sessions,
-// cursors, caching, pagination, and batched fan-out are all inherited,
-// so a reply stream (cursor page boundaries included) is bit-identical
-// to the unsharded engine on the same history at every shard count and
-// every worker count. Dispatch by query shape:
-//
-//   - page-local queries (latest_writers, data_dependencies,
-//     page_accessors, happens_before) route to the owning shards via
-//     the manifest fences and merge per-shard inverted-index buckets
-//     in global hb-rank order;
-//   - traversal queries (slices) run breadth-first waves whose
-//     frontier sets cross shards through the stored edge frontier;
-//   - flow queries (taint, invalidate) run the same level-synchronous
-//     fixpoint as analysis/propagation.cpp over the *global*
-//     topological levels, scanning each level's resident shards
-//     chunk-parallel on the shared util::TaskPool;
-//   - races scan the global page universe page-major (parallel when
-//     unlimited, with the same commutative min-merge as
-//     analysis/races.cpp);
-//   - critical path is one forward pass over the shards in rank order
-//     (rank ranges are topological sections, so dependence values only
-//     flow to later shards);
-//   - stats answers straight from the manifest.
+// ShardedQueryEngine is a query::QueryEngine whose backend serves a
+// ShardStore -- sessions, cursors, caching, pagination, and batched
+// fan-out are all inherited. The backend holds no analysis of its own:
+// it presents the store as a
+// provenance view (analysis/kernels.h) and runs the same per-kind
+// dispatch as the in-memory backend (query/dispatch.h), so a reply
+// stream (cursor page boundaries included) is bit-identical to the
+// unsharded engine on the same history at every shard count and every
+// worker count. The view resolves nodes through the manifest's node ->
+// shard map, answers a page's writers and readers by merging the
+// buckets of the shards its page fences admit, crosses shards through
+// the stored edge frontier, and walks levels and whole-store passes
+// shard by shard. Stats answer straight from the manifest.
 #pragma once
 
 #include <memory>
@@ -33,7 +22,7 @@
 
 namespace inspector::shard {
 
-class ShardBackend final : public query::QueryBackend {
+class ShardedQueryEngine : public query::QueryEngine {
  public:
   /// With allow_degraded, queries that touch a quarantined shard skip
   /// it and return partial results carrying Execution::degraded (the
@@ -41,28 +30,9 @@ class ShardBackend final : public query::QueryBackend {
   /// Queries whose anchor node lives on the quarantined shard still
   /// fail -- there is no partial answer to give. Replies that never
   /// touch a quarantined shard are byte-identical either way.
-  explicit ShardBackend(std::shared_ptr<ShardStore> store,
-                        bool allow_degraded = false);
-
-  [[nodiscard]] Result<query::Execution> execute(
-      const query::Query& q) const override;
-
-  [[nodiscard]] const ShardStore& store() const noexcept { return *store_; }
-
- private:
-  std::shared_ptr<ShardStore> store_;
-  bool allow_degraded_ = false;
-};
-
-class ShardedQueryEngine : public query::QueryEngine {
- public:
   explicit ShardedQueryEngine(std::shared_ptr<ShardStore> store,
                               query::EngineOptions options = {},
-                              bool allow_degraded = false)
-      : query::QueryEngine(
-            std::make_shared<const ShardBackend>(store, allow_degraded),
-            options),
-        store_(std::move(store)) {}
+                              bool allow_degraded = false);
 
   [[nodiscard]] const ShardStore& store() const noexcept { return *store_; }
 

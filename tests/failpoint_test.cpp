@@ -46,8 +46,10 @@ std::string temp_path(const std::string& name) {
   return ::testing::TempDir() + name;
 }
 
-/// The same paginated query batch shard_compat_test compares across
-/// format versions -- here it pins reply bytes across crash points.
+/// The paginated query batch shard_compat_test compares across format
+/// versions, plus the two kinds it lacks, so every query kind runs --
+/// here it pins reply bytes across crash points and drives each kind
+/// through the degraded path.
 std::string serialized_session(QueryEngine& engine, cpg::NodeId last,
                                std::uint64_t first_page) {
   const auto paged = [](Query q, std::uint64_t page_size) {
@@ -65,6 +67,8 @@ std::string serialized_session(QueryEngine& engine, cpg::NodeId last,
       {HappensBeforeQuery{0, last}, {}},
       paged(PageAccessorsQuery{first_page}, 4),
       paged(LatestWritersQuery{last}, 3),
+      paged(DataDependenciesQuery{last}, 3),
+      paged(InvalidateQuery{{0, 3, 7}}, 9),
   };
   const auto replies = engine.run_batch(QueryEngine::kDefaultSession, items);
 

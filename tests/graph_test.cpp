@@ -189,16 +189,4 @@ TEST(Graph, EmptyGraphIsValid) {
   EXPECT_TRUE(g.topological_view().empty());
 }
 
-TEST(Graph, DeprecatedCopyingOrderMatchesView) {
-  // The deprecated accessor must keep returning the same order until it
-  // is removed; new code uses topological_view().
-  const Graph g = figure1_graph();
-  const auto view = g.topological_view();
-#pragma GCC diagnostic push
-#pragma GCC diagnostic ignored "-Wdeprecated-declarations"
-  const auto copy = g.topological_order();
-#pragma GCC diagnostic pop
-  EXPECT_EQ(copy, std::vector<NodeId>(view.begin(), view.end()));
-}
-
 }  // namespace

@@ -1,11 +1,13 @@
 // Equivalence of the indexed CPG queries against brute force.
 //
 // Graph::data_dependencies / latest_writers / writers_of_page /
-// readers_of_page answer from the page inverted index built at
-// construction. These tests keep the original all-nodes-scan
-// implementations as the reference and assert set-equality on
-// randomized recorder histories, so any index bug (bad rank, wrong
-// bucket boundaries, over-eager pruning) shows up as a divergence.
+// readers_of_page / the slices, the race scan and the critical path
+// answer from the page inverted index built at construction, through
+// the one kernel set both storage forms share (analysis/kernels.h).
+// These tests keep all-nodes-scan implementations as the independent
+// reference and assert equality on randomized recorder histories, so
+// any index or kernel bug (bad rank, wrong bucket boundaries,
+// over-eager pruning, a wrong tie-break) shows up as a divergence.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -13,6 +15,7 @@
 #include <random>
 #include <vector>
 
+#include "analysis/critical_path.h"
 #include "analysis/races.h"
 #include "cpg/recorder.h"
 
@@ -120,6 +123,75 @@ std::vector<inspector::analysis::RaceReport> brute_find_races(const Graph& g) {
   return races;
 }
 
+// Brute-force slices: a plain BFS whose neighbour function scans every
+// recorded edge and every node, so it shares nothing with the kernels'
+// index walks.
+template <typename Neighbours>
+std::vector<NodeId> brute_reachable(const Graph& g, NodeId start,
+                                    Neighbours&& neighbours) {
+  std::vector<bool> seen(g.nodes().size(), false);
+  std::vector<NodeId> todo{start};
+  seen[start] = true;
+  std::vector<NodeId> result;
+  while (!todo.empty()) {
+    const NodeId cur = todo.back();
+    todo.pop_back();
+    result.push_back(cur);
+    for (const NodeId next : neighbours(cur)) {
+      if (!seen[next]) {
+        seen[next] = true;
+        todo.push_back(next);
+      }
+    }
+  }
+  std::sort(result.begin(), result.end());
+  return result;
+}
+
+std::vector<NodeId> brute_backward_slice(const Graph& g, NodeId start) {
+  return brute_reachable(g, start, [&](NodeId cur) {
+    std::vector<NodeId> preds;
+    for (const Edge& e : g.edges()) {
+      if (e.to == cur) preds.push_back(e.from);
+    }
+    for (const Edge& e : brute_latest_writers(g, cur)) preds.push_back(e.from);
+    return preds;
+  });
+}
+
+std::vector<NodeId> brute_forward_slice(const Graph& g, NodeId start) {
+  return brute_reachable(g, start, [&](NodeId cur) {
+    std::vector<NodeId> succs;
+    for (const Edge& e : g.edges()) {
+      if (e.from == cur) succs.push_back(e.to);
+    }
+    for (const auto& r : g.nodes()) {
+      if (!g.happens_before(cur, r.id)) continue;
+      const bool reads_a_write = std::any_of(
+          g.node(cur).write_set.begin(), g.node(cur).write_set.end(),
+          [&](std::uint64_t page) { return r.reads_page(page); });
+      if (reads_a_write) succs.push_back(r.id);
+    }
+    return succs;
+  });
+}
+
+/// Node count of the longest chain of recorded edges, by relaxing every
+/// edge until nothing changes (no topological order involved).
+std::size_t brute_longest_chain(const Graph& g) {
+  std::vector<std::size_t> depth(g.nodes().size(), 1);
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (const Edge& e : g.edges()) {
+      if (depth[e.from] + 1 > depth[e.to]) {
+        depth[e.to] = depth[e.from] + 1;
+        changed = true;
+      }
+    }
+  }
+  return depth.empty() ? 0 : *std::max_element(depth.begin(), depth.end());
+}
+
 // --- set-equality helpers ----------------------------------------------
 
 std::vector<Edge> canonical(std::vector<Edge> edges) {
@@ -218,6 +290,32 @@ TEST_P(QueryIndexProperty, LatestWritersMatchBruteForce) {
     EXPECT_EQ(canonical(g.latest_writers(n.id)),
               canonical(brute_latest_writers(g, n.id)))
         << "latest writers of node " << n.id;
+  }
+}
+
+TEST_P(QueryIndexProperty, SlicesMatchBruteForceReachability) {
+  const Graph g = random_history(GetParam());
+  for (const auto& n : g.nodes()) {
+    EXPECT_EQ(g.backward_slice(n.id), brute_backward_slice(g, n.id))
+        << "backward slice of node " << n.id;
+    EXPECT_EQ(g.forward_slice(n.id), brute_forward_slice(g, n.id))
+        << "forward slice of node " << n.id;
+  }
+}
+
+TEST_P(QueryIndexProperty, CriticalPathIsALongestRecordedChain) {
+  const Graph g = random_history(GetParam());
+  const auto cp = inspector::analysis::critical_path(g);
+  EXPECT_EQ(cp.total_nodes, g.nodes().size());
+  EXPECT_EQ(cp.length, cp.nodes.size());
+  EXPECT_EQ(cp.nodes.size(), brute_longest_chain(g));
+  for (std::size_t i = 1; i < cp.nodes.size(); ++i) {
+    const bool recorded = std::any_of(
+        g.edges().begin(), g.edges().end(), [&](const Edge& e) {
+          return e.from == cp.nodes[i - 1] && e.to == cp.nodes[i];
+        });
+    EXPECT_TRUE(recorded) << "no recorded edge " << cp.nodes[i - 1] << " -> "
+                          << cp.nodes[i];
   }
 }
 
