@@ -3,89 +3,54 @@
 // The CPG's page-granular read/write sets tell us which thread touches
 // which memory -- exactly what a NUMA placement policy needs. This
 // example derives per-thread page-access affinity from the CPG of a
-// run, partitions pages across simulated NUMA nodes by dominant
-// accessor, and reports how many cross-node ("remote") accesses the
-// provenance-guided layout saves versus naive first-touch-by-main.
-#include <algorithm>
+// run (analysis/numa.h), partitions pages across simulated NUMA nodes
+// by dominant accessor, and reports how many cross-node ("remote")
+// accesses the provenance-guided layout saves versus naive
+// first-touch-by-main.
 #include <cstdint>
 #include <iostream>
-#include <map>
-#include <vector>
 
+#include "analysis/numa.h"
 #include "core/inspector.h"
 #include "core/report.h"
 #include "workloads/registry.h"
 
-namespace {
-
 using namespace inspector;
-
-constexpr std::uint32_t kNumaNodes = 2;
-
-struct PageAffinity {
-  // accesses[page][thread] = touches (reads + writes) of page by thread
-  std::map<std::uint64_t, std::map<cpg::ThreadId, std::uint64_t>> accesses;
-};
-
-PageAffinity affinity_from_cpg(const cpg::Graph& g) {
-  PageAffinity a;
-  for (const auto& node : g.nodes()) {
-    for (std::uint64_t page : node.read_set) {
-      ++a.accesses[page][node.thread];
-    }
-    for (std::uint64_t page : node.write_set) {
-      ++a.accesses[page][node.thread];
-    }
-  }
-  return a;
-}
-
-}  // namespace
 
 int main() {
   std::cout << "Case study: provenance-guided NUMA placement (paper §VIII)\n\n";
 
+  constexpr std::uint32_t kNumaNodes = 2;
   workloads::WorkloadConfig config;
   config.threads = 8;
   config.scale = 0.4;
-  const auto program = workloads::make_histogram(config);
   core::Inspector insp;
-  const auto result = insp.run(program);
-  const auto affinity = affinity_from_cpg(*result.graph);
+  const auto result = insp.run(workloads::make_histogram(config));
+  const cpg::Graph& graph = *result.graph;
+  const auto affinity = analysis::page_affinity(graph);
 
   // Thread -> NUMA node: round-robin worker placement (what the OS
   // scheduler would do for 8 workers on 2 sockets).
-  auto node_of_thread = [](cpg::ThreadId t) { return t % kNumaNodes; };
-
-  std::uint64_t naive_remote = 0;    // all pages on node 0 (main's node)
-  std::uint64_t guided_remote = 0;   // pages placed with dominant accessor
-  std::uint64_t total = 0;
-
-  for (const auto& [page, per_thread] : affinity.accesses) {
-    // Guided placement: the NUMA node whose threads touch it most.
-    std::vector<std::uint64_t> node_touches(kNumaNodes, 0);
-    for (const auto& [thread, count] : per_thread) {
-      node_touches[node_of_thread(thread)] += count;
-    }
-    const std::uint32_t best_node = static_cast<std::uint32_t>(
-        std::max_element(node_touches.begin(), node_touches.end()) -
-        node_touches.begin());
-    for (const auto& [thread, count] : per_thread) {
-      total += count;
-      if (node_of_thread(thread) != 0) naive_remote += count;
-      if (node_of_thread(thread) != best_node) guided_remote += count;
-    }
-  }
+  const auto threads =
+      analysis::round_robin_threads(graph.thread_count(), kNumaNodes);
+  // Naive: every page on node 0 (main's node). Guided: each page with
+  // its dominant accessor's node.
+  const auto naive = analysis::score_single_node(affinity, threads, 0);
+  const auto guided = analysis::score_layout(
+      affinity, threads,
+      analysis::propose_placement(affinity, threads, kNumaNodes));
 
   core::Table table({"layout", "remote_accesses", "remote_share"});
-  table.add_row({"first-touch on main's node", std::to_string(naive_remote),
-                 core::format_fixed(100.0 * naive_remote / total, 1) + "%"});
-  table.add_row({"CPG-guided placement", std::to_string(guided_remote),
-                 core::format_fixed(100.0 * guided_remote / total, 1) + "%"});
+  table.add_row({"first-touch on main's node", std::to_string(naive.remote),
+                 core::format_fixed(100.0 * naive.remote / naive.total, 1) +
+                     "%"});
+  table.add_row({"CPG-guided placement", std::to_string(guided.remote),
+                 core::format_fixed(100.0 * guided.remote / guided.total, 1) +
+                     "%"});
   std::cout << table << "\n";
 
-  std::cout << "pages analyzed: " << affinity.accesses.size()
-            << ", page-touch events: " << total << "\n"
+  std::cout << "pages analyzed: " << affinity.touches.size()
+            << ", page-touch events: " << naive.total << "\n"
             << "The CPG already contains the access pattern the NUMA "
                "optimizer needs -- no extra profiling run required.\n";
   return 0;

@@ -44,10 +44,6 @@ class ByteWriter {
       out_.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
     }
   }
-  void u32_vec(std::span<const std::uint32_t> v) {
-    u64(v.size());
-    for (std::uint32_t x : v) u32(x);
-  }
   void u64_vec(std::span<const std::uint64_t> v) {
     u64(v.size());
     for (std::uint64_t x : v) u64(x);
@@ -61,9 +57,9 @@ class ByteWriter {
     out_.insert(out_.end(), s.begin(), s.end());
   }
 
-  // Varint forms (format generation 3+). The sequence codecs are
-  // self-framing (leading count varint) and delegate to
-  // util/varint.h, the one shared implementation.
+  // Varint forms. The sequence codecs are self-framing (leading count
+  // varint) and delegate to util/varint.h, the one shared
+  // implementation.
   void uvarint(std::uint64_t v) { util::put_uvarint(out_, v); }
   /// Strictly ascending u64 sequence as delta-1 varints. A
   /// non-monotone input is a writer bug and throws, so it can never
@@ -107,12 +103,6 @@ class ByteReader {
     }
     return v;
   }
-  std::vector<std::uint32_t> u32_vec() {
-    const std::uint64_t n = counted(4, "u32 vector");
-    std::vector<std::uint32_t> v(n);
-    for (auto& x : v) x = u32();
-    return v;
-  }
   std::vector<std::uint64_t> u64_vec() {
     const std::uint64_t n = counted(8, "u64 vector");
     std::vector<std::uint64_t> v(n);
@@ -152,11 +142,11 @@ class ByteReader {
     return v;
   }
 
-  // Varint forms (format generation 3+). One checked decode path:
-  // these delegate to util/varint.h and convert its typed Status into
-  // the reader's SerializeError flow, so truncation, overlong
-  // encodings, and accumulator overflow surface exactly like every
-  // other structural defect.
+  // Varint forms. One checked decode path: these delegate to
+  // util/varint.h and convert its typed Status into the reader's
+  // SerializeError flow, so truncation, overlong encodings, and
+  // accumulator overflow surface exactly like every other structural
+  // defect.
   std::uint64_t uvarint() {
     std::uint64_t v = 0;
     if (Status st = util::get_uvarint(in_, pos_, v); !st.ok()) {
@@ -247,37 +237,6 @@ inline void check_header(ByteReader& r, std::uint32_t magic,
                          std::to_string(version) +
                          "); re-export the file with a matching build");
   }
-}
-
-/// Check magic + a supported version *range*, returning the version
-/// actually seen so the caller can branch on layout generation.
-/// Formats that stay readable across generations (the CPG graph and
-/// the shard files keep loading version-2 stores) open through this;
-/// an unknown *future* version still fails with a message naming both
-/// the version seen and the range this build reads.
-inline std::uint32_t read_header(ByteReader& r, std::uint32_t magic,
-                                 std::uint32_t min_version,
-                                 std::uint32_t max_version,
-                                 const char* what) {
-  const std::uint32_t got_magic = r.u32();
-  if (got_magic != magic) {
-    throw SerializeError(std::string("not a ") + what +
-                         " file (bad magic 0x" + [&] {
-                           char buf[9];
-                           std::snprintf(buf, sizeof buf, "%08x", got_magic);
-                           return std::string(buf);
-                         }() + ")");
-  }
-  const std::uint32_t got_version = r.u32();
-  if (got_version < min_version || got_version > max_version) {
-    throw SerializeError(std::string(what) + " format version " +
-                         std::to_string(got_version) +
-                         " is not supported (this build reads versions " +
-                         std::to_string(min_version) + ".." +
-                         std::to_string(max_version) +
-                         "); re-export the file with a matching build");
-  }
-  return got_version;
 }
 
 }  // namespace inspector::cpg::detail

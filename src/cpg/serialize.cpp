@@ -2,7 +2,6 @@
 
 #include <exception>
 #include <sstream>
-#include <stdexcept>
 #include <utility>
 
 #include "cpg/binary_io.h"
@@ -12,39 +11,25 @@ namespace inspector::cpg {
 using detail::ByteReader;
 using detail::ByteWriter;
 
-std::vector<std::uint8_t> serialize(const Graph& graph,
-                                    std::uint32_t version) {
-  if (version < kCpgMinReadVersion || version > kCpgFormatVersion) {
-    throw detail::SerializeError("CPG serialize: cannot write format version " +
-                                 std::to_string(version));
-  }
-  const bool varint = version >= 3;
+std::vector<std::uint8_t> serialize(const Graph& graph) {
   std::vector<std::uint8_t> out;
   ByteWriter w(out);
-  detail::write_header(w, kCpgMagic, version);
+  detail::write_header(w, kCpgMagic, kCpgFormatVersion);
   w.u64(graph.nodes().size());
   for (const auto& n : graph.nodes()) {
     w.u32(n.id);
     w.u32(n.thread);
-    if (varint) {
-      // The node's heavy payload is all small or monotone integers:
-      // alpha/seqs are counters, clock components per-thread ticks,
-      // and the page sets sorted-unique -- delta+varint shrinks them
-      // ~4-8x and hands the LZ pass a lower-entropy stream.
-      w.uvarint(n.alpha);
-      const auto& clock = n.clock.components();
-      w.uvarint(clock.size());
-      for (std::uint64_t c : clock) w.uvarint(c);
-      w.monotone_u64(n.read_set);
-      w.monotone_u64(n.write_set);
-      w.uvarint(n.thunks.size());
-    } else {
-      w.u64(n.alpha);
-      w.u64_vec(n.clock.components());
-      w.u64_vec(n.read_set);
-      w.u64_vec(n.write_set);
-      w.u64(n.thunks.size());
-    }
+    // The node's heavy payload is all small or monotone integers:
+    // alpha/seqs are counters, clock components per-thread ticks,
+    // and the page sets sorted-unique -- delta+varint shrinks them
+    // ~4-8x and hands the LZ pass a lower-entropy stream.
+    w.uvarint(n.alpha);
+    const auto& clock = n.clock.components();
+    w.uvarint(clock.size());
+    for (std::uint64_t c : clock) w.uvarint(c);
+    w.monotone_u64(n.read_set);
+    w.monotone_u64(n.write_set);
+    w.uvarint(n.thunks.size());
     for (const auto& t : n.thunks) {
       w.u32(t.beta);
       w.u64(t.branch.ip);
@@ -54,13 +39,8 @@ std::vector<std::uint8_t> serialize(const Graph& graph,
     }
     w.u8(static_cast<std::uint8_t>(n.end.kind));
     w.u64(n.end.object);
-    if (varint) {
-      w.uvarint(n.start_seq);
-      w.uvarint(n.end_seq);
-    } else {
-      w.u64(n.start_seq);
-      w.u64(n.end_seq);
-    }
+    w.uvarint(n.start_seq);
+    w.uvarint(n.end_seq);
   }
   w.u64(graph.edges().size());
   for (const auto& e : graph.edges()) {
@@ -82,12 +62,9 @@ std::vector<std::uint8_t> serialize(const Graph& graph,
 Result<Graph> deserialize_checked(std::span<const std::uint8_t> bytes) {
   try {
     ByteReader r(bytes);
-    const std::uint32_t version = detail::read_header(
-        r, kCpgMagic, kCpgMinReadVersion, kCpgFormatVersion, "CPG");
-    const bool varint = version >= 3;
-    // Minimum encoded node: 65 bytes fixed-width (v2), 24 with the
-    // varint payload (v3).
-    const std::uint64_t node_count = r.counted(varint ? 24 : 65, "node");
+    detail::check_header(r, kCpgMagic, kCpgFormatVersion, "CPG");
+    // Minimum encoded node: 24 bytes.
+    const std::uint64_t node_count = r.counted(24, "node");
     std::vector<SubComputation> nodes;
     nodes.reserve(node_count);
     for (std::uint64_t i = 0; i < node_count; ++i) {
@@ -111,26 +88,14 @@ Result<Graph> deserialize_checked(std::span<const std::uint8_t> bytes) {
         throw detail::SerializeError("implausible node thread " +
                                      std::to_string(n.thread));
       }
-      std::uint64_t thunk_count = 0;
-      if (varint) {
-        n.alpha = r.uvarint();
-        const std::uint64_t clock_size = r.counted_varint(1, "clock");
-        for (std::uint64_t j = 0; j < clock_size; ++j) {
-          n.clock.set(j, r.uvarint());
-        }
-        n.read_set = r.monotone_u64();
-        n.write_set = r.monotone_u64();
-        thunk_count = r.counted_varint(21, "thunk");
-      } else {
-        n.alpha = r.u64();
-        const auto clock = r.u64_vec();
-        for (std::size_t j = 0; j < clock.size(); ++j) {
-          n.clock.set(j, clock[j]);
-        }
-        n.read_set = r.u64_vec();
-        n.write_set = r.u64_vec();
-        thunk_count = r.counted(21, "thunk");
+      n.alpha = r.uvarint();
+      const std::uint64_t clock_size = r.counted_varint(1, "clock");
+      for (std::uint64_t j = 0; j < clock_size; ++j) {
+        n.clock.set(j, r.uvarint());
       }
+      n.read_set = r.monotone_u64();
+      n.write_set = r.monotone_u64();
+      const std::uint64_t thunk_count = r.counted_varint(21, "thunk");
       n.thunks.reserve(thunk_count);
       for (std::uint64_t j = 0; j < thunk_count; ++j) {
         Thunk t;
@@ -144,13 +109,8 @@ Result<Graph> deserialize_checked(std::span<const std::uint8_t> bytes) {
       }
       n.end.kind = static_cast<sync::SyncEventKind>(r.u8());
       n.end.object = r.u64();
-      if (varint) {
-        n.start_seq = r.uvarint();
-        n.end_seq = r.uvarint();
-      } else {
-        n.start_seq = r.u64();
-        n.end_seq = r.u64();
-      }
+      n.start_seq = r.uvarint();
+      n.end_seq = r.uvarint();
       nodes.push_back(std::move(n));
     }
     const std::uint64_t edge_count = r.counted(17, "edge");
@@ -182,12 +142,6 @@ Result<Graph> deserialize_checked(std::span<const std::uint8_t> bytes) {
     return Status(StatusCode::kInvalidArgument,
                   std::string("CPG deserialize: ") + e.what());
   }
-}
-
-Graph deserialize(std::span<const std::uint8_t> bytes) {
-  auto result = deserialize_checked(bytes);
-  if (!result.ok()) throw std::runtime_error(result.status().message());
-  return std::move(result).value();
 }
 
 std::string to_text(const Graph& graph) {

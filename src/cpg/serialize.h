@@ -21,34 +21,21 @@ inline constexpr std::uint32_t kCpgMagic = 0x31475043;
 /// so stale files fail with a clear error instead of a misparsed node
 /// count; version 3 packs the monotone/small-integer node payload
 /// (page sets, clocks, alpha, seqs) as delta+varints (util/varint.h).
-/// Bump on any layout change.
+/// A build reads exactly this generation. Bump on any layout change.
 inline constexpr std::uint32_t kCpgFormatVersion = 3;
-/// Oldest generation this build still loads. Version-2 files (and the
-/// version-2 graphs nested inside version-2 shard stores) stay
-/// readable; writers always emit the current version unless asked for
-/// a compatibility export.
-inline constexpr std::uint32_t kCpgMinReadVersion = 2;
 
 /// Compact binary encoding (little-endian). Layout: magic "CPG1",
 /// format version, node count, nodes, edge count, edges, schedule.
-/// `version` selects the generation to emit -- kCpgFormatVersion for
-/// normal writes, 2 for compatibility exports (the v2 store writer
-/// shim the compat tests and size benchmarks build against).
-[[nodiscard]] std::vector<std::uint8_t> serialize(
-    const Graph& graph, std::uint32_t version = kCpgFormatVersion);
+[[nodiscard]] std::vector<std::uint8_t> serialize(const Graph& graph);
 
 /// Inverse of serialize(). A malformed, truncated, or wrong-version
 /// buffer comes back as kInvalidArgument with a precise message; this
-/// is the form tools and the sharded store load through. Accepts a
-/// view so nested sections (a shard file's embedded graph) decode in
-/// place without copying the payload.
+/// is the one decode path (tools, the sharded store and the snapshot
+/// ring all load through it). Accepts a view so nested sections (a
+/// shard file's embedded graph) decode in place without copying the
+/// payload.
 [[nodiscard]] Result<Graph> deserialize_checked(
     std::span<const std::uint8_t> bytes);
-
-/// Throwing form of deserialize_checked() for callers with established
-/// exception flows (the snapshot ring). Throws std::runtime_error with
-/// the same message a Status would carry.
-[[nodiscard]] Graph deserialize(std::span<const std::uint8_t> bytes);
 
 /// Human-readable dump, one node per line plus edges; the shape a
 /// `perf script` post-processor would print.

@@ -44,35 +44,11 @@ cpg::GraphStats read_stats(ByteReader& r) {
   return s;
 }
 
-void write_frontier(ByteWriter& w, const std::vector<FrontierEdge>& edges) {
-  w.u64(edges.size());
-  for (const FrontierEdge& e : edges) {
-    w.u64(e.edge_index);
-    w.u32(e.from);
-    w.u32(e.to);
-    w.u8(static_cast<std::uint8_t>(e.kind));
-    w.u64(e.object);
-  }
-}
-
-std::vector<FrontierEdge> read_frontier(ByteReader& r) {
-  const std::uint64_t count = r.counted(25, "frontier edge");  // 8+4+4+1+8
-  std::vector<FrontierEdge> edges(count);
-  for (FrontierEdge& e : edges) {
-    e.edge_index = r.u64();
-    e.from = r.u32();
-    e.to = r.u32();
-    e.kind = static_cast<cpg::EdgeKind>(r.u8());
-    e.object = r.u64();
-  }
-  return edges;
-}
-
-/// v3 frontier: column-wise, each column a self-framing varint
+/// The frontier, column-wise: each column a self-framing varint
 /// sequence. The edge indices are strictly ascending (monotone
 /// codec); endpoints and objects cluster (zigzag delta); kinds are a
 /// plain byte run.
-void write_frontier_v3(ByteWriter& w, const std::vector<FrontierEdge>& edges) {
+void write_frontier(ByteWriter& w, const std::vector<FrontierEdge>& edges) {
   std::vector<std::uint64_t> scratch;
   scratch.reserve(edges.size());
   for (const FrontierEdge& e : edges) scratch.push_back(e.edge_index);
@@ -91,7 +67,7 @@ void write_frontier_v3(ByteWriter& w, const std::vector<FrontierEdge>& edges) {
   w.zigzag_u64(scratch);
 }
 
-std::vector<FrontierEdge> read_frontier_v3(ByteReader& r) {
+std::vector<FrontierEdge> read_frontier(ByteReader& r) {
   const std::vector<std::uint64_t> indices = r.monotone_u64();
   const std::vector<std::uint64_t> from = r.zigzag_u64();
   const std::vector<std::uint64_t> to = r.zigzag_u64();
@@ -149,17 +125,10 @@ void narrow_into(const std::vector<std::uint64_t>& v, Vec& out,
 
 }  // namespace
 
-std::vector<std::uint8_t> serialize_manifest(const Manifest& m,
-                                             std::uint32_t version) {
-  if (version < kManifestMinReadVersion || version > kManifestFormatVersion) {
-    // lint: allow(no-throw-across-boundary) SerializeError is internal; the deserialize_*_checked wrappers catch it into a typed Status
-    throw cpg::detail::SerializeError(
-        "shard manifest: cannot write format version " +
-        std::to_string(version));
-  }
+std::vector<std::uint8_t> serialize_manifest(const Manifest& m) {
   std::vector<std::uint8_t> out;
   ByteWriter w(out);
-  cpg::detail::write_header(w, kManifestMagic, version);
+  cpg::detail::write_header(w, kManifestMagic, kManifestFormatVersion);
   w.u32(m.shard_count);
   w.u64(m.generation);
   w.u64(m.total_nodes);
@@ -184,44 +153,39 @@ std::vector<std::uint8_t> serialize_manifest(const Manifest& m,
     w.u64(s.byte_size);
     w.u64(s.decoded_bytes);
     w.u8(static_cast<std::uint8_t>(s.codec));
-    if (version >= 3) w.u64(s.file_checksum);
+    w.u64(s.file_checksum);
   }
-  if (version >= 3) {
-    // Trailing self-checksum over everything above: any flipped bit in
-    // the routing tables surfaces as kDataLoss at open, not as a
-    // misrouted query.
-    w.u64(snapshot::fnv1a(out));
-  }
+  // Trailing self-checksum over everything above: any flipped bit in
+  // the routing tables surfaces as kDataLoss at open, not as a
+  // misrouted query.
+  w.u64(snapshot::fnv1a(out));
   return out;
 }
 
 Result<Manifest> deserialize_manifest(const std::vector<std::uint8_t>& bytes) {
   try {
     ByteReader r(bytes);
-    const std::uint32_t version = cpg::detail::read_header(
-        r, kManifestMagic, kManifestMinReadVersion, kManifestFormatVersion,
-        "CPG shard manifest");
-    if (version >= 3) {
-      // Verify the trailing self-checksum before trusting any field.
-      // The header already parsed, so damage from here on is content
-      // damage (kDataLoss), not a foreign file.
-      if (bytes.size() < 16) {
-        return Status(StatusCode::kInvalidArgument,
-                      "shard manifest: too short for its checksum trailer");
-      }
-      std::uint64_t stored = 0;
-      for (int i = 0; i < 8; ++i) {
-        stored |= static_cast<std::uint64_t>(bytes[bytes.size() - 8 +
-                                                   static_cast<std::size_t>(i)])
-                  << (8 * i);
-      }
-      const std::uint64_t actual = snapshot::fnv1a(
-          std::span<const std::uint8_t>(bytes.data(), bytes.size() - 8));
-      if (stored != actual) {
-        return Status(StatusCode::kDataLoss,
-                      "shard manifest: self-checksum mismatch (the manifest "
-                      "bytes are damaged)");
-      }
+    cpg::detail::check_header(r, kManifestMagic, kManifestFormatVersion,
+                              "CPG shard manifest");
+    // Verify the trailing self-checksum before trusting any field. The
+    // header already parsed, so damage from here on is content damage
+    // (kDataLoss), not a foreign file.
+    if (bytes.size() < 16) {
+      return Status(StatusCode::kInvalidArgument,
+                    "shard manifest: too short for its checksum trailer");
+    }
+    std::uint64_t stored = 0;
+    for (int i = 0; i < 8; ++i) {
+      stored |= static_cast<std::uint64_t>(
+                    bytes[bytes.size() - 8 + static_cast<std::size_t>(i)])
+                << (8 * i);
+    }
+    const std::uint64_t actual = snapshot::fnv1a(
+        std::span<const std::uint8_t>(bytes.data(), bytes.size() - 8));
+    if (stored != actual) {
+      return Status(StatusCode::kDataLoss,
+                    "shard manifest: self-checksum mismatch (the manifest "
+                    "bytes are damaged)");
     }
     Manifest m;
     m.shard_count = r.u32();
@@ -266,7 +230,7 @@ Result<Manifest> deserialize_manifest(const std::vector<std::uint8_t>& bytes) {
                           std::to_string(codec));
       }
       s.codec = static_cast<ShardCodec>(codec);
-      if (version >= 3) s.file_checksum = r.u64();
+      s.file_checksum = r.u64();
       m.shards.push_back(std::move(s));
     }
     if (m.shards.size() != m.shard_count) {
@@ -302,56 +266,38 @@ namespace {
 /// from the frame so raw and compressed files share one encoding;
 /// writes into the caller's writer so the raw path can serialize
 /// straight into the framed output without a second full-body buffer.
-/// Version 2 is the fixed-width legacy layout (byte-identical to what
-/// pre-v3 builds wrote); version 3 packs every sidecar as
-/// delta+varint sequences and nests a v3 graph.
-void write_shard_body(ByteWriter& w, const ShardData& s,
-                      std::uint32_t version) {
+/// Every sidecar is packed as a delta+varint sequence.
+void write_shard_body(ByteWriter& w, const ShardData& s) {
   w.u32(s.shard_index);
   w.u32(s.shard_count);
   w.u32(s.rank_lo);
   w.u32(s.rank_hi);
-  if (version >= 3) {
-    w.monotone_u64(widen(s.global_ids));
-    w.zigzag_u64(widen(s.global_ranks));
-    w.zigzag_u64(widen(s.global_levels));
-    w.monotone_u64(s.edge_globals);
-    write_frontier_v3(w, s.frontier_in);
-    write_frontier_v3(w, s.frontier_out);
-  } else {
-    w.u32_vec(s.global_ids);
-    w.u32_vec(s.global_ranks);
-    w.u32_vec(s.global_levels);
-    w.u64_vec(s.edge_globals);
-    write_frontier(w, s.frontier_in);
-    write_frontier(w, s.frontier_out);
-  }
+  w.monotone_u64(widen(s.global_ids));
+  w.zigzag_u64(widen(s.global_ranks));
+  w.zigzag_u64(widen(s.global_levels));
+  w.monotone_u64(s.edge_globals);
+  write_frontier(w, s.frontier_in);
+  write_frontier(w, s.frontier_out);
   // The shard's nodes and intra-shard edges reuse the whole-graph
   // encoding (with its own nested version header), so the two formats
-  // cannot drift; a version-2 shard nests a version-2 graph, keeping
-  // the compatibility export byte-identical to what old builds wrote.
-  const std::vector<std::uint8_t> graph_bytes =
-      cpg::serialize(s.graph, version >= 3 ? cpg::kCpgFormatVersion : 2u);
-  w.u8_vec(graph_bytes);
+  // cannot drift.
+  w.u8_vec(cpg::serialize(s.graph));
 }
 
-Result<ShardData> deserialize_shard_body(std::span<const std::uint8_t> body,
-                                         std::uint32_t version);
+Result<ShardData> deserialize_shard_body(std::span<const std::uint8_t> body);
 
 /// The codec frame behind the versioned header. Parsed in one place
 /// so the reader's manifest cross-check and the decoder can never
 /// disagree about the layout. Throws SerializeError on truncation
 /// (callers sit inside a try like every other decode path).
 struct ShardFrame {
-  std::uint32_t version = kShardFormatVersion;
   ShardCodec codec = ShardCodec::kRaw;
   std::uint64_t decoded_size = 0;
 };
 
 Result<ShardFrame> parse_shard_frame(ByteReader& r) {
   ShardFrame frame;
-  frame.version = cpg::detail::read_header(
-      r, kShardMagic, kShardMinReadVersion, kShardFormatVersion, "CPG shard");
+  cpg::detail::check_header(r, kShardMagic, kShardFormatVersion, "CPG shard");
   const std::uint8_t codec_tag = r.u8();
   if (codec_tag > static_cast<std::uint8_t>(ShardCodec::kLz)) {
     return Status(StatusCode::kInvalidArgument,
@@ -367,16 +313,10 @@ Result<ShardFrame> parse_shard_frame(ByteReader& r) {
 
 std::vector<std::uint8_t> serialize_shard(const ShardData& s,
                                           ShardCodec codec,
-                                          std::uint64_t* decoded_bytes,
-                                          std::uint32_t version) {
-  if (version < kShardMinReadVersion || version > kShardFormatVersion) {
-    // lint: allow(no-throw-across-boundary) SerializeError is internal; the deserialize_*_checked wrappers catch it into a typed Status
-    throw cpg::detail::SerializeError(
-        "CPG shard: cannot write format version " + std::to_string(version));
-  }
+                                          std::uint64_t* decoded_bytes) {
   std::vector<std::uint8_t> out;
   ByteWriter w(out);
-  cpg::detail::write_header(w, kShardMagic, version);
+  cpg::detail::write_header(w, kShardMagic, kShardFormatVersion);
   w.u8(static_cast<std::uint8_t>(codec));
   // The payload is the file's final section: delimited by the file end
   // rather than a redundant length prefix (ByteReader::rest()).
@@ -384,7 +324,7 @@ std::vector<std::uint8_t> serialize_shard(const ShardData& s,
     std::vector<std::uint8_t> body;
     {
       ByteWriter body_writer(body);
-      write_shard_body(body_writer, s, version);
+      write_shard_body(body_writer, s);
     }
     if (decoded_bytes != nullptr) *decoded_bytes = body.size();
     w.u64(body.size());
@@ -396,7 +336,7 @@ std::vector<std::uint8_t> serialize_shard(const ShardData& s,
     // the length is known.
     w.u64(0);
     const std::size_t body_start = out.size();
-    write_shard_body(w, s, version);
+    write_shard_body(w, s);
     const std::uint64_t body_size = out.size() - body_start;
     if (decoded_bytes != nullptr) *decoded_bytes = body_size;
     for (int i = 0; i < 8; ++i) {
@@ -422,7 +362,7 @@ Result<ShardData> decode_shard_payload(const ShardFrame& frame,
                         " bytes but the frame declares " +
                         std::to_string(frame.decoded_size));
     }
-    return deserialize_shard_body(payload, frame.version);
+    return deserialize_shard_body(payload);
   }
   auto body = snapshot::decompress_checked(payload);
   if (!body.ok()) {
@@ -441,7 +381,7 @@ Result<ShardData> decode_shard_payload(const ShardFrame& frame,
                       " bytes but the frame declares " +
                       std::to_string(frame.decoded_size));
   }
-  return deserialize_shard_body(body.value(), frame.version);
+  return deserialize_shard_body(body.value());
 }
 
 }  // namespace
@@ -460,8 +400,7 @@ Result<ShardData> deserialize_shard(const std::vector<std::uint8_t>& bytes) {
 
 namespace {
 
-Result<ShardData> deserialize_shard_body(std::span<const std::uint8_t> body,
-                                         std::uint32_t version) {
+Result<ShardData> deserialize_shard_body(std::span<const std::uint8_t> body) {
   try {
     ByteReader r(body);
     ShardData s;
@@ -469,26 +408,13 @@ Result<ShardData> deserialize_shard_body(std::span<const std::uint8_t> body,
     s.shard_count = r.u32();
     s.rank_lo = r.u32();
     s.rank_hi = r.u32();
-    if (version >= 3) {
-      narrow_into(r.monotone_u64(), s.global_ids, "global id");
-      narrow_into(r.zigzag_u64(), s.global_ranks, "global rank");
-      narrow_into(r.zigzag_u64(), s.global_levels, "global level");
-      const auto edge_globals = r.monotone_u64();
-      s.edge_globals.assign(edge_globals.begin(), edge_globals.end());
-      s.frontier_in = read_frontier_v3(r);
-      s.frontier_out = read_frontier_v3(r);
-    } else {
-      const auto ids = r.u32_vec();
-      s.global_ids.assign(ids.begin(), ids.end());
-      const auto ranks = r.u32_vec();
-      s.global_ranks.assign(ranks.begin(), ranks.end());
-      const auto levels = r.u32_vec();
-      s.global_levels.assign(levels.begin(), levels.end());
-      const auto edge_globals = r.u64_vec();
-      s.edge_globals.assign(edge_globals.begin(), edge_globals.end());
-      s.frontier_in = read_frontier(r);
-      s.frontier_out = read_frontier(r);
-    }
+    narrow_into(r.monotone_u64(), s.global_ids, "global id");
+    narrow_into(r.zigzag_u64(), s.global_ranks, "global rank");
+    narrow_into(r.zigzag_u64(), s.global_levels, "global level");
+    const auto edge_globals = r.monotone_u64();
+    s.edge_globals.assign(edge_globals.begin(), edge_globals.end());
+    s.frontier_in = read_frontier(r);
+    s.frontier_out = read_frontier(r);
     // In-place view: the embedded graph is the dominant payload, and
     // every budget-driven cache miss decodes one -- no second copy.
     auto graph = cpg::deserialize_checked(r.u8_view());
@@ -712,11 +638,9 @@ Result<ShardData> ShardReader::read_shard(const std::string& dir,
                       " bytes, manifest records " +
                       std::to_string(info.byte_size) + ")");
   }
-  // Whole-file integrity (manifest v3): the one check that covers
-  // raw-codec bodies, whose frames carry no checksum of their own. A
-  // zero checksum is a v2-era entry -- unknown, skip.
-  if (info.file_checksum != 0 &&
-      snapshot::fnv1a(bytes.value()) != info.file_checksum) {
+  // Whole-file integrity: the one check that covers raw-codec bodies,
+  // whose frames carry no checksum of their own.
+  if (snapshot::fnv1a(bytes.value()) != info.file_checksum) {
     return Status(StatusCode::kDataLoss,
                   dir + "/" + info.file +
                       ": file checksum does not match the manifest (the "

@@ -30,8 +30,11 @@
 // codec tags, and precomputed whole-graph statistics, so page-local
 // queries touch only owning shards and a stats query touches none.
 // Both file kinds open with the shared magic+version header
-// (cpg/binary_io.h); stale or foreign files fail with a typed
-// kInvalidArgument, never a misparsed length.
+// (cpg/binary_io.h), and a build reads exactly its own generation of
+// each: a stale, foreign or future file fails with a typed
+// kInvalidArgument naming the version seen, never a misparsed length.
+// After a format bump, re-export the store (`inspector_cli
+// --shard-out`).
 #pragma once
 
 #include <cstdint>
@@ -52,10 +55,6 @@ namespace inspector::shard {
 /// trailing checksum over the manifest bytes themselves.
 inline constexpr std::uint32_t kManifestMagic = 0x4D475043;
 inline constexpr std::uint32_t kManifestFormatVersion = 3;
-/// Oldest manifest this build still opens. v2 manifests carry no
-/// checksums: their shard entries parse with file_checksum = 0
-/// ("unknown, skip verification").
-inline constexpr std::uint32_t kManifestMinReadVersion = 2;
 /// "CPGS" -- one shard file. Version 1 stored the body raw; version 2
 /// frames the body behind a codec tag + decoded size; version 3 packs
 /// the sidecars and frontier as delta+varint sequences
@@ -64,10 +63,6 @@ inline constexpr std::uint32_t kManifestMinReadVersion = 2;
 /// lower-entropy stream.
 inline constexpr std::uint32_t kShardMagic = 0x53475043;
 inline constexpr std::uint32_t kShardFormatVersion = 3;
-/// Oldest shard generation this build still loads. A store may mix
-/// versions: an append keeps prior shard files byte-identical, so a
-/// v2 store grown by a v3 build serves v2 and v3 files side by side.
-inline constexpr std::uint32_t kShardMinReadVersion = 2;
 
 inline constexpr const char* kManifestFileName = "MANIFEST.bin";
 
@@ -111,9 +106,8 @@ struct ShardInfo {
   std::uint64_t decoded_bytes = 0;  ///< body size once decoded (the
                                     ///< store's memory-budget unit)
   ShardCodec codec = ShardCodec::kRaw;
-  /// FNV-1a over the whole encoded file (manifest v3). 0 means
-  /// "unknown" -- entries read from a v2 manifest -- and skips the
-  /// check; readers verify any other value before decoding.
+  /// FNV-1a over the whole encoded file; readers verify it before
+  /// decoding.
   std::uint64_t file_checksum = 0;
 
   bool operator==(const ShardInfo&) const = default;
@@ -166,15 +160,11 @@ struct ShardData {
 
 // --- encoding ---------------------------------------------------------
 
-/// Encode the manifest. `version` selects the generation to emit:
-/// kManifestFormatVersion for normal commits, 2 for the compatibility
-/// shim old-store tests build with (v2 drops the checksums).
-[[nodiscard]] std::vector<std::uint8_t> serialize_manifest(
-    const Manifest& m, std::uint32_t version = kManifestFormatVersion);
-/// Decode + validate a manifest (versions kManifestMinReadVersion
-/// through kManifestFormatVersion). A v3 manifest whose trailing
-/// self-checksum does not match its bytes is kDataLoss; structural
-/// damage is kInvalidArgument.
+/// Encode the manifest, closed by a checksum over its own bytes.
+[[nodiscard]] std::vector<std::uint8_t> serialize_manifest(const Manifest& m);
+/// Decode + validate a manifest. One whose trailing self-checksum does
+/// not match its bytes is kDataLoss; structural damage (a foreign
+/// magic or another format version included) is kInvalidArgument.
 [[nodiscard]] Result<Manifest> deserialize_manifest(
     const std::vector<std::uint8_t>& bytes);
 
@@ -182,13 +172,9 @@ struct ShardData {
 /// size, then the (possibly compressed) body. `decoded_bytes`, when
 /// given, receives the body size before the codec ran -- the number the
 /// manifest records and the store charges its memory budget with.
-/// `version` selects the generation to emit: kShardFormatVersion for
-/// normal writes, 2 for compatibility exports (the writer shim the
-/// v2-compat tests and the size benchmark build old stores with).
 [[nodiscard]] std::vector<std::uint8_t> serialize_shard(
     const ShardData& s, ShardCodec codec = ShardCodec::kRaw,
-    std::uint64_t* decoded_bytes = nullptr,
-    std::uint32_t version = kShardFormatVersion);
+    std::uint64_t* decoded_bytes = nullptr);
 /// Decode + validate one shard file (transparently decompressing a
 /// kLz body). A corrupt compressed payload -- truncated, bad offsets,
 /// checksum mismatch -- comes back as kInvalidArgument, never as an

@@ -173,9 +173,9 @@ Result<FsckReport> fsck(const std::string& dir, const FsckOptions& options) {
   report.shard_count = m.shard_count;
 
   // Referenced shards, in manifest order: existence, size, whole-file
-  // checksum (v3; v2 entries carry none), full decode, then the
-  // decoded payload against the manifest entry. One issue per shard --
-  // later checks assume the earlier ones held.
+  // checksum, full decode, then the decoded payload against the
+  // manifest entry. One issue per shard -- later checks assume the
+  // earlier ones held.
   std::unordered_set<std::string> referenced;
   for (std::uint32_t s = 0; s < m.shard_count; ++s) {
     const ShardInfo& info = m.shards[s];
@@ -194,8 +194,7 @@ Result<FsckReport> fsck(const std::string& dir, const FsckOptions& options) {
               std::to_string(info.byte_size));
       continue;
     }
-    if (info.file_checksum != 0 &&
-        snapshot::fnv1a(bytes.value()) != info.file_checksum) {
+    if (snapshot::fnv1a(bytes.value()) != info.file_checksum) {
       add(FsckIssue::Kind::kChecksumMismatch, info.file,
           "whole-file checksum does not match the manifest (the shard "
           "bytes are damaged)");

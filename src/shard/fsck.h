@@ -45,7 +45,7 @@ struct FsckIssue {
     kOrphanShardFile,     ///< shard-*.bin the manifest does not reference
     kMissingShardFile,    ///< referenced file absent or unreadable
     kSizeMismatch,        ///< on-disk size != manifest byte_size
-    kChecksumMismatch,    ///< whole-file checksum != manifest (v3)
+    kChecksumMismatch,    ///< whole-file checksum != manifest
     kCorruptShard,        ///< referenced file fails to decode
     kInconsistentShard,   ///< decoded payload disagrees with the manifest
   };

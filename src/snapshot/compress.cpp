@@ -2,7 +2,6 @@
 
 #include <cstring>
 #include <limits>
-#include <stdexcept>
 #include <string>
 
 #include "util/failpoint.h"
@@ -218,12 +217,6 @@ Result<std::vector<std::uint8_t>> decompress_checked(
                   "lz: decoded-bytes checksum mismatch");
   }
   return out;
-}
-
-std::vector<std::uint8_t> decompress(std::span<const std::uint8_t> block) {
-  auto out = decompress_checked(block);
-  if (!out.ok()) throw std::runtime_error(out.status().message());
-  return std::move(out).value();
 }
 
 double compression_ratio(std::uint64_t uncompressed,

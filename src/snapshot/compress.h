@@ -47,12 +47,6 @@ inline constexpr std::size_t kBlockHeaderBytes = 16;
 [[nodiscard]] Result<std::vector<std::uint8_t>> decompress_checked(
     std::span<const std::uint8_t> block);
 
-/// Throwing wrapper over decompress_checked() for callers with
-/// established exception flows (the snapshot ring). Throws
-/// std::runtime_error carrying the Status message.
-[[nodiscard]] std::vector<std::uint8_t> decompress(
-    std::span<const std::uint8_t> block);
-
 /// ratio = uncompressed / compressed (the paper's "Ratio" column).
 /// The zero-denominator case is explicit: nothing-to-nothing is 1.0
 /// (no change), and a nonzero payload "compressed" to zero bytes is

@@ -30,11 +30,15 @@ bool SnapshotRing::store(const cpg::Graph& graph) {
   return true;
 }
 
-std::optional<cpg::Graph> SnapshotRing::consume() {
-  if (queue_.empty()) return std::nullopt;
+Result<cpg::Graph> SnapshotRing::consume() {
+  if (queue_.empty()) {
+    return Status(StatusCode::kExhausted, "snapshot ring is empty");
+  }
   const std::vector<std::uint8_t> packed = std::move(queue_.front());
   queue_.pop_front();
-  return cpg::deserialize(decompress(packed));
+  const auto raw = decompress_checked(packed);
+  if (!raw.ok()) return raw.status();
+  return cpg::deserialize_checked(raw.value());
 }
 
 }  // namespace inspector::snapshot

@@ -12,10 +12,10 @@
 
 #include <cstdint>
 #include <deque>
-#include <optional>
 #include <vector>
 
 #include "cpg/graph.h"
+#include "util/status.h"
 
 namespace inspector::snapshot {
 
@@ -39,8 +39,10 @@ class SnapshotRing {
   bool store(const cpg::Graph& graph);
 
   /// Pop the oldest stored snapshot and decompress+deserialize it.
-  /// std::nullopt when the ring is empty.
-  [[nodiscard]] std::optional<cpg::Graph> consume();
+  /// kExhausted when the ring is empty; a damaged slot comes back as
+  /// the decoder's typed status (kDataLoss for a checksum mismatch,
+  /// kInvalidArgument for structural damage) and is dropped.
+  [[nodiscard]] Result<cpg::Graph> consume();
 
   [[nodiscard]] std::size_t occupied() const noexcept {
     return queue_.size();

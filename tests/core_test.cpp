@@ -53,12 +53,15 @@ TEST(InspectorFacade, SnapshotRingFillsDuringRun) {
 
   // Every stored snapshot must be a valid, causally-closed CPG prefix.
   auto& ring = *result.snapshots;
-  while (auto snap = ring.consume()) {
+  auto snap = ring.consume();
+  for (; snap.ok(); snap = ring.consume()) {
     std::string reason;
     EXPECT_TRUE(snap->validate(&reason)) << reason;
     EXPECT_TRUE(inspector::snapshot::is_causally_closed(*result.graph, *snap));
     EXPECT_LE(snap->nodes().size(), result.graph->nodes().size());
   }
+  EXPECT_EQ(snap.status().code(), inspector::StatusCode::kExhausted)
+      << snap.status().message();
 }
 
 TEST(InspectorFacade, SnapshotAuxModeStillTraces) {

@@ -1,8 +1,9 @@
 // Offline store verification: fsck on clean stores, crash debris
 // (detect + repair), every referenced-file damage class with its
-// precise issue kind, v2-era manifests, and in-memory bit-flip sweeps
-// over the manifest and one shard file per codec proving that no
-// single-bit mutation of the on-disk formats can pass silently.
+// precise issue kind, a manifest of another format generation, and
+// in-memory bit-flip sweeps over the manifest and one shard file per
+// codec proving that no single-bit mutation of the on-disk formats can
+// pass silently.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -212,33 +213,42 @@ TEST(Fsck, ForeignShardBehindAValidChecksumIsInconsistent) {
   EXPECT_TRUE(report->damaged());
 }
 
-TEST(Fsck, V2ManifestWithoutChecksumsStillVerifies) {
+TEST(Fsck, V2ManifestIsUnreadableAndRepairDeletesNoShard) {
   fixtures::ThreadCountGuard threads;
   util::set_analysis_threads(1);
   const std::string dir = make_store("fsck_v2", 56);
-  // A v2-era manifest has no per-file checksums (file_checksum == 0
-  // means unknown) and no self-checksum; fsck still decodes and
-  // cross-checks every shard.
-  auto manifest = ShardReader::read_manifest(dir);
-  ASSERT_TRUE(manifest.ok());
-  ASSERT_TRUE(replace_file_bytes(dir + "/" + kManifestFileName,
-                                 serialize_manifest(*manifest, /*version=*/2))
-                  .ok());
-  const auto clean = fsck(dir);
-  ASSERT_TRUE(clean.ok()) << clean.status().message();
-  EXPECT_TRUE(clean->clean());
-  EXPECT_EQ(clean->shards_verified, 3u);
-
-  // Without the whole-file checksum a content flip must still be
-  // caught -- by the shard's own decode-stage checksum or structure.
-  const std::string file = dir + "/" + manifest->shards[0].file;
-  auto bytes = read_file_bytes(file);
+  // A build reads exactly its own manifest generation. One stamped
+  // version 2 is unreadable, so fsck cannot tell orphan from
+  // referenced, and --repair must leave every shard file in place.
+  const std::string path = dir + "/" + kManifestFileName;
+  auto bytes = read_file_bytes(path);
   ASSERT_TRUE(bytes.ok());
-  bytes.value()[bytes->size() - 3] ^= 0x10;
-  ASSERT_TRUE(write_file_bytes(file, *bytes).ok());
-  const auto report = fsck(dir);
-  ASSERT_TRUE(report.ok());
+  bytes.value()[4] = 2;
+  ASSERT_TRUE(replace_file_bytes(path, *bytes).ok());
+  const auto manifest = ShardReader::read_manifest(dir);
+  ASSERT_FALSE(manifest.ok());
+  EXPECT_EQ(manifest.status().code(), StatusCode::kInvalidArgument);
+
+  std::vector<std::string> shard_files;
+  for (const auto& entry : fs::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name != kManifestFileName) shard_files.push_back(name);
+  }
+  ASSERT_EQ(shard_files.size(), 3u);
+
+  const auto report = fsck(dir, FsckOptions{/*repair=*/true});
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  ASSERT_EQ(report->issues.size(), 1u);
+  const FsckIssue& issue = report->issues.front();
+  EXPECT_EQ(issue.kind, Kind::kManifestUnreadable);
+  EXPECT_NE(issue.detail.find("format version 2 "), std::string::npos)
+      << issue.detail;
+  EXPECT_FALSE(issue.repaired);
   EXPECT_TRUE(report->damaged());
+  EXPECT_EQ(report->shards_verified, 0u);
+  for (const std::string& name : shard_files) {
+    EXPECT_TRUE(fs::exists(dir + "/" + name)) << "repair deleted " << name;
+  }
 }
 
 TEST(Fsck, ManifestBitFlipSweepYieldsTypedErrors) {

@@ -1,17 +1,23 @@
 // Flow-decoder tests: reconstructing control flow from packets + image
-// (the libipt-style layer of §V-B).
+// (the libipt-style layer of §V-B), and the timestamps a traced run
+// exposes through it.
 #include <gtest/gtest.h>
 
 #include <random>
 
+#include "core/inspector.h"
 #include "ptsim/encoder.h"
 #include "ptsim/flow.h"
 #include "ptsim/image.h"
 #include "ptsim/sink.h"
+#include "workloads/registry.h"
 
 namespace {
 
 using namespace inspector::ptsim;
+namespace core = inspector::core;
+namespace ptsim = inspector::ptsim;
+namespace workloads = inspector::workloads;
 
 // A tiny image:
 //   0x1000: cond branch -> taken 0x1040 / fall 0x1020
@@ -183,5 +189,25 @@ TEST_P(FlowChainTest, LongChainsRoundTripAnyPattern) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, FlowChainTest,
                          ::testing::Values(11, 22, 33, 44));
+
+TEST(PtTiming, FlowResultExposesTimestamps) {
+  workloads::WorkloadConfig config;
+  config.threads = 4;
+  config.scale = 0.2;
+  core::Inspector insp;
+  const auto result = insp.run(workloads::make_histogram(config));
+  bool any = false;
+  for (auto pid : result.perf_session->traced_pids()) {
+    const auto& trace = result.perf_session->trace_for(pid);
+    ptsim::FlowDecoder decoder(result.image->image, trace);
+    const auto flow = decoder.run();
+    if (flow.last_timestamp != 0) {
+      any = true;
+      EXPECT_LE(flow.first_timestamp, flow.last_timestamp);
+      EXPECT_LE(flow.last_timestamp, result.stats.sim_time_ns);
+    }
+  }
+  EXPECT_TRUE(any) << "executor stamps simulated time into the trace";
+}
 
 }  // namespace

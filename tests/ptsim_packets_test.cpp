@@ -1,5 +1,6 @@
 // Intel PT packet encoder/decoder tests: wire-format details, IP
-// compression, TNT packing, PSB sync, overflow, and malformed input.
+// compression, TNT packing, PSB sync, TSC timing, overflow, and
+// malformed input.
 #include <gtest/gtest.h>
 
 #include <random>
@@ -11,6 +12,7 @@
 namespace {
 
 using namespace inspector::ptsim;
+namespace ptsim = inspector::ptsim;
 
 std::vector<Packet> filter(const std::vector<Packet>& packets,
                            PacketType type) {
@@ -352,5 +354,31 @@ TEST_P(PtFuzzTest, TruncatedValidStreamsNeverCrash) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PtFuzzTest, ::testing::Values(7, 77, 777));
+
+// --- PT timestamps ------------------------------------------------------
+
+TEST(PtTiming, TscStampedInPsbPlus) {
+  ptsim::VectorSink sink;
+  ptsim::EncoderOptions opts;
+  opts.psb_period_bytes = 64;
+  ptsim::PacketEncoder enc(sink, opts);
+  enc.set_timestamp(1000);
+  enc.on_enable(0x1000);
+  for (int i = 0; i < 2000; ++i) {
+    enc.set_timestamp(1000 + static_cast<std::uint64_t>(i) * 10);
+    enc.on_conditional(i % 2 == 0);
+  }
+  enc.flush();
+  ptsim::PacketDecoder dec(sink.data());
+  std::vector<std::uint64_t> stamps;
+  while (auto p = dec.next()) {
+    if (p->type == ptsim::PacketType::kTsc) stamps.push_back(p->payload);
+  }
+  ASSERT_GT(stamps.size(), 2u) << "periodic PSB+ must carry TSC";
+  for (std::size_t i = 1; i < stamps.size(); ++i) {
+    EXPECT_LE(stamps[i - 1], stamps[i]) << "timestamps must be monotone";
+  }
+  EXPECT_EQ(stamps.front(), 1000u);
+}
 
 }  // namespace

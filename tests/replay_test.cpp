@@ -95,7 +95,7 @@ TEST(Replay, SnapshotPrefixReplaysPartially) {
   ASSERT_GT(result.snapshots->occupied(), 0u);
 
   auto snap = result.snapshots->consume();
-  ASSERT_TRUE(snap.has_value());
+  ASSERT_TRUE(snap.ok()) << snap.status().message();
   // A prefix cannot contain exit nodes for every thread, so full replay
   // of it uses the nodes that exist. It must not throw and must replay
   // exactly the snapshot's nodes.

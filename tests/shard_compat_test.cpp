@@ -1,26 +1,18 @@
-// Cross-version store compatibility.
+// Format-generation discipline for stores.
 //
-// Shard files are versioned per file, and an append keeps prior files
-// byte-identical, so one store can mix generations. This test pins
-// the two sides of that contract: (1) a store rewritten through the
-// v2 writer shims (serialize_shard's and serialize_manifest's version
-// parameters -- no checksums anywhere) loads in this build and serves
-// the exact reply stream of the v3 store it came from; (2) files
-// stamped with a future version fail with a typed kInvalidArgument
-// naming the version range this build reads -- and a store serving
-// such a file quarantines it as kUnavailable -- never a misparse.
+// A build reads exactly its own generation of each file kind. Shard
+// and manifest files stamped with any other version -- the previous
+// generation (2) or a future one -- fail with a typed kInvalidArgument
+// naming the version seen, never a misparse, and a store serving such
+// a shard file quarantines it as kUnavailable. After a format bump a
+// store is re-exported (`inspector_cli --shard-out`).
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <memory>
 #include <string>
-#include <vector>
 
 #include "cpg/graph.h"
 #include "history_fixtures.h"
-#include "query/engine.h"
-#include "query/wire.h"
-#include "shard/engine.h"
 #include "shard/format.h"
 #include "shard/planner.h"
 #include "shard/store.h"
@@ -29,144 +21,9 @@
 namespace {
 
 using namespace inspector;
-using namespace inspector::query;
 namespace fixtures = inspector::fixtures;
 
-/// A query batch with paginated cursors, serialized to wire bytes --
-/// the same shape shard_property_test.cpp compares across shard and
-/// worker counts.
-std::string serialized_session(QueryEngine& engine, cpg::NodeId last,
-                               std::uint64_t first_page) {
-  const auto paged = [](Query q, std::uint64_t page_size) {
-    QueryOptions options;
-    options.page_size = page_size;
-    return QueryEngine::BatchItem{std::move(q), options};
-  };
-  const std::vector<QueryEngine::BatchItem> items = {
-      paged(BackwardSliceQuery{last}, 7),
-      paged(ForwardSliceQuery{0}, 5),
-      paged(RacesQuery{}, 13),
-      paged(TaintQuery{{0, 3, 7}, true}, 9),
-      paged(CriticalPathQuery{}, 6),
-      {StatsQuery{}, {}},
-      {HappensBeforeQuery{0, last}, {}},
-      paged(PageAccessorsQuery{first_page}, 4),
-      paged(LatestWritersQuery{last}, 3),
-  };
-  const auto replies = engine.run_batch(QueryEngine::kDefaultSession, items);
-
-  std::string out;
-  std::uint64_t id = 1;
-  std::vector<std::uint64_t> cursors;
-  for (const auto& reply : replies) {
-    out += wire::serialize_reply(id++, reply);
-    out += '\n';
-    if (reply.ok() && reply->cursor != 0) cursors.push_back(reply->cursor);
-  }
-  for (const std::uint64_t cursor : cursors) {
-    while (true) {
-      const auto page = engine.next(cursor);
-      out += wire::serialize_reply(id++, page);
-      out += '\n';
-      if (!page.ok() || !page->has_more) break;
-    }
-  }
-  return out;
-}
-
-/// Rewrite every shard file of the store at `dir` through the v2
-/// writer shim and recommit the manifest -- through the v2 manifest
-/// shim as well, so the result is exactly the store a v2-era build
-/// would have written: no per-shard file checksums, no manifest
-/// self-checksum. Loading it exercises kManifestMinReadVersion and the
-/// checksum-unknown (file_checksum == 0) skip path end to end.
-void downgrade_store_to_v2(const std::string& dir) {
-  auto manifest_read = shard::ShardReader::read_manifest(dir);
-  ASSERT_TRUE(manifest_read.ok()) << manifest_read.status().message();
-  shard::Manifest manifest = std::move(manifest_read).value();
-  for (shard::ShardInfo& info : manifest.shards) {
-    auto data = shard::ShardReader::read_shard(dir, info);
-    ASSERT_TRUE(data.ok()) << data.status().message();
-    std::uint64_t decoded = 0;
-    const std::vector<std::uint8_t> bytes =
-        shard::serialize_shard(*data, info.codec, &decoded, /*version=*/2);
-    ASSERT_TRUE(
-        shard::write_file_bytes(dir + "/" + info.file, bytes).ok());
-    info.byte_size = bytes.size();
-    info.decoded_bytes = decoded;
-  }
-  ASSERT_TRUE(
-      shard::replace_file_bytes(
-          dir + "/" + shard::kManifestFileName,
-          shard::serialize_manifest(manifest, /*version=*/2))
-          .ok());
-}
-
-class ShardCompat : public ::testing::TestWithParam<shard::ShardCodec> {};
-
-TEST_P(ShardCompat, V2StoreServesTheSameReplyBytesAsV3) {
-  fixtures::ThreadCountGuard guard;
-  util::set_analysis_threads(1);
-  const cpg::Graph source = fixtures::random_history(77);
-  const auto last = static_cast<cpg::NodeId>(source.nodes().size() - 1);
-  const std::uint64_t first_page =
-      source.page_count() > 0 ? source.pages()[0] : 0;
-
-  std::string reference;
-  {
-    QueryEngine engine(std::make_shared<const cpg::Graph>(source));
-    reference = serialized_session(engine, last, first_page);
-  }
-
-  const std::string dir = ::testing::TempDir() + "shard_compat_v2_" +
-                          std::to_string(static_cast<int>(GetParam()));
-  const auto manifest =
-      shard::write_store(source, dir, shard::PlanOptions{3}, GetParam());
-  ASSERT_TRUE(manifest.ok()) << manifest.status().message();
-
-  // The freshly written v3 store matches the unsharded engine...
-  {
-    auto store = shard::ShardStore::open(dir);
-    ASSERT_TRUE(store.ok()) << store.status().message();
-    shard::ShardedQueryEngine engine(std::move(store).value());
-    EXPECT_EQ(serialized_session(engine, last, first_page), reference);
-  }
-
-  // ...and so does the same store downgraded to v2 files.
-  downgrade_store_to_v2(dir);
-  auto store = shard::ShardStore::open(dir);
-  ASSERT_TRUE(store.ok()) << store.status().message();
-  shard::ShardedQueryEngine engine(std::move(store).value());
-  EXPECT_EQ(serialized_session(engine, last, first_page), reference);
-}
-
-INSTANTIATE_TEST_SUITE_P(Codecs, ShardCompat,
-                         ::testing::Values(shard::ShardCodec::kRaw,
-                                           shard::ShardCodec::kLz));
-
-TEST(ShardCompatErrors, V2FilesAreSmallerWhenRewrittenAsV3) {
-  // Not a benchmark -- just the directional claim the format doc
-  // makes: the varint packing shrinks the encoded file even before
-  // the LZ codec sees the lower-entropy stream.
-  fixtures::ThreadCountGuard guard;
-  util::set_analysis_threads(1);
-  const cpg::Graph source = fixtures::random_history(78);
-  const std::string dir = ::testing::TempDir() + "shard_compat_size";
-  ASSERT_TRUE(shard::write_store(source, dir, shard::PlanOptions{2}).ok());
-  auto manifest = shard::ShardReader::read_manifest(dir);
-  ASSERT_TRUE(manifest.ok());
-  std::uint64_t v3_total = 0;
-  std::uint64_t v2_total = 0;
-  for (const shard::ShardInfo& info : manifest->shards) {
-    auto data = shard::ShardReader::read_shard(dir, info);
-    ASSERT_TRUE(data.ok());
-    v3_total += serialize_shard(*data, info.codec, nullptr, 3).size();
-    v2_total += serialize_shard(*data, info.codec, nullptr, 2).size();
-  }
-  EXPECT_LT(v3_total, v2_total);
-}
-
-TEST(ShardCompatErrors, FutureShardVersionIsATypedError) {
+TEST(ShardCompatErrors, OldAndFutureShardVersionsAreTypedErrors) {
   fixtures::ThreadCountGuard guard;
   util::set_analysis_threads(1);
   const cpg::Graph source = fixtures::random_history(79);
@@ -175,52 +32,65 @@ TEST(ShardCompatErrors, FutureShardVersionIsATypedError) {
   auto manifest = shard::ShardReader::read_manifest(dir);
   ASSERT_TRUE(manifest.ok());
   const shard::ShardInfo& info = manifest->shards.front();
+  const auto current = shard::read_file_bytes(dir + "/" + info.file);
+  ASSERT_TRUE(current.ok());
 
-  auto bytes = shard::read_file_bytes(dir + "/" + info.file);
-  ASSERT_TRUE(bytes.ok());
-  // The header is magic u32 + version u32, little-endian.
-  bytes.value()[4] =
-      static_cast<std::uint8_t>(shard::kShardFormatVersion + 1);
-  const auto decoded = shard::deserialize_shard(*bytes);
-  ASSERT_FALSE(decoded.ok());
-  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(decoded.status().message().find("version"), std::string::npos)
-      << decoded.status().message();
+  // The previous generation and the next one.
+  for (const std::uint32_t version : {2u, shard::kShardFormatVersion + 1}) {
+    auto bytes = current.value();
+    // The header is magic u32 + version u32, little-endian.
+    bytes[4] = static_cast<std::uint8_t>(version);
+    const auto decoded = shard::deserialize_shard(bytes);
+    ASSERT_FALSE(decoded.ok()) << "version " << version;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(decoded.status().message().find(
+                  "format version " + std::to_string(version) + " "),
+              std::string::npos)
+        << decoded.status().message();
 
-  // A store whose file on disk carries the future version quarantines
-  // the shard at lazy load: the terminal failure (here the manifest's
-  // whole-file checksum, which the edit also broke) comes back as
-  // kUnavailable naming the shard and its file.
-  ASSERT_TRUE(shard::write_file_bytes(dir + "/" + info.file, *bytes).ok());
-  auto store = shard::ShardStore::open(dir);
-  ASSERT_TRUE(store.ok()) << store.status().message();
-  const auto loaded = store.value()->load(0);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kUnavailable);
-  EXPECT_NE(loaded.status().message().find("quarantined"), std::string::npos)
-      << loaded.status().message();
-  // The quarantine is sticky: the same typed error, no new disk reads.
-  const auto again = store.value()->load(0);
-  ASSERT_FALSE(again.ok());
-  EXPECT_EQ(again.status().message(), loaded.status().message());
-  EXPECT_EQ(store.value()->stats().quarantined_shards, 1u);
+    // A store whose file on disk carries that version quarantines the
+    // shard at lazy load: the terminal failure (here the manifest's
+    // whole-file checksum, which the edit also broke) comes back as
+    // kUnavailable naming the shard and its file.
+    ASSERT_TRUE(shard::write_file_bytes(dir + "/" + info.file, bytes).ok());
+    auto store = shard::ShardStore::open(dir);
+    ASSERT_TRUE(store.ok()) << store.status().message();
+    const auto loaded = store.value()->load(0);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kUnavailable);
+    EXPECT_NE(loaded.status().message().find("quarantined"),
+              std::string::npos)
+        << loaded.status().message();
+    // The quarantine is sticky: the same typed error, no new disk reads.
+    const auto again = store.value()->load(0);
+    ASSERT_FALSE(again.ok());
+    EXPECT_EQ(again.status().message(), loaded.status().message());
+    EXPECT_EQ(store.value()->stats().quarantined_shards, 1u);
+  }
 }
 
-TEST(ShardCompatErrors, FutureManifestVersionIsATypedError) {
+TEST(ShardCompatErrors, OldAndFutureManifestVersionsAreTypedErrors) {
   fixtures::ThreadCountGuard guard;
   util::set_analysis_threads(1);
   const cpg::Graph source = fixtures::random_history(80);
   const std::string dir = ::testing::TempDir() + "shard_compat_manifest";
   ASSERT_TRUE(shard::write_store(source, dir, shard::PlanOptions{2}).ok());
   const std::string path = dir + "/" + shard::kManifestFileName;
-  auto bytes = shard::read_file_bytes(path);
-  ASSERT_TRUE(bytes.ok());
-  bytes.value()[4] =
-      static_cast<std::uint8_t>(shard::kManifestFormatVersion + 1);
-  ASSERT_TRUE(shard::replace_file_bytes(path, *bytes).ok());
-  const auto store = shard::ShardStore::open(dir);
-  ASSERT_FALSE(store.ok());
-  EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument);
+  const auto current = shard::read_file_bytes(path);
+  ASSERT_TRUE(current.ok());
+  for (const std::uint32_t version :
+       {2u, shard::kManifestFormatVersion + 1}) {
+    auto bytes = current.value();
+    bytes[4] = static_cast<std::uint8_t>(version);
+    ASSERT_TRUE(shard::replace_file_bytes(path, bytes).ok());
+    const auto store = shard::ShardStore::open(dir);
+    ASSERT_FALSE(store.ok()) << "version " << version;
+    EXPECT_EQ(store.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(store.status().message().find(
+                  "format version " + std::to_string(version) + " "),
+              std::string::npos)
+        << store.status().message();
+  }
 }
 
 }  // namespace

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "cpg/graph.h"
+#include "cpg/recorder.h"
 #include "cpg/serialize.h"
 #include "history_fixtures.h"
 #include "shard/engine.h"
@@ -116,15 +117,19 @@ TEST(ShardFormat, WrongVersionAndMagicAreTypedErrors) {
 
   auto bytes = shard::read_file_bytes(dir + "/" + shard::kManifestFileName);
   ASSERT_TRUE(bytes.ok());
-  // Corrupt the version field (bytes 4..7).
-  auto wrong_version = bytes.value();
-  wrong_version[4] = 0x77;
-  const auto version_error = shard::deserialize_manifest(wrong_version);
-  ASSERT_FALSE(version_error.ok());
-  EXPECT_EQ(version_error.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(version_error.status().message().find("format version"),
-            std::string::npos)
-      << version_error.status().message();
+  // Corrupt the version field (bytes 4..7): garbage, or the previous
+  // generation, which this build no longer reads.
+  for (const std::uint8_t version : {0x77, 2}) {
+    auto wrong_version = bytes.value();
+    wrong_version[4] = version;
+    const auto version_error = shard::deserialize_manifest(wrong_version);
+    ASSERT_FALSE(version_error.ok());
+    EXPECT_EQ(version_error.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(version_error.status().message().find(
+                  "format version " + std::to_string(version) + " "),
+              std::string::npos)
+        << version_error.status().message();
+  }
   // Corrupt the magic.
   auto wrong_magic = bytes.value();
   wrong_magic[0] ^= 0xFF;
@@ -138,13 +143,17 @@ TEST(ShardFormat, WrongVersionAndMagicAreTypedErrors) {
   auto shard_bytes =
       shard::read_file_bytes(dir + "/" + manifest->shards[0].file);
   ASSERT_TRUE(shard_bytes.ok());
-  auto stale = shard_bytes.value();
-  stale[4] = 0x63;
-  const auto stale_error = shard::deserialize_shard(stale);
-  ASSERT_FALSE(stale_error.ok());
-  EXPECT_EQ(stale_error.status().code(), StatusCode::kInvalidArgument);
-  EXPECT_NE(stale_error.status().message().find("format version"),
-            std::string::npos);
+  for (const std::uint8_t version : {0x63, 2}) {
+    auto stale = shard_bytes.value();
+    stale[4] = version;
+    const auto stale_error = shard::deserialize_shard(stale);
+    ASSERT_FALSE(stale_error.ok());
+    EXPECT_EQ(stale_error.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(stale_error.status().message().find(
+                  "format version " + std::to_string(version) + " "),
+              std::string::npos)
+        << stale_error.status().message();
+  }
 }
 
 TEST(ShardFormat, CorruptFrontierEndpointsAreTypedErrors) {
@@ -336,6 +345,54 @@ TEST(ShardFormat, CompressedShardsRoundTrip) {
   }
   EXPECT_GT(inspector::snapshot::compression_ratio(decoded, encoded), 1.5)
       << "CPG shard payloads must actually compress";
+}
+
+/// A phase-regular barrier-round history: every round, each thread
+/// writes its own slice of `pages` pages and reads its neighbour's.
+/// Unlike fixtures::barrier_history, whose random page sets make the
+/// compression ratio depend on the seed, this shape is fixed.
+cpg::Graph slice_exchange_history(std::uint32_t threads, std::uint32_t rounds,
+                                  std::uint64_t pages) {
+  const auto barrier = sync::make_object_id(sync::ObjectKind::kBarrier, 1);
+  cpg::Recorder rec;
+  for (std::uint32_t t = 0; t < threads; ++t) rec.thread_started(t, t);
+  for (std::uint32_t r = 0; r < rounds; ++r) {
+    for (std::uint32_t t = 0; t < threads; ++t) {
+      const std::uint64_t neighbour = (t + 1) % threads;
+      PageSet reads;
+      PageSet writes;
+      for (std::uint64_t p = 0; p < pages; ++p) {
+        writes.push_back(t * pages + p);
+        reads.push_back(neighbour * pages + p);
+      }
+      rec.end_subcomputation(t, std::move(reads), std::move(writes),
+                             {sync::SyncEventKind::kBarrierWait, barrier});
+      rec.on_release(t, barrier);
+    }
+    for (std::uint32_t t = 0; t < threads; ++t) rec.on_acquire(t, barrier);
+  }
+  for (std::uint32_t t = 0; t < threads; ++t) rec.thread_exiting(t, {}, {});
+  return std::move(rec).finalize();
+}
+
+TEST(ShardFormat, LzStoresCompressAtLeastTwofold) {
+  // The paper reports 6-37x on PT logs (Fig. 9); CPG shard bodies are
+  // structured binary, so 2x is the floor at every shard count.
+  const cpg::Graph graph = slice_exchange_history(8, 16, 12);
+  for (const std::uint32_t shards : {1u, 2u, 4u, 8u}) {
+    const std::string dir = temp_store("lz_ratio_" + std::to_string(shards));
+    const auto manifest = shard::write_store(
+        graph, dir, shard::PlanOptions{shards}, shard::ShardCodec::kLz);
+    ASSERT_TRUE(manifest.ok()) << manifest.status().message();
+    std::uint64_t encoded = 0;
+    std::uint64_t decoded = 0;
+    for (const shard::ShardInfo& info : manifest->shards) {
+      encoded += info.byte_size;
+      decoded += info.decoded_bytes;
+    }
+    EXPECT_GE(inspector::snapshot::compression_ratio(decoded, encoded), 2.0)
+        << shards << " shards";
+  }
 }
 
 TEST(ShardFormat, CorruptCompressedPayloadIsTypedStatus) {

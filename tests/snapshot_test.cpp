@@ -4,6 +4,7 @@
 #include "cpg/recorder.h"
 #include "snapshot/consistent_cut.h"
 #include "snapshot/ring.h"
+#include "util/failpoint.h"
 
 namespace {
 
@@ -12,6 +13,7 @@ using namespace inspector::snapshot;
 namespace sync = inspector::sync;
 
 using inspector::PageSet;
+using inspector::StatusCode;
 constexpr sync::ObjectId kM = sync::make_object_id(sync::ObjectKind::kMutex, 1);
 
 Graph two_thread_graph() {
@@ -108,11 +110,32 @@ TEST(SnapshotRing, StoreAndConsumeRoundTrips) {
   ASSERT_TRUE(ring.store(g));
   EXPECT_EQ(ring.occupied(), 1u);
   const auto back = ring.consume();
-  ASSERT_TRUE(back.has_value());
+  ASSERT_TRUE(back.ok()) << back.status().message();
   EXPECT_EQ(back->nodes().size(), g.nodes().size());
   EXPECT_EQ(back->edges(), g.edges());
   EXPECT_EQ(ring.occupied(), 0u);
-  EXPECT_FALSE(ring.consume().has_value());
+  EXPECT_EQ(ring.consume().status().code(), StatusCode::kExhausted);
+}
+
+TEST(SnapshotRing, DamagedSlotIsATypedError) {
+  SnapshotRing ring(4);
+  ASSERT_TRUE(ring.store(two_thread_graph()));
+  ASSERT_TRUE(ring.store(two_thread_graph()));
+  // The LZ decoder's failpoint stands in for a damaged slot: consume()
+  // returns the decoder's status, drops that slot, and the next one
+  // still decodes.
+  ASSERT_TRUE(inspector::util::configure_failpoints(
+                  "snapshot.decompress:transient:1")
+                  .ok());
+  const auto damaged = ring.consume();
+  inspector::util::clear_failpoints();
+  ASSERT_FALSE(damaged.ok());
+  EXPECT_EQ(damaged.status().code(), StatusCode::kDataLoss)
+      << damaged.status().message();
+  EXPECT_EQ(ring.occupied(), 1u);
+  const auto next = ring.consume();
+  ASSERT_TRUE(next.ok()) << next.status().message();
+  EXPECT_EQ(next->edges(), two_thread_graph().edges());
 }
 
 TEST(SnapshotRing, EvictsOldestWhenFull) {
