@@ -17,61 +17,116 @@ QueryClient::~QueryClient() {
 }
 
 Result<std::unique_ptr<QueryClient>> QueryClient::connect(
-    const std::string& path) {
-  auto channel = uds::Channel::connect_retry(path);
+    const std::string& path, int attempts) {
+  auto channel = uds::Channel::connect_retry(path, attempts);
   if (!channel.ok()) return channel.status();
   return std::unique_ptr<QueryClient>(new QueryClient(*channel));
 }
 
 Result<std::uint64_t> QueryClient::send(std::string_view request_line) {
-  std::uint64_t id = 0;
+  return open_stream(request_line, /*waited=*/false);
+}
+
+Result<std::uint64_t> QueryClient::start(std::string_view request_line) {
+  return open_stream(request_line, /*waited=*/true);
+}
+
+Result<std::uint64_t> QueryClient::open_stream(std::string_view line,
+                                               bool waited) {
+  std::lock_guard send_lock(send_mu_);
+  const std::uint64_t id = next_stream_++;
   {
     std::lock_guard lock(mu_);
-    if (closed_ && !error_.ok()) return error_;
-    id = next_stream_++;
+    if (closed_) {
+      return !error_.ok() ? error_
+                          : Status(StatusCode::kUnavailable,
+                                   "connection closed after goodbye");
+    }
+    // Registered before the data leaves, so the reader always finds it.
+    pending_[id].waited = waited;
   }
-  // Carry the caller's trace context to the server ahead of the data,
-  // so the server's rpc span joins this thread's trace. Dropped (not
-  // misattributed) if a concurrent send interleaves: the server keys
-  // the pending context by stream id.
+  // The caller's trace context rides ahead of the data, so the
+  // server's rpc span joins this thread's trace.
   if (const obs::TraceContext ctx = obs::current_context(); ctx.sampled) {
     (void)channel_->send(FrameType::kTrace, 0, id, obs::encode_context(ctx));
   }
-  if (Status s =
-          channel_->send(FrameType::kData, kFlagEndStream, id, request_line);
+  if (Status s = channel_->send(FrameType::kData, kFlagEndStream, id, line);
       !s.ok()) {
+    std::lock_guard lock(mu_);
+    pending_.erase(id);
     return s;
   }
   return id;
 }
 
-Status QueryClient::cancel(std::uint64_t stream_id) {
-  return channel_->send(FrameType::kCancel, 0, stream_id, std::string_view());
-}
-
 Result<std::string> QueryClient::next_reply() {
   std::unique_lock lock(mu_);
-  cv_.wait(lock, [&] { return !replies_.empty() || closed_; });
-  if (!replies_.empty()) {
-    std::string reply = std::move(replies_.front());
-    replies_.pop_front();
-    return reply;
+  for (;;) {
+    auto it = pending_.begin();
+    while (it != pending_.end() && it->second.waited) ++it;
+    if (it != pending_.end() && it->second.done) {
+      std::string reply = std::move(it->second.reply);
+      pending_.erase(it);
+      return reply;
+    }
+    if (closed_) {
+      if (!error_.ok()) return error_;
+      return Status(StatusCode::kExhausted,
+                    "connection closed; every reply has been delivered");
+    }
+    cv_.wait(lock);
   }
-  if (!error_.ok()) return error_;
-  return Status(StatusCode::kExhausted,
-                "connection closed; every reply has been delivered");
 }
 
 Result<std::string> QueryClient::call(std::string_view request_line) {
-  if (auto id = send(request_line); !id.ok()) return id.status();
-  return next_reply();
+  const auto id = start(request_line);
+  if (!id.ok()) return id.status();
+  return wait(*id);
+}
+
+Result<std::string> QueryClient::wait(std::uint64_t stream_id) {
+  std::unique_lock lock(mu_);
+  for (;;) {
+    const auto it = pending_.find(stream_id);
+    if (it == pending_.end()) {
+      return Status(StatusCode::kNotFound,
+                    "stream " + std::to_string(stream_id) + " was cancelled");
+    }
+    if (it->second.done) {
+      std::string reply = std::move(it->second.reply);
+      pending_.erase(it);
+      return reply;
+    }
+    if (closed_) {
+      pending_.erase(it);
+      if (!error_.ok()) return error_;
+      return Status(StatusCode::kUnavailable,
+                    "connection closed before stream " +
+                        std::to_string(stream_id) + " was answered");
+    }
+    cv_.wait(lock);
+  }
+}
+
+Status QueryClient::cancel(std::uint64_t stream_id) {
+  {
+    std::lock_guard lock(mu_);
+    const auto it = pending_.find(stream_id);
+    if (it == pending_.end() || it->second.done) return Status::Ok();
+    pending_.erase(it);
+  }
+  cv_.notify_all();  // a wait() on the stream returns at once
+  return channel_->send(FrameType::kCancel, 0, stream_id, std::string_view());
 }
 
 Status QueryClient::goodbye() {
-  if (Status s =
-          channel_->send(FrameType::kGoodbye, 0, 0, std::string_view());
-      !s.ok()) {
-    return s;
+  {
+    std::lock_guard send_lock(send_mu_);
+    if (Status s =
+            channel_->send(FrameType::kGoodbye, 0, 0, std::string_view());
+        !s.ok()) {
+      return s;
+    }
   }
   std::unique_lock lock(mu_);
   cv_.wait(lock, [&] { return closed_; });
@@ -79,7 +134,6 @@ Status QueryClient::goodbye() {
 }
 
 void QueryClient::read_loop() {
-  std::string assembling;
   bool saw_goodbye = false;
   for (;;) {
     auto got = channel_->recv();
@@ -100,17 +154,19 @@ void QueryClient::read_loop() {
     }
     const Frame& frame = **got;
     switch (frame.header.type) {
-      case FrameType::kData:
-        assembling.append(
+      case FrameType::kData: {
+        std::lock_guard lock(mu_);
+        const auto it = pending_.find(frame.header.stream_id);
+        if (it == pending_.end() || it->second.done) break;  // cancelled
+        it->second.reply.append(
             reinterpret_cast<const char*>(frame.payload.data()),
             frame.payload.size());
         if (frame.header.end_stream()) {
-          std::lock_guard lock(mu_);
-          replies_.push_back(std::move(assembling));
-          assembling = std::string();
+          it->second.done = true;
           cv_.notify_all();
         }
         break;
+      }
       case FrameType::kGoodbye:
         saw_goodbye = true;
         break;

@@ -32,42 +32,20 @@ DispatcherMetrics& dispatcher_metrics() {
   return *m;
 }
 
-/// Minimal Settings parse: the payload is a one-line JSON object; the
-/// only key version 1 understands is max_frame_payload.
-std::uint32_t settings_max_frame_payload(std::string_view payload) {
-  static constexpr std::string_view kKey = "\"max_frame_payload\":";
-  const std::size_t at = payload.find(kKey);
-  if (at == std::string_view::npos) return 0;
-  std::uint64_t value = 0;
-  for (std::size_t i = at + kKey.size(); i < payload.size(); ++i) {
-    const char c = payload[i];
-    if (c < '0' || c > '9') break;
-    value = value * 10 + static_cast<std::uint64_t>(c - '0');
-    if (value > kMaxFramePayload) return kMaxFramePayload;
-  }
-  return static_cast<std::uint32_t>(value);
-}
+/// Streams admitted before the reader stops reading (backpressure: the
+/// client's sends eventually block).
+constexpr std::size_t kMaxInFlight = 1024;
 
 }  // namespace
 
 Dispatcher::Dispatcher(std::shared_ptr<uds::Channel> channel,
                        rpc::Service& service, DispatcherOptions options)
-    : channel_(std::move(channel)),
-      service_(service),
-      options_(options),
-      chunk_limit_(std::max<std::uint32_t>(1, options.max_frame_payload)) {}
+    : channel_(std::move(channel)), service_(service), options_(options) {}
 
 Dispatcher::~Dispatcher() = default;
 
 Status Dispatcher::serve() {
   session_ = service_.open_session();
-  const std::string settings =
-      "{\"max_frame_payload\":" + std::to_string(options_.max_frame_payload) +
-      "}";
-  if (Status s = channel_->send(FrameType::kSettings, 0, 0, settings);
-      !s.ok()) {
-    return s;
-  }
   std::thread writer(&Dispatcher::write_loop, this);
   std::vector<std::thread> pool;
   const std::size_t workers = std::max<std::size_t>(1, options_.worker_threads);
@@ -148,25 +126,8 @@ void Dispatcher::read_loop() {
         break;
       }
       case FrameType::kPing:
-        if (Status s = channel_->send(FrameType::kPing, 0,
-                                      frame.header.stream_id,
-                                      std::span(frame.payload));
-            !s.ok()) {
-          fail(s);
-          return;
-        }
-        break;
-      case FrameType::kSettings: {
-        const std::uint32_t peer_cap = settings_max_frame_payload(
-            std::string_view(reinterpret_cast<const char*>(
-                                 frame.payload.data()),
-                             frame.payload.size()));
-        if (peer_cap > 0) {
-          chunk_limit_.store(
-              std::min(options_.max_frame_payload, peer_cap));
-        }
-        break;
-      }
+      case FrameType::kSettings:
+        break;  // reserved in format 1
       case FrameType::kGoodbye:
         {
           std::lock_guard lock(mu_);
@@ -261,7 +222,7 @@ bool Dispatcher::handle_data(const Frame& frame) {
 void Dispatcher::admit(std::shared_ptr<Stream> stream) {
   std::unique_lock lock(mu_);
   admit_cv_.wait(lock, [&] {
-    return order_.size() < options_.max_in_flight || failed_ || peer_gone_;
+    return order_.size() < kMaxInFlight || failed_ || peer_gone_;
   });
   if (failed_ || peer_gone_) return;
   DispatcherMetrics& metrics = dispatcher_metrics();
@@ -299,26 +260,16 @@ void Dispatcher::exec_loop() {
     }
     rpc::Finalizer finalizer;
     if (!stream->cancelled.load(std::memory_order_relaxed)) {
-      const std::string name = service_.method_of(stream->request);
-      const rpc::Method* method = service_.registry().find(name);
-      if (method == nullptr) {
-        fail(Status(StatusCode::kInternal,
-                    "service resolved unregistered method '" + name + "'"));
-        return;
-      }
       rpc::Context ctx{stream->id, &stream->cancelled};
-      if (stream->span && stream->span->active()) {
-        stream->span->annotate("method", std::string_view(name));
-      }
-      // Spans opened inside the method body (parse, route, execute,
-      // shard loads on this thread) parent under the server span.
+      // Spans opened inside handle() (parse, route, execute, shard
+      // loads on this thread) parent under the server span.
       obs::ContextScope trace_scope(stream->span ? stream->span->context()
                                                  : obs::TraceContext{});
       try {
-        finalizer = (*method)(*session_, ctx, stream->request);
+        finalizer = service_.handle(*session_, ctx, stream->request);
       } catch (const std::exception& e) {
         fail(Status(StatusCode::kInternal,
-                    std::string("method body escaped: ") + e.what()));
+                    std::string("request handler escaped: ") + e.what()));
         return;
       }
     }
@@ -404,7 +355,8 @@ void Dispatcher::write_loop() {
 
 Status Dispatcher::send_reply(std::uint64_t stream_id,
                               const std::string& reply) {
-  const std::uint32_t limit = std::max<std::uint32_t>(1, chunk_limit_.load());
+  const std::uint32_t limit =
+      std::max<std::uint32_t>(1, options_.max_frame_payload);
   std::size_t offset = 0;
   do {
     const std::size_t n =

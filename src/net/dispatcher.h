@@ -2,12 +2,13 @@
 //
 // A Dispatcher owns one connection: its reader loop (run on the
 // calling thread) reassembles request streams, a small pool runs the
-// service's phase-1 method bodies concurrently, and a single writer
+// service's phase-1 handle() concurrently, and a single writer
 // thread runs phase-2 finalizers serially in request-arrival order and
 // emits the replies -- chunked into Data frames, interleaved at frame
 // boundaries, each stream closed with kFlagEndStream. Cancel tears one
 // stream down (its reply is never sent, neighbours are untouched);
 // Goodbye drains in-flight streams, answers with Goodbye, and closes.
+// Settings and Ping frames are reserved in format 1 and ignored.
 //
 // The serial finalizer phase is the cross-process determinism anchor:
 // cursor ids and reply order depend only on the request sequence,
@@ -36,11 +37,7 @@ namespace inspector::net {
 struct DispatcherOptions {
   /// Concurrent phase-1 executions per connection.
   std::size_t worker_threads = 4;
-  /// Streams admitted before the reader stops reading (backpressure:
-  /// the client's sends eventually block).
-  std::size_t max_in_flight = 1024;
-  /// Replies larger than this are split across Data frames. Lowered
-  /// further if the peer's Settings announce a smaller cap.
+  /// Replies larger than this are split across Data frames.
   std::uint32_t max_frame_payload = 1u << 20;
 };
 
@@ -115,8 +112,6 @@ class Dispatcher {
   // contiguous per stream -- so a peer cannot grow state here.
   obs::TraceContext pending_trace_;
   std::uint64_t pending_trace_id_ = 0;
-
-  std::atomic<std::uint32_t> chunk_limit_;
 };
 
 /// Accept loop: one Dispatcher (on its own thread) per connection.

@@ -42,9 +42,9 @@ inline constexpr std::uint32_t kMaxFramePayload = 64u * 1024 * 1024;
 
 enum class FrameType : std::uint8_t {
   kData = 0,      ///< request/reply bytes for one stream
-  kSettings = 1,  ///< connection preferences (JSON), sent at open
+  kSettings = 1,  ///< reserved in format 1; receivers ignore it
   kGoodbye = 2,   ///< drain: no new streams, finish in-flight, close
-  kPing = 3,      ///< liveness probe; peer echoes the payload back
+  kPing = 3,      ///< reserved in format 1; receivers ignore it
   kCancel = 4,    ///< tear down one stream; no reply will be sent
   kError = 5,     ///< fatal connection-level error (payload = message)
   kTrace = 6,     ///< trace context for the next stream on this link

@@ -5,6 +5,7 @@
 
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "query/overloaded.h"
 #include "query/wire.h"
 
 namespace inspector::net {
@@ -12,11 +13,9 @@ namespace inspector::net {
 namespace {
 
 using query::QueryEngine;
-using query::QueryOptions;
 using query::Reply;
 using query::wire::MetricsRequest;
 using query::wire::NextRequest;
-using query::wire::Request;
 
 class EngineSession final : public rpc::Session {
  public:
@@ -36,115 +35,58 @@ class EngineSession final : public rpc::Session {
 
 }  // namespace
 
-QueryService::QueryService(std::shared_ptr<query::QueryEngine> engine,
-                           Options options)
-    : engine_(std::move(engine)), options_(options) {
-  const std::uint64_t default_page_size = options_.default_page_size;
-
-  // A malformed line still produces a normal error reply on its own
-  // stream -- a bad request never poisons the connection.
-  registry_.add("error", [](rpc::Session&, const rpc::Context&,
-                            std::string_view line) -> rpc::Finalizer {
-    std::uint64_t echo = 0;
-    auto request = query::wire::parse_request(line, &echo);
-    const Status status = request.ok()
-                              ? Status(StatusCode::kInternal,
-                                       "error method on a valid request")
-                              : request.status();
-    return [echo, status] {
-      return query::wire::serialize_reply(echo, Result<Reply>(status));
-    };
-  });
-
-  registry_.add(
-      "query",
-      [default_page_size](rpc::Session& session, const rpc::Context&,
-                          std::string_view line) -> rpc::Finalizer {
-        auto& s = static_cast<EngineSession&>(session);
-        std::uint64_t echo = 0;
-        obs::Span parse_span("parse", obs::Span::Root::kDeny);
-        auto request = query::wire::parse_request(line, &echo);
-        parse_span.finish();
-        // method_of() vetted the parse; a race-proof re-check anyway.
-        if (!request.ok() ||
-            !std::holds_alternative<query::Query>(request->op)) {
-          const Status status =
-              request.ok() ? Status(StatusCode::kInternal,
-                                    "query method on a non-query request")
-                           : request.status();
-          return [echo, status] {
-            return query::wire::serialize_reply(echo, Result<Reply>(status));
-          };
-        }
-        QueryOptions options;
-        options.page_size = request->page_size != 0 ? request->page_size
-                                                    : default_page_size;
-        // Phase 1 (concurrent): the analysis. Phase 2 (serial, in
-        // request order): pagination + cursor registration.
-        auto prepared =
-            s.engine().prepare(std::get<query::Query>(request->op), options);
-        return [&s, echo, prepared = std::move(prepared)]() mutable {
-          return query::wire::serialize_reply(
-              echo, s.engine().finish(s.id(), std::move(prepared)));
-        };
-      });
-
-  registry_.add("next", [](rpc::Session& session, const rpc::Context&,
-                           std::string_view line) -> rpc::Finalizer {
-    auto& s = static_cast<EngineSession&>(session);
-    std::uint64_t echo = 0;
-    auto request = query::wire::parse_request(line, &echo);
-    if (!request.ok() || !std::holds_alternative<NextRequest>(request->op)) {
-      const Status status =
-          request.ok() ? Status(StatusCode::kInternal,
-                                "next method on a non-next request")
-                       : request.status();
-      return [echo, status] {
-        return query::wire::serialize_reply(echo, Result<Reply>(status));
-      };
-    }
-    const std::uint64_t cursor = std::get<NextRequest>(request->op).cursor;
-    // Entirely in the finalizer: a cursor fetch must observe every
-    // earlier request's cursor registration (the batch-mode barrier).
-    return [&s, echo, cursor] {
-      return query::wire::serialize_reply(echo, s.engine().next(s.id(), cursor));
-    };
-  });
-
-  // Introspection: a snapshot of this worker process's registry. The
-  // snapshot is taken in phase 1; the finalizer only serializes, so
-  // the serial path stays free of registry walks.
-  registry_.add("metrics", [](rpc::Session&, const rpc::Context&,
-                              std::string_view line) -> rpc::Finalizer {
-    std::uint64_t echo = 0;
-    auto request = query::wire::parse_request(line, &echo);
-    if (!request.ok() ||
-        !std::holds_alternative<MetricsRequest>(request->op)) {
-      const Status status =
-          request.ok() ? Status(StatusCode::kInternal,
-                                "metrics method on a non-metrics request")
-                       : request.status();
-      return [echo, status] {
-        return query::wire::serialize_reply(echo, Result<Reply>(status));
-      };
-    }
-    std::string json = obs::to_json(obs::Registry::global().snapshot());
-    return [echo, json = std::move(json)] {
-      return query::wire::serialize_metrics_reply(echo, json);
-    };
-  });
-}
-
 std::unique_ptr<rpc::Session> QueryService::open_session() {
   return std::make_unique<EngineSession>(engine_, engine_->open_session());
 }
 
-std::string QueryService::method_of(std::string_view request) const {
-  auto parsed = query::wire::parse_request(request);
-  if (!parsed.ok()) return "error";
-  if (std::holds_alternative<NextRequest>(parsed->op)) return "next";
-  if (std::holds_alternative<MetricsRequest>(parsed->op)) return "metrics";
-  return "query";
+rpc::Finalizer QueryService::handle(rpc::Session& session,
+                                    const rpc::Context&,
+                                    std::string_view line) {
+  auto& s = static_cast<EngineSession&>(session);
+  std::uint64_t echo = 0;
+  obs::Span parse_span("parse", obs::Span::Root::kDeny);
+  auto request = query::wire::parse_request(line, &echo);
+  parse_span.finish();
+  if (!request.ok()) {
+    // A malformed line still gets a normal error reply on its own
+    // stream -- a bad request never poisons the connection.
+    return [echo, status = request.status()] {
+      return query::wire::serialize_reply(echo, Result<Reply>(status));
+    };
+  }
+  return std::visit(
+      query::detail::Overloaded{
+          [&](const query::Query& q) -> rpc::Finalizer {
+            query::QueryOptions options;
+            options.page_size = request->page_size != 0
+                                    ? request->page_size
+                                    : options_.default_page_size;
+            // Phase 1 (concurrent): the analysis. Phase 2 (serial, in
+            // request order): pagination + cursor registration.
+            auto prepared = s.engine().prepare(q, options);
+            return [&s, echo, prepared = std::move(prepared)]() mutable {
+              return query::wire::serialize_reply(
+                  echo, s.engine().finish(s.id(), std::move(prepared)));
+            };
+          },
+          [&](const NextRequest& next) -> rpc::Finalizer {
+            // Entirely in the finalizer: a cursor fetch must observe
+            // every earlier request's cursor registration.
+            return [&s, echo, cursor = next.cursor] {
+              return query::wire::serialize_reply(
+                  echo, s.engine().next(s.id(), cursor));
+            };
+          },
+          [&](const MetricsRequest&) -> rpc::Finalizer {
+            // Introspection: a snapshot of this process's registry,
+            // taken in phase 1 so the serial path only serializes.
+            std::string json = obs::to_json(obs::Registry::global().snapshot());
+            return [echo, json = std::move(json)] {
+              return query::wire::serialize_metrics_reply(echo, json);
+            };
+          },
+      },
+      request->op);
 }
 
 }  // namespace inspector::net

@@ -1,8 +1,8 @@
-// The query engine behind the RPC seam: one rpc::Service whose Data
-// payloads are exactly the line-delimited JSON of src/query/wire.* --
-// the same bytes inspector_query speaks on stdin/stdout -- so a served
-// session is byte-identical to an in-process one, cursor boundaries
-// included.
+// The query engine behind the RPC seam: one rpc::Service whose request
+// and reply lines are exactly the line-delimited JSON of src/query/wire.*
+// -- the same bytes inspector_query speaks on stdin/stdout, and the
+// tool's in-process modes run this very service -- so a served session
+// is byte-identical to an in-process one, cursor boundaries included.
 //
 // Each connection gets its own engine session (cursor namespace),
 // closed when the connection ends. Query requests run their analysis
@@ -31,18 +31,17 @@ class QueryService final : public rpc::Service {
 
   explicit QueryService(std::shared_ptr<query::QueryEngine> engine)
       : QueryService(std::move(engine), Options()) {}
-  QueryService(std::shared_ptr<query::QueryEngine> engine, Options options);
+  QueryService(std::shared_ptr<query::QueryEngine> engine, Options options)
+      : engine_(std::move(engine)), options_(options) {}
 
   [[nodiscard]] std::unique_ptr<rpc::Session> open_session() override;
-  [[nodiscard]] const rpc::Registry& registry() const override {
-    return registry_;
-  }
-  [[nodiscard]] std::string method_of(std::string_view request) const override;
+  [[nodiscard]] rpc::Finalizer handle(rpc::Session& session,
+                                      const rpc::Context& ctx,
+                                      std::string_view line) override;
 
  private:
   std::shared_ptr<query::QueryEngine> engine_;
   Options options_;
-  rpc::Registry registry_;
 };
 
 }  // namespace inspector::net

@@ -1,13 +1,12 @@
 #include "net/router.h"
 
-#include <condition_variable>
 #include <mutex>
-#include <thread>
+#include <optional>
 #include <unordered_map>
 #include <utility>
 #include <variant>
 
-#include "net/uds.h"
+#include "net/client.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
 #include "query/engine.h"
@@ -20,6 +19,7 @@ namespace {
 
 using query::Query;
 using query::Reply;
+using query::wire::MetricsRequest;
 using query::wire::NextRequest;
 
 std::uint64_t fnv1a64(std::string_view bytes) {
@@ -30,307 +30,6 @@ std::uint64_t fnv1a64(std::string_view bytes) {
   }
   return h;
 }
-
-/// One router->worker connection: pipelined calls keyed by stream id,
-/// a reader thread completing them, and a sticky dead flag once the
-/// channel fails. A reply counts only when every frame of it arrived
-/// (kFlagEndStream seen) -- a worker killed mid-reply therefore never
-/// produces a hybrid stream, just a failed call.
-class WorkerLink {
- public:
-  WorkerLink(RouterService& owner, std::size_t index,
-             const WorkerEndpoint& endpoint, Status dead_status)
-      : owner_(owner),
-        index_(index),
-        endpoint_(endpoint),
-        dead_status_(std::move(dead_status)) {}
-
-  ~WorkerLink() {
-    std::shared_ptr<uds::Channel> channel;
-    {
-      std::lock_guard lock(mu_);
-      closing_ = true;  // the EOF the reader is about to see is ours
-      channel = channel_;
-    }
-    if (channel) channel->shutdown();
-    if (reader_.joinable()) reader_.join();
-  }
-
-  /// Send one request line and block for its complete reply.
-  ///
-  /// The link speaks its own stream-id space: router-side stream ids
-  /// arrive out of order (exec threads race, and a "next" finalizer
-  /// fires long after younger queries were forwarded), but the worker's
-  /// dispatcher requires strictly increasing ids. Allocating the link
-  /// id and sending under one lock keeps the wire order monotonic.
-  [[nodiscard]] Result<std::string> call(std::uint64_t stream_id,
-                                         std::string_view line) {
-    auto pending = std::make_shared<Pending>();
-    std::uint64_t link_id = 0;
-    {
-      std::unique_lock lock(mu_);
-      if (Status s = ensure_connected(lock); !s.ok()) return s;
-      link_id = next_link_stream_++;
-      pending_.emplace(link_id, pending);
-      link_of_.emplace(stream_id, link_id);
-      // Propagate the router-side trace context under this same lock
-      // hold: the worker requires strictly increasing stream ids, so
-      // the kTrace frame must ride immediately ahead of its data.
-      if (const obs::TraceContext trace_ctx = obs::current_context();
-          trace_ctx.sampled) {
-        (void)channel_->send(FrameType::kTrace, 0, link_id,
-                             obs::encode_context(trace_ctx));
-      }
-      const Status sent = channel_->send(FrameType::kData, kFlagEndStream,
-                                         link_id, line);
-      if (sent.ok()) {
-        cv_.wait(lock, [&] { return pending->done || dead_; });
-      }
-      link_of_.erase(stream_id);
-      if (pending->done) return std::move(pending->reply);
-      pending_.erase(link_id);
-    }
-    mark_dead();
-    return dead_status_;
-  }
-
-  /// Best-effort cancel, translated to the worker's link stream id.
-  void cancel(std::uint64_t stream_id) {
-    std::shared_ptr<uds::Channel> channel;
-    std::uint64_t link_id = 0;
-    {
-      std::lock_guard lock(mu_);
-      if (dead_ || !channel_) return;
-      const auto it = link_of_.find(stream_id);
-      if (it == link_of_.end()) return;  // already answered
-      link_id = it->second;
-      channel = channel_;
-    }
-    (void)channel->send(FrameType::kCancel, 0, link_id, std::string_view());
-  }
-
-  [[nodiscard]] bool dead() const {
-    std::lock_guard lock(mu_);
-    return dead_;
-  }
-
- private:
-  struct Pending {
-    std::string reply;
-    bool done = false;
-  };
-
-  [[nodiscard]] Status ensure_connected(std::unique_lock<std::mutex>& lock) {
-    (void)lock;
-    if (dead_) return dead_status_;
-    if (channel_) return Status::Ok();
-    auto channel = uds::Channel::connect_retry(endpoint_.socket_path, 40, 25);
-    if (!channel.ok()) {
-      dead_ = true;
-      owner_.mark_dead(index_);
-      cv_.notify_all();
-      return dead_status_;
-    }
-    channel_ = *channel;
-    reader_ = std::thread(&WorkerLink::read_loop, this);
-    return Status::Ok();
-  }
-
-  void mark_dead() {
-    std::shared_ptr<uds::Channel> channel;
-    bool worker_died = false;
-    {
-      std::lock_guard lock(mu_);
-      if (!dead_) {
-        dead_ = true;
-        // A channel failure during session teardown is this link
-        // closing, not the worker dying: only a live link's failure
-        // may poison the service-wide sticky ledger.
-        worker_died = !closing_;
-        channel = channel_;
-      }
-    }
-    if (worker_died) owner_.mark_dead(index_);
-    if (channel) channel->shutdown();
-    cv_.notify_all();
-  }
-
-  void read_loop() {
-    for (;;) {
-      auto got = channel_->recv();
-      if (!got.ok() || !got->has_value()) {
-        mark_dead();
-        return;
-      }
-      const Frame& frame = **got;
-      if (frame.header.type == FrameType::kError) {
-        mark_dead();
-        return;
-      }
-      if (frame.header.type != FrameType::kData) continue;
-      std::lock_guard lock(mu_);
-      const auto it = pending_.find(frame.header.stream_id);
-      if (it == pending_.end()) continue;  // cancelled stream's tail
-      it->second->reply.append(
-          reinterpret_cast<const char*>(frame.payload.data()),
-          frame.payload.size());
-      if (frame.header.end_stream()) {
-        it->second->done = true;
-        pending_.erase(it);
-        cv_.notify_all();
-      }
-    }
-  }
-
-  RouterService& owner_;
-  const std::size_t index_;
-  const WorkerEndpoint& endpoint_;
-  const Status dead_status_;
-
-  mutable std::mutex mu_;
-  std::condition_variable cv_;
-  std::shared_ptr<uds::Channel> channel_;
-  std::thread reader_;
-  bool dead_ = false;
-  bool closing_ = false;
-  std::uint64_t next_link_stream_ = 1;
-  /// In-flight calls keyed by the link's own stream id...
-  std::unordered_map<std::uint64_t, std::shared_ptr<Pending>> pending_;
-  /// ...and the router stream id -> link stream id view, for Cancel.
-  std::unordered_map<std::uint64_t, std::uint64_t> link_of_;
-};
-
-}  // namespace
-
-/// Per-connection router state: lazy worker links, the stream->worker
-/// table (for Cancel forwarding), and the cursor translation table
-/// (finalizer-only, hence unlocked).
-class RouterSession final : public rpc::Session {
- public:
-  explicit RouterSession(RouterService& owner) : owner_(owner) {
-    links_.resize(owner.worker_count());
-  }
-
-  void on_cancel(std::uint64_t stream_id) override {
-    std::size_t worker = 0;
-    {
-      std::lock_guard lock(streams_mu_);
-      const auto it = stream_worker_.find(stream_id);
-      if (it == stream_worker_.end()) return;
-      worker = it->second;
-    }
-    std::lock_guard lock(links_mu_);
-    if (links_[worker]) links_[worker]->cancel(stream_id);
-  }
-
-  struct Dispatched {
-    Result<std::string> reply;
-    std::size_t worker;
-  };
-
-  /// Send `line` to the preferred worker, failing over to the next
-  /// live one when degraded serving is allowed. Every worker is tried
-  /// at most once; the typed error names the last worker tried.
-  [[nodiscard]] Dispatched dispatch(std::uint64_t stream_id,
-                                    std::string_view line,
-                                    std::size_t preferred) {
-    std::size_t worker = preferred;
-    for (std::size_t attempt = 0; attempt < owner_.worker_count(); ++attempt) {
-      if (owner_.is_dead(worker)) {
-        if (!owner_.options_.allow_degraded) {
-          return {owner_.worker_unavailable(worker), worker};
-        }
-        const std::size_t live = owner_.next_live(worker);
-        if (live == owner_.worker_count()) {
-          return {owner_.worker_unavailable(worker), worker};
-        }
-        worker = live;
-      }
-      {
-        std::lock_guard lock(streams_mu_);
-        stream_worker_[stream_id] = worker;
-      }
-      auto reply = link(worker).call(stream_id, line);
-      {
-        std::lock_guard lock(streams_mu_);
-        stream_worker_.erase(stream_id);
-      }
-      if (reply.ok() || !owner_.options_.allow_degraded) {
-        return {std::move(reply), worker};
-      }
-      // Degraded: the worker died under this call; re-dispatch. The
-      // query re-runs from scratch on the next worker, so the reply is
-      // always one worker's complete answer -- never a hybrid.
-    }
-    return {owner_.worker_unavailable(preferred), preferred};
-  }
-
-  [[nodiscard]] WorkerLink& link(std::size_t worker) {
-    std::lock_guard lock(links_mu_);
-    if (!links_[worker]) {
-      links_[worker] = std::make_unique<WorkerLink>(
-          owner_, worker, owner_.workers_[worker],
-          owner_.worker_unavailable(worker));
-    }
-    return *links_[worker];
-  }
-
-  [[nodiscard]] bool link_dead(std::size_t worker) {
-    if (owner_.is_dead(worker)) return true;
-    std::lock_guard lock(links_mu_);
-    return links_[worker] && links_[worker]->dead();
-  }
-
-  /// ---- cursor virtualization (finalizer-only state) ----
-
-  struct CursorRef {
-    std::size_t worker = 0;
-    std::uint64_t local = 0;
-  };
-
-  /// Rewrite a worker reply's cursor id into the session's own id
-  /// space. The reply header is `...,"has_more":true,"cursor":<local>`
-  /// before any payload field, so the first match is the header.
-  [[nodiscard]] std::string virtualize_cursor(std::string reply,
-                                              std::size_t worker) {
-    static constexpr std::string_view kKey = "\"has_more\":true,\"cursor\":";
-    const std::size_t at = reply.find(kKey);
-    if (at == std::string::npos) return reply;  // no cursor issued
-    const std::size_t digits_at = at + kKey.size();
-    std::size_t digits_end = digits_at;
-    while (digits_end < reply.size() && reply[digits_end] >= '0' &&
-           reply[digits_end] <= '9') {
-      ++digits_end;
-    }
-    const std::uint64_t local = std::stoull(
-        reply.substr(digits_at, digits_end - digits_at));
-    const std::uint64_t global = next_cursor_++;
-    cursors_[global] = CursorRef{worker, local};
-    reply.replace(digits_at, digits_end - digits_at, std::to_string(global));
-    return reply;
-  }
-
-  [[nodiscard]] const CursorRef* find_cursor(std::uint64_t global) const {
-    const auto it = cursors_.find(global);
-    return it == cursors_.end() ? nullptr : &it->second;
-  }
-
-  RouterService& owner_;
-
- private:
-  std::mutex links_mu_;
-  std::vector<std::unique_ptr<WorkerLink>> links_;
-
-  std::mutex streams_mu_;
-  std::unordered_map<std::uint64_t, std::size_t> stream_worker_;
-
-  // Written and read only from finalizers, which the dispatcher runs
-  // serially on one thread per connection.
-  std::uint64_t next_cursor_ = 1;
-  std::unordered_map<std::uint64_t, CursorRef> cursors_;
-};
-
-namespace {
 
 std::string error_reply(std::uint64_t echo, Status status) {
   return query::wire::serialize_reply(echo, Result<Reply>(std::move(status)));
@@ -344,7 +43,203 @@ bool reply_has_status(std::string_view reply, std::string_view name) {
   return reply.find(key) != std::string_view::npos;
 }
 
+/// Swap the cursor id in a reply for `id` and return the id it
+/// replaced; nullopt when the reply issues no cursor. The reply header
+/// is `...,"has_more":true,"cursor":<id>` before any payload field, so
+/// the first match is the header.
+std::optional<std::uint64_t> swap_cursor(std::string& reply,
+                                         std::uint64_t id) {
+  static constexpr std::string_view kKey = "\"has_more\":true,\"cursor\":";
+  const std::size_t at = reply.find(kKey);
+  if (at == std::string::npos) return std::nullopt;
+  const std::size_t digits_at = at + kKey.size();
+  std::size_t digits_end = digits_at;
+  while (digits_end < reply.size() && reply[digits_end] >= '0' &&
+         reply[digits_end] <= '9') {
+    ++digits_end;
+  }
+  const std::uint64_t replaced =
+      std::stoull(reply.substr(digits_at, digits_end - digits_at));
+  reply.replace(digits_at, digits_end - digits_at, std::to_string(id));
+  return replaced;
+}
+
 }  // namespace
+
+/// Per-connection router state: lazy worker links, where each stream
+/// was forwarded (for Cancel), and the cursor translation table
+/// (finalizer-only, hence unlocked).
+class RouterSession final : public rpc::Session {
+ public:
+  explicit RouterSession(RouterService& owner)
+      : owner_(owner), links_(owner.workers_.size()) {}
+
+  void on_cancel(std::uint64_t stream_id) override {
+    Forwarded forwarded;
+    {
+      std::lock_guard lock(routes_mu_);
+      const auto it = routes_.find(stream_id);
+      if (it == routes_.end()) return;  // not out at a worker
+      forwarded = it->second;
+    }
+    // A link outlives the session's calls, and cancelling a stream
+    // that was answered meanwhile is a no-op.
+    (void)forwarded.link->cancel(forwarded.link_stream);
+  }
+
+  struct Dispatched {
+    Result<std::string> reply;
+    std::size_t worker;
+  };
+
+  /// Send `line` to the preferred worker, failing over to the next
+  /// live one when degraded serving is allowed. Every worker is tried
+  /// at most once; the typed error names the last worker tried.
+  [[nodiscard]] Dispatched dispatch(const rpc::Context& ctx,
+                                    std::string_view line,
+                                    std::size_t preferred) {
+    const std::size_t workers = owner_.workers_.size();
+    std::size_t worker = preferred;
+    for (std::size_t attempt = 0; attempt < workers; ++attempt) {
+      if (owner_.is_dead(worker)) {
+        if (!owner_.options_.allow_degraded) {
+          return {owner_.worker_unavailable(worker), worker};
+        }
+        const std::size_t live = owner_.next_live(worker);
+        if (live == workers) return {owner_.worker_unavailable(worker), worker};
+        worker = live;
+      }
+      auto reply = forward(ctx, worker, line);
+      if (reply.ok() || !owner_.options_.allow_degraded ||
+          ctx.is_cancelled()) {
+        return {std::move(reply), worker};
+      }
+      // Degraded: the worker died under this call; re-dispatch. The
+      // query re-runs from scratch on the next worker, so the reply is
+      // always one worker's complete answer -- never a hybrid.
+    }
+    return {owner_.worker_unavailable(preferred), preferred};
+  }
+
+  /// A "next" on a session cursor. Runs in the finalizer: the cursor
+  /// table is only consistent once every earlier query's finalizer has
+  /// run, and "next" acts as the same barrier it is in batch mode.
+  [[nodiscard]] std::string next_page(const rpc::Context& ctx,
+                                      std::uint64_t echo,
+                                      std::uint64_t global) {
+    const auto it = cursors_.find(global);
+    if (it == cursors_.end()) {
+      return error_reply(echo, query::detail::cursor_not_found_error(global));
+    }
+    const CursorRef ref = it->second;
+    // The paginated result lives in the owning worker; a dead worker
+    // means the cursor state is gone, degraded serving or not.
+    if (owner_.is_dead(ref.worker)) {
+      return error_reply(echo, owner_.worker_unavailable(ref.worker));
+    }
+    auto reply = forward(ctx, ref.worker,
+                         "{\"id\":" + std::to_string(echo) +
+                             ",\"op\":\"next\",\"cursor\":" +
+                             std::to_string(ref.local) + "}");
+    if (!reply.ok()) return error_reply(echo, reply.status());
+    // Translate the worker's local cursor id (and its id-bearing
+    // errors) back into the global id the client knows.
+    if (reply_has_status(*reply, "not_found")) {
+      return error_reply(echo, query::detail::cursor_not_found_error(global));
+    }
+    if (reply_has_status(*reply, "exhausted")) {
+      return error_reply(echo, query::detail::cursor_exhausted_error(global));
+    }
+    std::string out = std::move(reply).value();
+    (void)swap_cursor(out, global);
+    return out;
+  }
+
+  /// Rewrite a worker reply's cursor id into the session's own id
+  /// space, in request order (finalizer-only).
+  [[nodiscard]] std::string virtualize_cursor(std::string reply,
+                                              std::size_t worker) {
+    if (const auto local = swap_cursor(reply, next_cursor_)) {
+      cursors_[next_cursor_++] = CursorRef{worker, *local};
+    }
+    return reply;
+  }
+
+ private:
+  /// Where a router stream went while its call is out at a worker.
+  struct Forwarded {
+    QueryClient* link = nullptr;
+    std::uint64_t link_stream = 0;
+  };
+  /// A worker link, dialled on first use under its own lock: only
+  /// requests bound for that worker wait out its connect retries.
+  struct Link {
+    std::mutex mu;
+    std::unique_ptr<QueryClient> client;  ///< set once, guarded by mu
+  };
+  struct CursorRef {
+    std::size_t worker = 0;
+    std::uint64_t local = 0;
+  };
+
+  /// Forward one line to `worker` and block for its complete reply. A
+  /// failed link marks the worker dead and yields the typed status
+  /// naming it; a cancelled call does not mark it -- its reply was
+  /// never going to come.
+  [[nodiscard]] Result<std::string> forward(const rpc::Context& ctx,
+                                            std::size_t worker,
+                                            std::string_view line) {
+    Result<std::string> reply = owner_.worker_unavailable(worker);
+    if (QueryClient* client = link(worker)) {
+      if (const auto stream = client->start(line); stream.ok()) {
+        {
+          std::lock_guard lock(routes_mu_);
+          routes_[ctx.stream_id] = Forwarded{client, *stream};
+        }
+        // A Cancel that arrived before the route was recorded found
+        // nothing to forward.
+        if (ctx.is_cancelled()) (void)client->cancel(*stream);
+        reply = client->wait(*stream);
+        std::lock_guard lock(routes_mu_);
+        routes_.erase(ctx.stream_id);
+      }
+    }
+    if (reply.ok()) return reply;
+    if (!ctx.is_cancelled()) owner_.mark_dead(worker);
+    return owner_.worker_unavailable(worker);
+  }
+
+  /// The session's link to `worker`, dialled on first use; nullptr when
+  /// the worker cannot be reached.
+  [[nodiscard]] QueryClient* link(std::size_t worker) {
+    Link& slot = links_[worker];
+    std::lock_guard lock(slot.mu);
+    if (!slot.client && !owner_.is_dead(worker)) {
+      auto client =
+          QueryClient::connect(owner_.workers_[worker].socket_path, 40);
+      // Marked under the link's lock, so the calls queued behind this
+      // dial see the worker dead instead of retrying it themselves.
+      if (!client.ok()) {
+        owner_.mark_dead(worker);
+      } else {
+        slot.client = std::move(client).value();
+      }
+    }
+    return slot.client.get();
+  }
+
+  RouterService& owner_;
+
+  std::vector<Link> links_;  ///< by worker; sized once, never resized
+
+  std::mutex routes_mu_;
+  std::unordered_map<std::uint64_t, Forwarded> routes_;
+
+  // Written and read only from finalizers, which the dispatcher runs
+  // serially on one thread per connection.
+  std::uint64_t next_cursor_ = 1;
+  std::unordered_map<std::uint64_t, CursorRef> cursors_;
+};
 
 RouterService::RouterService(shard::Manifest manifest,
                              std::vector<WorkerEndpoint> workers,
@@ -361,137 +256,54 @@ RouterService::RouterService(shard::Manifest manifest,
       shard_to_worker_[s] = static_cast<std::uint32_t>(w);
     }
   }
-
-  registry_.add("error", [](rpc::Session&, const rpc::Context&,
-                            std::string_view line) -> rpc::Finalizer {
-    std::uint64_t echo = 0;
-    auto request = query::wire::parse_request(line, &echo);
-    const Status status = request.ok()
-                              ? Status(StatusCode::kInternal,
-                                       "error method on a valid request")
-                              : request.status();
-    return [echo, status] { return error_reply(echo, status); };
-  });
-
-  registry_.add("query", [this](rpc::Session& session, const rpc::Context& ctx,
-                                std::string_view line) -> rpc::Finalizer {
-    auto& s = static_cast<RouterSession&>(session);
-    std::uint64_t echo = 0;
-    auto request = query::wire::parse_request(line, &echo);
-    if (!request.ok() || !std::holds_alternative<Query>(request->op)) {
-      const Status status =
-          request.ok() ? Status(StatusCode::kInternal,
-                                "query method on a non-query request")
-                       : request.status();
-      return [echo, status] { return error_reply(echo, status); };
-    }
-    // Phase 1 (concurrent): forward the original bytes and await the
-    // complete worker reply (or fail over). Phase 2 (serial): assign
-    // the global cursor id, which must follow request order.
-    auto dispatched = [&] {
-      obs::Span span("route", obs::Span::Root::kDeny);
-      auto d = s.dispatch(ctx.stream_id, line,
-                          route(std::get<Query>(request->op)));
-      if (span.active()) {
-        span.annotate("worker", static_cast<std::uint64_t>(d.worker));
-      }
-      return d;
-    }();
-    return [&s, echo, dispatched = std::move(dispatched)]() mutable {
-      if (!dispatched.reply.ok()) {
-        return error_reply(echo, dispatched.reply.status());
-      }
-      return s.virtualize_cursor(std::move(dispatched.reply).value(),
-                                 dispatched.worker);
-    };
-  });
-
-  registry_.add("next", [this](rpc::Session& session, const rpc::Context& ctx,
-                               std::string_view line) -> rpc::Finalizer {
-    auto& s = static_cast<RouterSession&>(session);
-    std::uint64_t echo = 0;
-    auto request = query::wire::parse_request(line, &echo);
-    if (!request.ok() || !std::holds_alternative<NextRequest>(request->op)) {
-      const Status status =
-          request.ok() ? Status(StatusCode::kInternal,
-                                "next method on a non-next request")
-                       : request.status();
-      return [echo, status] { return error_reply(echo, status); };
-    }
-    const std::uint64_t global = std::get<NextRequest>(request->op).cursor;
-    const std::uint64_t stream_id = ctx.stream_id;
-    // Entirely in the finalizer: the cursor table is only consistent
-    // once every earlier query's finalizer has run, and "next" acts as
-    // the same barrier it is in batch mode.
-    return [this, &s, echo, global, stream_id] {
-      const RouterSession::CursorRef* ref = s.find_cursor(global);
-      if (ref == nullptr) {
-        return error_reply(echo,
-                           query::detail::cursor_not_found_error(global));
-      }
-      // The paginated result lives in the owning worker; a dead worker
-      // means the cursor state is gone, degraded serving or not.
-      if (s.link_dead(ref->worker)) {
-        return error_reply(echo, worker_unavailable(ref->worker));
-      }
-      const std::string forwarded = "{\"id\":" + std::to_string(echo) +
-                                    ",\"op\":\"next\",\"cursor\":" +
-                                    std::to_string(ref->local) + "}";
-      auto reply = s.link(ref->worker).call(stream_id, forwarded);
-      if (!reply.ok()) {
-        return error_reply(echo, worker_unavailable(ref->worker));
-      }
-      // Translate the worker's local cursor id (and its id-bearing
-      // errors) back into the global id the client knows.
-      if (reply_has_status(*reply, "not_found")) {
-        return error_reply(echo,
-                           query::detail::cursor_not_found_error(global));
-      }
-      if (reply_has_status(*reply, "exhausted")) {
-        return error_reply(echo,
-                           query::detail::cursor_exhausted_error(global));
-      }
-      static constexpr std::string_view kKey =
-          "\"has_more\":true,\"cursor\":";
-      std::string out = std::move(reply).value();
-      const std::size_t at = out.find(kKey);
-      if (at != std::string::npos) {
-        const std::size_t digits_at = at + kKey.size();
-        std::size_t digits_end = digits_at;
-        while (digits_end < out.size() && out[digits_end] >= '0' &&
-               out[digits_end] <= '9') {
-          ++digits_end;
-        }
-        out.replace(digits_at, digits_end - digits_at,
-                    std::to_string(global));
-      }
-      return out;
-    };
-  });
-
-  // Introspection: the router answers with its own registry snapshot
-  // (worker registries are reachable by asking a worker directly).
-  registry_.add("metrics", [](rpc::Session&, const rpc::Context&,
-                              std::string_view line) -> rpc::Finalizer {
-    std::uint64_t echo = 0;
-    auto request = query::wire::parse_request(line, &echo);
-    if (!request.ok() ||
-        !std::holds_alternative<query::wire::MetricsRequest>(request->op)) {
-      const Status status =
-          request.ok() ? Status(StatusCode::kInternal,
-                                "metrics method on a non-metrics request")
-                       : request.status();
-      return [echo, status] { return error_reply(echo, status); };
-    }
-    std::string json = obs::to_json(obs::Registry::global().snapshot());
-    return [echo, json = std::move(json)] {
-      return query::wire::serialize_metrics_reply(echo, json);
-    };
-  });
 }
 
 std::unique_ptr<rpc::Session> RouterService::open_session() {
   return std::make_unique<RouterSession>(*this);
+}
+
+rpc::Finalizer RouterService::handle(rpc::Session& session,
+                                     const rpc::Context& ctx,
+                                     std::string_view line) {
+  auto& s = static_cast<RouterSession&>(session);
+  std::uint64_t echo = 0;
+  auto request = query::wire::parse_request(line, &echo);
+  if (!request.ok()) {
+    return [echo, status = request.status()] {
+      return error_reply(echo, status);
+    };
+  }
+  if (const auto* next = std::get_if<NextRequest>(&request->op)) {
+    return [&s, ctx, echo, global = next->cursor] {
+      return s.next_page(ctx, echo, global);
+    };
+  }
+  if (std::holds_alternative<MetricsRequest>(request->op)) {
+    // Introspection: the router answers with its own registry snapshot
+    // (worker registries are reachable by asking a worker directly).
+    std::string json = obs::to_json(obs::Registry::global().snapshot());
+    return [echo, json = std::move(json)] {
+      return query::wire::serialize_metrics_reply(echo, json);
+    };
+  }
+  // Phase 1 (concurrent): forward the original bytes and await the
+  // complete worker reply (or fail over). Phase 2 (serial): assign the
+  // session cursor id, which must follow request order.
+  auto dispatched = [&] {
+    obs::Span span("route", obs::Span::Root::kDeny);
+    auto d = s.dispatch(ctx, line, route(std::get<Query>(request->op)));
+    if (span.active()) {
+      span.annotate("worker", static_cast<std::uint64_t>(d.worker));
+    }
+    return d;
+  }();
+  return [&s, echo, dispatched = std::move(dispatched)]() mutable {
+    if (!dispatched.reply.ok()) {
+      return error_reply(echo, dispatched.reply.status());
+    }
+    return s.virtualize_cursor(std::move(dispatched.reply).value(),
+                               dispatched.worker);
+  };
 }
 
 void RouterService::mark_dead(std::size_t worker) {
@@ -500,16 +312,6 @@ void RouterService::mark_dead(std::size_t worker) {
         obs::Registry::global().counter("router_worker_deaths_total");
     deaths.add();
   }
-}
-
-std::string RouterService::method_of(std::string_view request) const {
-  auto parsed = query::wire::parse_request(request);
-  if (!parsed.ok()) return "error";
-  if (std::holds_alternative<NextRequest>(parsed->op)) return "next";
-  if (std::holds_alternative<query::wire::MetricsRequest>(parsed->op)) {
-    return "metrics";
-  }
-  return "query";
 }
 
 Status RouterService::worker_unavailable(std::size_t worker) const {

@@ -10,6 +10,12 @@
 // any worker can answer any query -- which is what makes failover
 // possible.
 //
+// Each session talks to a worker over one QueryClient link, shared by
+// the session's exec threads: a call gets its own stream's reply, and
+// a Cancel from the client is forwarded to the worker and completes
+// the waiting call at once, so a cancelled request never holds an exec
+// thread.
+//
 // Cursor ids are virtualized: each worker hands out its own session's
 // cursor ids, so the router renumbers them into a single per-client
 // sequence in request order. The client sees exactly the id sequence
@@ -19,11 +25,13 @@
 // locking and stays deterministic.
 //
 // A worker that dies (crash, kill, failpoint abort) turns into EOF on
-// its channel: in-flight calls fail over (--allow-degraded) or come
-// back as typed kUnavailable replies -- never a hang, never a hybrid
+// its link: in-flight calls fail over (--allow-degraded) or come back
+// as typed kUnavailable replies -- never a hang, never a hybrid
 // stream, because a reply is only used when every one of its frames
 // arrived. Dead workers are remembered service-wide (sticky, like
-// shard quarantine): restart the router to lift it.
+// shard quarantine): restart the router to lift it. Only a failed
+// call marks a worker dead; a session closing its links or a client
+// cancelling a call does not.
 #pragma once
 
 #include <atomic>
@@ -61,27 +69,20 @@ class RouterService final : public rpc::Service {
                 RouterOptions options = {});
 
   [[nodiscard]] std::unique_ptr<rpc::Session> open_session() override;
-  [[nodiscard]] const rpc::Registry& registry() const override {
-    return registry_;
-  }
-  [[nodiscard]] std::string method_of(std::string_view request) const override;
-
-  [[nodiscard]] std::size_t worker_count() const noexcept {
-    return workers_.size();
-  }
-  /// The typed reply status for requests owed to a dead worker.
-  [[nodiscard]] Status worker_unavailable(std::size_t worker) const;
-
-  /// Sticky service-wide death ledger (like shard quarantine: restart
-  /// the router to lift it). Set by any link whose channel fails.
-  [[nodiscard]] bool is_dead(std::size_t worker) const {
-    return dead_[worker].load(std::memory_order_relaxed);
-  }
-  void mark_dead(std::size_t worker);
+  [[nodiscard]] rpc::Finalizer handle(rpc::Session& session,
+                                      const rpc::Context& ctx,
+                                      std::string_view line) override;
 
  private:
   friend class RouterSession;
 
+  /// The typed reply status for requests owed to a dead worker.
+  [[nodiscard]] Status worker_unavailable(std::size_t worker) const;
+  /// The sticky service-wide death ledger.
+  [[nodiscard]] bool is_dead(std::size_t worker) const {
+    return dead_[worker].load(std::memory_order_relaxed);
+  }
+  void mark_dead(std::size_t worker);
   /// Preferred worker for a query, by manifest routing.
   [[nodiscard]] std::size_t route(const query::Query& q) const;
   /// Next live worker after `from` in ring order; workers_.size() if
@@ -91,7 +92,6 @@ class RouterService final : public rpc::Service {
   shard::Manifest manifest_;
   std::vector<WorkerEndpoint> workers_;
   RouterOptions options_;
-  rpc::Registry registry_;
   std::vector<std::uint32_t> shard_to_worker_;
   std::unique_ptr<std::atomic<bool>[]> dead_;
 };

@@ -2,17 +2,18 @@
 //
 // A Service is the per-process application: it opens one Session per
 // connection (the query layer keeps a QueryEngine session in there;
-// the router keeps its worker channels), names the method a request
-// line should run ("query", "next", "error"), and registers a Method
-// per name.
+// the router keeps its worker links) and answers each request line
+// with handle(), which parses the line once and branches on its op.
+// The dispatcher calls handle() directly; inspector_query's stdin and
+// --requests modes call the same QueryService in process.
 //
-// Methods run in two phases, mirroring QueryEngine::run_batch:
+// A request runs in two phases, mirroring QueryEngine::run_batch:
 //
-//   phase 1  the Method body. Runs concurrently on dispatcher pool
-//            threads; does the heavy analysis and returns a Finalizer.
-//   phase 2  the Finalizer. Runs serially on the connection's reply
-//            thread, in request-arrival order, and returns the reply
-//            bytes to send.
+//   phase 1  handle(). Runs concurrently (dispatcher exec threads, or
+//            the analysis pool in batch mode); does the heavy analysis
+//            and returns a Finalizer.
+//   phase 2  the Finalizer. Runs serially, in request-arrival order,
+//            and returns the reply bytes to send.
 //
 // Everything order-sensitive -- cursor id assignment, reply emission --
 // belongs in the finalizer; that is what keeps a served session's
@@ -25,11 +26,10 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 
 namespace inspector::net::rpc {
 
-/// Per-request context handed to a method.
+/// Per-request context handed to handle().
 struct Context {
   std::uint64_t stream_id = 0;
   /// Set once a Cancel frame for this stream has arrived. Long phase-1
@@ -57,35 +57,17 @@ class Session {
 /// Phase 2 of a request; see the file comment.
 using Finalizer = std::function<std::string()>;
 
-/// Phase 1 of a request; see the file comment. The request bytes are
-/// only valid for the duration of the call.
-using Method =
-    std::function<Finalizer(Session&, const Context&, std::string_view)>;
-
-class Registry {
- public:
-  void add(std::string name, Method method) {
-    methods_[std::move(name)] = std::move(method);
-  }
-
-  [[nodiscard]] const Method* find(std::string_view name) const {
-    const auto it = methods_.find(std::string(name));
-    return it == methods_.end() ? nullptr : &it->second;
-  }
-
- private:
-  std::unordered_map<std::string, Method> methods_;
-};
-
 class Service {
  public:
   virtual ~Service() = default;
 
   [[nodiscard]] virtual std::unique_ptr<Session> open_session() = 0;
-  [[nodiscard]] virtual const Registry& registry() const = 0;
-  /// Name the method for one request line; must be a registered name.
-  [[nodiscard]] virtual std::string method_of(
-      std::string_view request) const = 0;
+
+  /// Phase 1 of one request; see the file comment. `line` is only
+  /// valid for the duration of the call. A malformed line is answered
+  /// like any other request: its finalizer returns the error reply.
+  [[nodiscard]] virtual Finalizer handle(Session& session, const Context& ctx,
+                                         std::string_view line) = 0;
 };
 
 }  // namespace inspector::net::rpc

@@ -1,6 +1,5 @@
 #include "shard/engine.h"
 
-#include <algorithm>
 #include <atomic>
 #include <optional>
 #include <span>
@@ -164,11 +163,7 @@ class StoreView {
           out.push_back(entry(*ls, local));
         }
       }
-      // Each shard's bucket is a rank-sorted restriction of the global
-      // one and rank is a global permutation, so the merge is unique.
-      std::sort(out.begin(), out.end(), [](const NodeRef& a, const NodeRef& b) {
-        return a.rank < b.rank;
-      });
+      // Shards are ascending rank ranges, so the buckets concatenate in order.
       return out;
     }
 

@@ -286,10 +286,9 @@ void write_shard_body(ByteWriter& w, const ShardData& s) {
 
 Result<ShardData> deserialize_shard_body(std::span<const std::uint8_t> body);
 
-/// The codec frame behind the versioned header. Parsed in one place
-/// so the reader's manifest cross-check and the decoder can never
-/// disagree about the layout. Throws SerializeError on truncation
-/// (callers sit inside a try like every other decode path).
+/// The codec frame behind the versioned header. Throws SerializeError
+/// on truncation (callers sit inside a try like every other decode
+/// path).
 struct ShardFrame {
   ShardCodec codec = ShardCodec::kRaw;
   std::uint64_t decoded_size = 0;
@@ -349,11 +348,18 @@ std::vector<std::uint8_t> serialize_shard(const ShardData& s,
 
 namespace {
 
-/// Decode + validate a frame's payload into the shard body (the one
-/// site that knows how each codec stores the body, shared by
-/// deserialize_shard and the reader's cross-checked load path).
+/// Decode + validate a frame's payload into the shard body, which
+/// keeps the frame for check_shard (the one site that knows how each
+/// codec stores the body).
 Result<ShardData> decode_shard_payload(const ShardFrame& frame,
                                        std::span<const std::uint8_t> payload) {
+  const auto framed = [&](Result<ShardData> data) {
+    if (data.ok()) {
+      data.value().codec = frame.codec;
+      data.value().decoded_bytes = frame.decoded_size;
+    }
+    return data;
+  };
   if (frame.codec == ShardCodec::kRaw) {
     if (payload.size() != frame.decoded_size) {
       return Status(StatusCode::kInvalidArgument,
@@ -362,7 +368,7 @@ Result<ShardData> decode_shard_payload(const ShardFrame& frame,
                         " bytes but the frame declares " +
                         std::to_string(frame.decoded_size));
     }
-    return deserialize_shard_body(payload);
+    return framed(deserialize_shard_body(payload));
   }
   auto body = snapshot::decompress_checked(payload);
   if (!body.ok()) {
@@ -381,7 +387,7 @@ Result<ShardData> decode_shard_payload(const ShardFrame& frame,
                       " bytes but the frame declares " +
                       std::to_string(frame.decoded_size));
   }
-  return deserialize_shard_body(body.value());
+  return framed(deserialize_shard_body(body.value()));
 }
 
 }  // namespace
@@ -396,6 +402,95 @@ Result<ShardData> deserialize_shard(const std::vector<std::uint8_t>& bytes) {
     return Status(StatusCode::kInvalidArgument,
                   std::string("CPG shard: ") + e.what());
   }
+}
+
+Status check_shard(const Manifest& m, std::uint32_t index,
+                   const ShardData& data) {
+  const ShardInfo& info = m.shards[index];
+  const auto differs = [](const char* what, std::uint64_t got,
+                          std::uint64_t want) {
+    return Status(StatusCode::kInvalidArgument,
+                  std::string(what) + " is " + std::to_string(got) +
+                      " but the manifest says " + std::to_string(want));
+  };
+  const auto out_of_bounds = [](const char* what) {
+    return Status(StatusCode::kInvalidArgument,
+                  std::string(what) + " exceeds the manifest's bounds");
+  };
+  // The store charges its memory budget with the manifest's decoded
+  // size, so a frame that disagrees would corrupt the accounting, not
+  // just the answer.
+  if (data.codec != info.codec) {
+    return differs("codec tag", static_cast<std::uint64_t>(data.codec),
+                   static_cast<std::uint64_t>(info.codec));
+  }
+  if (data.decoded_bytes != info.decoded_bytes) {
+    return differs("decoded size", data.decoded_bytes, info.decoded_bytes);
+  }
+  if (data.shard_index != index) {
+    return differs("shard index", data.shard_index, index);
+  }
+  if (data.rank_lo != info.rank_lo || data.rank_hi != info.rank_hi) {
+    return Status(StatusCode::kInvalidArgument,
+                  "rank fence is [" + std::to_string(data.rank_lo) + ", " +
+                      std::to_string(data.rank_hi) +
+                      ") but the manifest says [" +
+                      std::to_string(info.rank_lo) + ", " +
+                      std::to_string(info.rank_hi) + ")");
+  }
+  // The store view concatenates the shards' page buckets unsorted, so
+  // the global ranks must lie inside the fence and ascend in the order
+  // of the shard graph's own ranks (a permutation of its local ids).
+  std::vector<std::uint32_t> by_rank(data.global_ranks.size());
+  for (cpg::NodeId local = 0; local < by_rank.size(); ++local) {
+    by_rank[data.graph.rank(local)] = data.global_ranks[local];
+  }
+  for (std::size_t r = 0; r < by_rank.size(); ++r) {
+    if (by_rank[r] < info.rank_lo || by_rank[r] >= info.rank_hi) {
+      return Status(StatusCode::kInvalidArgument,
+                    "global rank " + std::to_string(by_rank[r]) +
+                        " lies outside the rank fence");
+    }
+    if (r > 0 && by_rank[r] <= by_rank[r - 1]) {
+      return Status(StatusCode::kInvalidArgument,
+                    "global ranks do not follow the shard's rank order");
+    }
+  }
+  if (data.global_ids.size() != info.node_count) {
+    return differs("node count", data.global_ids.size(), info.node_count);
+  }
+  if (data.edge_globals.size() != info.edge_count) {
+    return differs("edge count", data.edge_globals.size(), info.edge_count);
+  }
+  if (data.frontier_in.size() + data.frontier_out.size() !=
+      info.frontier_count) {
+    return differs("frontier count",
+                   data.frontier_in.size() + data.frontier_out.size(),
+                   info.frontier_count);
+  }
+  for (const cpg::NodeId global : data.global_ids) {
+    if (global >= m.total_nodes) return out_of_bounds("a global node id");
+    if (global >= m.node_shard.size() || m.node_shard[global] != index) {
+      return Status(StatusCode::kInvalidArgument,
+                    "node " + std::to_string(global) +
+                        " is in the file but the manifest routes it "
+                        "elsewhere");
+    }
+  }
+  for (const auto* frontier : {&data.frontier_in, &data.frontier_out}) {
+    for (const FrontierEdge& e : *frontier) {
+      if (e.from >= m.total_nodes || e.to >= m.total_nodes) {
+        return out_of_bounds("a frontier edge endpoint");
+      }
+    }
+  }
+  for (const std::uint32_t level : data.global_levels) {
+    if (level >= m.level_count) return out_of_bounds("a topological level");
+  }
+  for (const auto& node : data.graph.nodes()) {
+    if (node.thread >= m.thread_count) return out_of_bounds("a thread id");
+  }
+  return Status::Ok();
 }
 
 namespace {
@@ -625,11 +720,6 @@ Result<ShardData> ShardReader::read_shard(const std::string& dir,
                                           const ShardInfo& info) {
   auto bytes = read_file_bytes(dir + "/" + info.file);
   if (!bytes.ok()) return bytes.status();
-  // The manifest's encoded/decoded sizes and codec must match the
-  // frame on disk: the store charges its memory budget with the
-  // manifest's decoded_bytes, so a stale or swapped file that decodes
-  // to a different size would corrupt the accounting, not just the
-  // answer.
   if (bytes->size() != info.byte_size) {
     return Status(StatusCode::kInvalidArgument,
                   dir + "/" + info.file +
@@ -646,22 +736,7 @@ Result<ShardData> ShardReader::read_shard(const std::string& dir,
                       ": file checksum does not match the manifest (the "
                       "shard bytes are damaged)");
   }
-  try {
-    ByteReader r(bytes.value());
-    const auto frame = parse_shard_frame(r);
-    if (!frame.ok()) return frame.status();
-    if (frame->codec != info.codec ||
-        frame->decoded_size != info.decoded_bytes) {
-      return Status(StatusCode::kInvalidArgument,
-                    dir + "/" + info.file +
-                        ": codec frame does not match the manifest "
-                        "(codec or decoded size differs)");
-    }
-    return decode_shard_payload(*frame, r.rest());
-  } catch (const std::exception& e) {
-    return Status(StatusCode::kInvalidArgument,
-                  std::string("CPG shard: ") + e.what());
-  }
+  return deserialize_shard(bytes.value());
 }
 
 }  // namespace inspector::shard

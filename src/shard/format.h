@@ -156,6 +156,10 @@ struct ShardData {
   std::vector<FrontierEdge> frontier_in;   ///< ascending edge_index
   std::vector<FrontierEdge> frontier_out;  ///< ascending edge_index
   cpg::Graph graph;  ///< local nodes + intra-shard edges, indices built
+  /// The codec frame the body was decoded from (set by
+  /// deserialize_shard; serialize_shard takes the codec as an argument).
+  ShardCodec codec = ShardCodec::kRaw;
+  std::uint64_t decoded_bytes = 0;
 };
 
 // --- encoding ---------------------------------------------------------
@@ -181,6 +185,19 @@ struct ShardData {
 /// exception.
 [[nodiscard]] Result<ShardData> deserialize_shard(
     const std::vector<std::uint8_t>& bytes);
+
+/// A decoded shard against entry `index` of the manifest that
+/// references it: the one check both the store's load path and fsck
+/// run. The file must be the one this manifest wrote (codec frame,
+/// shard index, rank fence, node/edge/frontier counts and node routing
+/// agree), every global id, frontier endpoint, topological level and
+/// thread it carries must lie inside the manifest's universe, since
+/// the query layer indexes dense arrays with them, and its global ranks
+/// must lie inside its rank fence in the order of the shard graph's own
+/// ranks, since the store view merges buckets by that. kInvalidArgument
+/// naming the first disagreement; Ok when the shard belongs.
+[[nodiscard]] Status check_shard(const Manifest& m, std::uint32_t index,
+                                 const ShardData& data);
 
 // --- files ------------------------------------------------------------
 
@@ -210,6 +227,9 @@ struct ShardData {
 class ShardReader {
  public:
   [[nodiscard]] static Result<Manifest> read_manifest(const std::string& dir);
+  /// Read and decode one shard file, after checking its size and
+  /// whole-file checksum against `info`. check_shard() then ties the
+  /// payload to the rest of the manifest.
   [[nodiscard]] static Result<ShardData> read_shard(const std::string& dir,
                                                     const ShardInfo& info);
 };

@@ -54,46 +54,6 @@ Result<DirListing> list_store_dir(const std::string& dir) {
   return out;
 }
 
-/// Decoded payload vs its manifest entry: any disagreement means the
-/// file belongs to a different store or generation than the manifest
-/// says. Returns the first mismatch's description, empty when clean.
-std::string cross_check(const Manifest& m, std::uint32_t index,
-                        const ShardInfo& info, const ShardData& data) {
-  const auto mismatch = [](const char* what, std::uint64_t got,
-                           std::uint64_t want) {
-    return std::string(what) + " is " + std::to_string(got) +
-           " but the manifest says " + std::to_string(want);
-  };
-  if (data.shard_index != index) {
-    return mismatch("shard index", data.shard_index, index);
-  }
-  if (data.rank_lo != info.rank_lo || data.rank_hi != info.rank_hi) {
-    return "rank fence is [" + std::to_string(data.rank_lo) + ", " +
-           std::to_string(data.rank_hi) + ") but the manifest says [" +
-           std::to_string(info.rank_lo) + ", " + std::to_string(info.rank_hi) +
-           ")";
-  }
-  if (data.global_ids.size() != info.node_count) {
-    return mismatch("node count", data.global_ids.size(), info.node_count);
-  }
-  if (data.edge_globals.size() != info.edge_count) {
-    return mismatch("edge count", data.edge_globals.size(), info.edge_count);
-  }
-  if (data.frontier_in.size() + data.frontier_out.size() !=
-      info.frontier_count) {
-    return mismatch("frontier count",
-                    data.frontier_in.size() + data.frontier_out.size(),
-                    info.frontier_count);
-  }
-  for (const cpg::NodeId global : data.global_ids) {
-    if (global >= m.node_shard.size() || m.node_shard[global] != index) {
-      return "node " + std::to_string(global) +
-             " is in the file but the manifest routes it elsewhere";
-    }
-  }
-  return {};
-}
-
 /// Remove debris when repairing; flips the issue to repaired on
 /// success. Failure to remove leaves the issue standing (damaged).
 void maybe_repair(const std::string& dir, FsckIssue& issue, bool repair) {
@@ -207,9 +167,8 @@ Result<FsckReport> fsck(const std::string& dir, const FsckOptions& options) {
               data.status().message());
       continue;
     }
-    if (std::string why = cross_check(m, s, info, data.value());
-        !why.empty()) {
-      add(FsckIssue::Kind::kInconsistentShard, info.file, std::move(why));
+    if (Status why = check_shard(m, s, data.value()); !why.ok()) {
+      add(FsckIssue::Kind::kInconsistentShard, info.file, why.message());
       continue;
     }
     ++report.shards_verified;

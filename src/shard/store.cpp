@@ -285,56 +285,12 @@ Result<std::shared_ptr<const LoadedShard>> ShardStore::load(
   };
   auto data = read_with_retry();
   if (!data.ok()) return fail(data.status());
-  const Status valid = [&]() -> Status {
-    // The file is internally consistent (deserialize_shard checked);
-    // now it must also be the file this manifest wrote, not a stray
-    // from another store generation sharing the directory.
-    if (data->shard_index != shard ||
-        data->global_ids.size() != manifest_.shards[shard].node_count) {
-      return Status(StatusCode::kInvalidArgument,
-                    dir_ + "/" + manifest_.shards[shard].file +
-                        " does not match the manifest (expected shard " +
-                        std::to_string(shard) + " with " +
-                        std::to_string(manifest_.shards[shard].node_count) +
-                        " nodes; found shard " +
-                        std::to_string(data->shard_index) + " with " +
-                        std::to_string(data->global_ids.size()) + ")");
-    }
-    // Bound every sidecar value the query layer indexes dense arrays
-    // with (visited/node_marked by global id, thread_marked by
-    // thread): deserialize_shard checked internal consistency, but
-    // only the manifest knows the global universe sizes.
-    const auto mismatch = [&](const char* what) {
-      return Status(StatusCode::kInvalidArgument,
-                    dir_ + "/" + manifest_.shards[shard].file + ": " + what +
-                        " exceeds the manifest's bounds");
-    };
-    for (const cpg::NodeId gid : data->global_ids) {
-      if (gid >= manifest_.total_nodes) return mismatch("a global node id");
-    }
-    for (const auto& e : data->frontier_in) {
-      if (e.from >= manifest_.total_nodes || e.to >= manifest_.total_nodes) {
-        return mismatch("a frontier edge endpoint");
-      }
-    }
-    for (const auto& e : data->frontier_out) {
-      if (e.from >= manifest_.total_nodes || e.to >= manifest_.total_nodes) {
-        return mismatch("a frontier edge endpoint");
-      }
-    }
-    for (const std::uint32_t level : data->global_levels) {
-      if (manifest_.level_count == 0 || level >= manifest_.level_count) {
-        return mismatch("a topological level");
-      }
-    }
-    for (const auto& node : data->graph.nodes()) {
-      if (node.thread >= manifest_.thread_count) {
-        return mismatch("a thread id");
-      }
-    }
-    return Status::Ok();
-  }();
-  if (!valid.ok()) return fail(valid);
+  // The file is internally consistent (deserialize_shard checked); now
+  // it must also be the file this manifest wrote, not a stray from
+  // another store generation sharing the directory.
+  if (Status s = check_shard(manifest_, shard, data.value()); !s.ok()) {
+    return fail(s);
+  }
   auto loaded = std::make_shared<LoadedShard>();
   loaded->data = std::move(data).value();
   loaded->decoded_bytes = manifest_.shards[shard].decoded_bytes;

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "cpg/graph.h"
@@ -18,6 +19,7 @@
 #include "shard/format.h"
 #include "shard/fsck.h"
 #include "shard/planner.h"
+#include "shard/store.h"
 #include "snapshot/compress.h"
 #include "util/parallel.h"
 
@@ -211,6 +213,101 @@ TEST(Fsck, ForeignShardBehindAValidChecksumIsInconsistent) {
   ASSERT_TRUE(report.ok());
   EXPECT_TRUE(has_issue(*report, Kind::kInconsistentShard, "shard-001.bin"));
   EXPECT_TRUE(report->damaged());
+}
+
+/// Decode shard `index`, let `mutate` tamper with the payload, write it
+/// back in its codec, and recommit the manifest with the file's new
+/// size, checksum and decoded size: only the manifest cross-check can
+/// object to the result.
+template <typename Mutate>
+void rewrite_shard(const std::string& dir, std::uint32_t index,
+                   Mutate mutate) {
+  auto manifest = ShardReader::read_manifest(dir);
+  ASSERT_TRUE(manifest.ok());
+  ShardInfo& info = manifest.value().shards[index];
+  auto data = ShardReader::read_shard(dir, info);
+  ASSERT_TRUE(data.ok()) << data.status().message();
+  mutate(data.value(), *manifest);
+  const auto bytes = serialize_shard(*data, info.codec, &info.decoded_bytes);
+  ASSERT_TRUE(write_file_bytes(dir + "/" + info.file, bytes).ok());
+  info.byte_size = bytes.size();
+  info.file_checksum = snapshot::fnv1a(bytes);
+  ASSERT_TRUE(replace_file_bytes(dir + "/" + kManifestFileName,
+                                 serialize_manifest(*manifest))
+                  .ok());
+}
+
+/// fsck's verdict on shard `index` and the serving store's must agree:
+/// an inconsistent-shard issue whose detail names `why`, and a load
+/// that quarantines the shard with the same cause.
+void expect_rejected_by_fsck_and_store(const std::string& dir,
+                                       std::uint32_t index,
+                                       const std::string& why) {
+  const auto manifest = ShardReader::read_manifest(dir);
+  ASSERT_TRUE(manifest.ok());
+  const std::string& file = manifest->shards[index].file;
+  const auto report = fsck(dir);
+  ASSERT_TRUE(report.ok()) << report.status().message();
+  EXPECT_TRUE(has_issue(*report, Kind::kInconsistentShard, file))
+      << "fsck passed a shard the manifest disagrees with";
+  for (const FsckIssue& issue : report->issues) {
+    if (issue.file == file) {
+      EXPECT_NE(issue.detail.find(why), std::string::npos) << issue.detail;
+    }
+  }
+  auto store = ShardStore::open(dir);
+  ASSERT_TRUE(store.ok()) << store.status().message();
+  const auto loaded = store.value()->load(index);
+  ASSERT_FALSE(loaded.ok()) << "the store served a shard fsck rejects";
+  EXPECT_EQ(loaded.status().code(), StatusCode::kUnavailable);
+  EXPECT_NE(loaded.status().message().find(why), std::string::npos)
+      << loaded.status().message();
+}
+
+TEST(Fsck, LevelPastTheManifestIsRejectedByFsckAndStore) {
+  fixtures::ThreadCountGuard threads;
+  util::set_analysis_threads(1);
+  const std::string dir = make_store("fsck_level_bound", 59, ShardCodec::kLz);
+  rewrite_shard(dir, 1, [](ShardData& data, const Manifest& m) {
+    ASSERT_FALSE(data.global_levels.empty());
+    data.global_levels.back() = static_cast<std::uint32_t>(m.level_count);
+  });
+  expect_rejected_by_fsck_and_store(
+      dir, 1, "a topological level exceeds the manifest's bounds");
+}
+
+TEST(Fsck, ShiftedRankFenceIsRejectedByFsckAndStore) {
+  fixtures::ThreadCountGuard threads;
+  util::set_analysis_threads(1);
+  const std::string dir = make_store("fsck_rank_fence", 60);
+  rewrite_shard(dir, 1, [](ShardData& data, const Manifest&) {
+    ++data.rank_lo;
+    ++data.rank_hi;
+  });
+  expect_rejected_by_fsck_and_store(dir, 1, "rank fence is [");
+}
+
+TEST(Fsck, GlobalRankPastTheFenceIsRejectedByFsckAndStore) {
+  fixtures::ThreadCountGuard threads;
+  util::set_analysis_threads(1);
+  const std::string dir = make_store("fsck_rank_past_fence", 61);
+  rewrite_shard(dir, 1, [](ShardData& data, const Manifest&) {
+    ASSERT_FALSE(data.global_ranks.empty());
+    data.global_ranks.front() = data.rank_hi;
+  });
+  expect_rejected_by_fsck_and_store(dir, 1, "lies outside the rank fence");
+}
+
+TEST(Fsck, SwappedGlobalRanksAreRejectedByFsckAndStore) {
+  fixtures::ThreadCountGuard threads;
+  util::set_analysis_threads(1);
+  const std::string dir = make_store("fsck_rank_order", 62);
+  rewrite_shard(dir, 1, [](ShardData& data, const Manifest&) {
+    ASSERT_GE(data.global_ranks.size(), 2u);
+    std::swap(data.global_ranks.front(), data.global_ranks.back());
+  });
+  expect_rejected_by_fsck_and_store(
+      dir, 1, "global ranks do not follow the shard's rank order");
 }
 
 TEST(Fsck, V2ManifestIsUnreadableAndRepairDeletesNoShard) {

@@ -6,8 +6,10 @@
 // or transparent failover under degraded serving -- never a hang.
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <filesystem>
+#include <future>
 #include <memory>
 #include <string>
 #include <thread>
@@ -151,37 +153,36 @@ TEST(NetServe, TinyFramesReassembleIdentically) {
   loop.stop();
 }
 
-/// A service whose requests echo back from the finalizer -- except the
-/// literal request "block", whose phase 1 parks until its stream is
-/// cancelled. Exercises Cancel against a genuinely in-flight request.
+/// A service whose requests echo back from the finalizer -- except
+/// those containing `gate` ("block" by default), whose phase 1 parks
+/// until its stream is cancelled. Exercises Cancel against a genuinely
+/// in-flight request.
 class GateService final : public net::rpc::Service {
  public:
-  GateService() {
-    registry_.add("echo", [](net::rpc::Session&, const net::rpc::Context& ctx,
-                             std::string_view request) -> net::rpc::Finalizer {
-      if (request == "block") {
-        while (!ctx.is_cancelled()) {
-          std::this_thread::sleep_for(std::chrono::milliseconds(1));
-        }
-        return [] { return std::string("cancelled streams never reply"); };
-      }
-      std::string copy(request);
-      return [copy] { return "ok:" + copy; };
-    });
-  }
+  explicit GateService(std::string gate = "block") : gate_(std::move(gate)) {}
 
   [[nodiscard]] std::unique_ptr<net::rpc::Session> open_session() override {
     return std::make_unique<net::rpc::Session>();
   }
-  [[nodiscard]] const net::rpc::Registry& registry() const override {
-    return registry_;
-  }
-  [[nodiscard]] std::string method_of(std::string_view) const override {
-    return "echo";
+  [[nodiscard]] net::rpc::Finalizer handle(
+      net::rpc::Session&, const net::rpc::Context& ctx,
+      std::string_view request) override {
+    if (request.find(gate_) != std::string_view::npos) {
+      parked.fetch_add(1);
+      while (!ctx.is_cancelled()) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+      }
+      return [] { return std::string("cancelled streams never reply"); };
+    }
+    std::string copy(request);
+    return [copy] { return "ok:" + copy; };
   }
 
+  /// Requests that have parked so far.
+  std::atomic<int> parked{0};
+
  private:
-  net::rpc::Registry registry_;
+  std::string gate_;
 };
 
 TEST(NetServe, CancelFreesStreamWithoutCorruptingNeighbors) {
@@ -217,6 +218,47 @@ TEST(NetServe, CancelFreesStreamWithoutCorruptingNeighbors) {
   const auto after = (*client)->next_reply();
   ASSERT_FALSE(after.ok());
   EXPECT_EQ(after.status().code(), StatusCode::kExhausted);
+  loop.stop();
+}
+
+// Several threads may share one client: concurrent senders must reach
+// the server in stream-id order (the dispatcher closes a connection
+// whose ids go backwards), and each call() must get its own reply.
+TEST(NetServe, ThreadsSharingOneClientEachGetTheirOwnReplies) {
+  GateService service;
+  auto server = net::uds::Server::listen(socket_path("net_serve_shared.sock"));
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  net::ServeLoop loop(std::move(server).value(), service);
+  loop.start();
+
+  auto client = net::QueryClient::connect(loop.path());
+  ASSERT_TRUE(client.ok()) << client.status().message();
+  constexpr int kThreads = 8;
+  constexpr int kCalls = 500;
+  std::vector<int> failures(kThreads, 0);
+  std::vector<std::string> first_failure(kThreads);
+  std::vector<std::thread> threads;
+  threads.reserve(kThreads);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      for (int i = 0; i < kCalls; ++i) {
+        const std::string line =
+            "t" + std::to_string(t) + "." + std::to_string(i);
+        const auto reply = (*client)->call(line);
+        if (reply.ok() && *reply == "ok:" + line) continue;
+        if (failures[t]++ == 0) {
+          first_failure[t] = reply.ok() ? line + " got " + *reply
+                                        : reply.status().message();
+        }
+        if (!reply.ok()) return;  // the connection is gone
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (int t = 0; t < kThreads; ++t) {
+    EXPECT_EQ(failures[t], 0) << "thread " << t << ": " << first_failure[t];
+  }
+  EXPECT_TRUE((*client)->goodbye().ok());
   loop.stop();
 }
 
@@ -436,6 +478,71 @@ TEST(NetServe, DeadWorkerFailsOverWhenDegraded) {
   // dead worker's queries on the survivor -- and because replies are
   // complete-or-nothing, the output is still byte-identical.
   EXPECT_EQ(replay(front.path(), lines), expected);
+  front.stop();
+}
+
+// A Cancel forwarded to a worker means the worker never replies, so the
+// router's waiting call must complete at once instead of holding one of
+// the connection's exec threads until the session ends -- otherwise as
+// many cancels as the dispatcher has exec threads wedge the connection.
+// A cancelled call must not mark the worker dead either.
+TEST(NetServe, CancelledRoutedRequestsFreeTheirExecThreads) {
+  GateService worker("races");
+  auto worker_server =
+      net::uds::Server::listen(socket_path("net_router_cancel.w0.sock"));
+  ASSERT_TRUE(worker_server.ok()) << worker_server.status().message();
+  net::ServeLoop worker_loop(std::move(worker_server).value(), worker);
+  worker_loop.start();
+
+  net::WorkerEndpoint endpoint;
+  endpoint.socket_path = worker_loop.path();
+  endpoint.shard_hi = 1;
+  net::RouterService router(shard::Manifest{}, {endpoint});
+  auto server = net::uds::Server::listen(socket_path("net_router_cancel.sock"));
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  net::ServeLoop front(std::move(server).value(), router);
+  front.start();
+
+  auto client = net::QueryClient::connect(front.path());
+  ASSERT_TRUE(client.ok()) << client.status().message();
+  const std::size_t exec_threads = net::DispatcherOptions{}.worker_threads;
+  std::vector<std::uint64_t> streams;
+  for (std::size_t k = 1; k <= exec_threads; ++k) {
+    const auto id = (*client)->send(
+        "{\"id\":" + std::to_string(k) + ",\"op\":\"races\"}");
+    ASSERT_TRUE(id.ok()) << id.status().message();
+    streams.push_back(*id);
+  }
+  // Once every request parked in the worker, every router exec thread
+  // is inside a forwarded call.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (worker.parked.load() < static_cast<int>(exec_threads) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(worker.parked.load(), static_cast<int>(exec_threads));
+  for (const std::uint64_t id : streams) {
+    ASSERT_TRUE((*client)->cancel(id).ok());
+  }
+
+  const std::string stats = R"({"id":9,"op":"stats"})";
+  ASSERT_TRUE((*client)->send(stats).ok());
+  auto reply = std::async(std::launch::async,
+                          [&] { return (*client)->next_reply(); });
+  const bool answered =
+      reply.wait_for(std::chrono::seconds(3)) == std::future_status::ready;
+  EXPECT_TRUE(answered) << "cancelled routed requests still hold the "
+                           "router's exec threads";
+  // Stopping the worker releases any call still waiting on it, so the
+  // test ends either way.
+  worker_loop.stop();
+  const auto got = reply.get();
+  if (answered) {
+    ASSERT_TRUE(got.ok()) << got.status().message();
+    EXPECT_EQ(*got, "ok:" + stats);
+  }
+  EXPECT_TRUE((*client)->goodbye().ok());
   front.stop();
 }
 

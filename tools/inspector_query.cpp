@@ -44,13 +44,17 @@
 // it pipelines request lines at the server and prints replies in
 // request order, exiting nonzero if the server vanishes.
 //
-// With --requests, the whole file is executed as one batch: queries
-// fan out over the analysis pool and replies print in request order --
-// bit-identical at every worker count, which is what the CI smoke test
-// diffs against its golden reply. "next" requests resolve against
-// cursors issued earlier in the same file (cursor ids are assigned in
-// request order, starting at 1). Without --requests, requests are read
-// interactively from stdin, one reply per line.
+// Both in-process modes run the served code path: a net::QueryService
+// session answers each line, exactly as it does behind --serve. With
+// --requests, the whole file is executed as one batch: every line's
+// phase 1 (parse, analysis, and the snapshot of a "metrics" request)
+// fans out over the analysis pool, then the finalizers print replies
+// in request order -- bit-identical at every worker count, which is
+// what the CI smoke test diffs against its golden reply. "next"
+// requests resolve against cursors issued earlier in the same file
+// (cursor ids are assigned in request order, starting at 1). Without
+// --requests, requests are read interactively from stdin, one reply
+// per line.
 //
 // Exit status: 0 even when individual queries fail (their errors are
 // on the wire); nonzero only when the tool itself cannot run (bad
@@ -71,7 +75,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <variant>
 #include <vector>
 
 #include "cpg/graph.h"
@@ -82,9 +85,7 @@
 #include "net/router.h"
 #include "net/uds.h"
 #include "obs/metrics.h"
-#include "obs/trace.h"
 #include "query/engine.h"
-#include "query/wire.h"
 #include "shard/engine.h"
 #include "util/failpoint.h"
 #include "util/parallel.h"
@@ -301,114 +302,49 @@ bool parse_args(int argc, char** argv, ToolArgs& args) {
   return true;
 }
 
-/// A parsed line of the request stream, or the parse error to echo.
-struct PendingRequest {
-  std::uint64_t id = 0;
-  query::Result<query::wire::Request> parsed;
-};
-
-query::QueryOptions options_for(const query::wire::Request& request,
-                                const ToolArgs& args) {
-  query::QueryOptions options;
-  options.page_size =
-      request.page_size != 0 ? request.page_size : args.default_page_size;
-  return options;
+/// Every input mode skips lines holding nothing but whitespace.
+bool is_blank(const std::string& line) {
+  return line.find_first_not_of(" \t\r") == std::string::npos;
 }
 
-/// Execute the request file as one deterministic batch: consecutive
-/// queries fan out together; a "next" request is a barrier (it reads a
-/// cursor an earlier request created).
-int serve_batch(query::QueryEngine& engine, const ToolArgs& args) {
+/// Execute the request file as one deterministic batch through the
+/// served code path: every line's phase 1 fans out over the analysis
+/// pool, then the finalizers run in line order, so a "next" sees every
+/// cursor an earlier line issued.
+int serve_batch(net::QueryService& service, const ToolArgs& args) {
   std::ifstream in(args.requests_path);
   if (!in) {
     std::cerr << "error: cannot open " << args.requests_path << "\n";
     return 1;
   }
-  std::vector<PendingRequest> pending;
-  std::string line;
-  while (std::getline(in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    std::uint64_t echo_id = 0;
-    PendingRequest p{0, query::wire::parse_request(line, &echo_id)};
-    p.id = echo_id;
-    pending.push_back(std::move(p));
+  std::vector<std::string> lines;
+  for (std::string line; std::getline(in, line);) {
+    if (!is_blank(line)) lines.push_back(std::move(line));
   }
-
-  std::vector<std::string> replies(pending.size());
-  std::vector<std::size_t> wave;  ///< indices of engine queries to fan out
-  const auto flush_wave = [&] {
-    if (wave.empty()) return;
-    std::vector<query::QueryEngine::BatchItem> items;
-    items.reserve(wave.size());
-    for (const std::size_t i : wave) {
-      const auto& request = pending[i].parsed.value();
-      items.push_back({std::get<query::Query>(request.op),
-                       options_for(request, args)});
-    }
-    const auto results =
-        engine.run_batch(query::QueryEngine::kDefaultSession, items);
-    for (std::size_t k = 0; k < wave.size(); ++k) {
-      replies[wave[k]] =
-          query::wire::serialize_reply(pending[wave[k]].id, results[k]);
-    }
-    wave.clear();
-  };
-
-  for (std::size_t i = 0; i < pending.size(); ++i) {
-    const PendingRequest& p = pending[i];
-    if (!p.parsed.ok()) {
-      replies[i] = query::wire::serialize_reply(
-          p.id, query::Result<query::Reply>(p.parsed.status()));
-      continue;
-    }
-    if (const auto* next_request =
-            std::get_if<query::wire::NextRequest>(&p.parsed.value().op)) {
-      flush_wave();  // the cursor may be issued by an earlier query
-      replies[i] = query::wire::serialize_reply(
-          p.id, engine.next(next_request->cursor));
-      continue;
-    }
-    if (std::holds_alternative<query::wire::MetricsRequest>(
-            p.parsed.value().op)) {
-      flush_wave();  // snapshot after earlier queries' effects land
-      replies[i] = query::wire::serialize_metrics_reply(
-          p.id, obs::to_json(obs::Registry::global().snapshot()));
-      continue;
-    }
-    wave.push_back(i);
+  const auto session = service.open_session();
+  std::vector<net::rpc::Finalizer> finalizers(lines.size());
+  util::shared_pool()->parallel_for(
+      0, lines.size(), 1, [&](std::size_t begin, std::size_t end, unsigned) {
+        for (std::size_t i = begin; i < end; ++i) {
+          finalizers[i] = service.handle(*session, {.stream_id = i + 1},
+                                         lines[i]);
+        }
+      });
+  for (const net::rpc::Finalizer& finalize : finalizers) {
+    std::cout << finalize() << "\n";
   }
-  flush_wave();
-
-  for (const std::string& reply : replies) std::cout << reply << "\n";
   return 0;
 }
 
 /// Interactive mode: one request per stdin line, reply immediately.
-int serve_stdin(query::QueryEngine& engine, const ToolArgs& args) {
-  std::string line;
-  while (std::getline(std::cin, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
-    std::uint64_t id = 0;
-    const auto parsed = query::wire::parse_request(line, &id);
-    std::string reply;
-    if (!parsed.ok()) {
-      reply = query::wire::serialize_reply(
-          id, query::Result<query::Reply>(parsed.status()));
-    } else if (const auto* next_request =
-                   std::get_if<query::wire::NextRequest>(
-                       &parsed.value().op)) {
-      reply = query::wire::serialize_reply(
-          id, engine.next(next_request->cursor));
-    } else if (std::holds_alternative<query::wire::MetricsRequest>(
-                   parsed.value().op)) {
-      reply = query::wire::serialize_metrics_reply(
-          id, obs::to_json(obs::Registry::global().snapshot()));
-    } else {
-      reply = query::wire::serialize_reply(
-          id, engine.run(std::get<query::Query>(parsed.value().op),
-                         options_for(parsed.value(), args)));
-    }
-    std::cout << reply << "\n" << std::flush;
+int serve_stdin(net::QueryService& service) {
+  const auto session = service.open_session();
+  std::uint64_t stream_id = 0;
+  for (std::string line; std::getline(std::cin, line);) {
+    if (is_blank(line)) continue;
+    std::cout << service.handle(*session, {.stream_id = ++stream_id}, line)()
+              << "\n"
+              << std::flush;
   }
   return 0;
 }
@@ -656,7 +592,7 @@ int run_client(const ToolArgs& args) {
   }
   std::string line;
   while (std::getline(*in, line)) {
-    if (line.find_first_not_of(" \t\r") == std::string::npos) continue;
+    if (is_blank(line)) continue;
     if (auto id = (*client)->send(line); !id.ok()) {
       std::cerr << "error: " << id.status().message() << "\n";
       lost.store(true);
@@ -682,8 +618,10 @@ int main(int argc, char** argv) {
     } else {
       auto engine = make_engine(args);
       if (!engine) return 1;
-      rc = args.requests_path.empty() ? serve_stdin(*engine, args)
-                                      : serve_batch(*engine, args);
+      net::QueryService service(
+          std::move(engine), {.default_page_size = args.default_page_size});
+      rc = args.requests_path.empty() ? serve_stdin(service)
+                                      : serve_batch(service, args);
     }
     export_metrics_at_exit(args);
     return rc;

@@ -1,17 +1,18 @@
 #!/usr/bin/env bash
 # End-to-end smoke of the provenance query service: capture a CPG with
-# inspector_cli, pipe the canned request file through inspector_query
-# at 1 and 8 analysis workers, and diff both reply streams against the
-# checked-in golden file. Then re-serve the same session from a
-# *sharded* store (inspector_cli --shard-out) under a resident-shard
-# budget smaller than the store, at two shard counts; from an
-# LZ-compressed 3-shard store (--compress); and from a store built
-# from a 60% rank-prefix of the capture and grown to the full history
-# by an incremental append (--shard-prefix / --shard-append) -- every
-# storage form must reproduce the golden replies byte for byte. Any
-# diff means the wire format, the engine's answers, the worker-count
-# determinism contract, or the shard-store equivalence contract
-# (shard count, compression, or append) regressed.
+# inspector_cli, run the canned request file through inspector_query
+# as a batch at 1 and 8 analysis workers and line by line on stdin,
+# and diff every reply stream against the checked-in golden file. Then
+# re-serve the same session from a *sharded* store (inspector_cli
+# --shard-out) under a resident-shard budget smaller than the store,
+# at two shard counts; from an LZ-compressed 3-shard store
+# (--compress); and from a store built from a 60% rank-prefix of the
+# capture and grown to the full history by an incremental append
+# (--shard-prefix / --shard-append) -- every storage form must
+# reproduce the golden replies byte for byte. Any diff means the wire
+# format, the engine's answers, the worker-count determinism contract,
+# or the shard-store equivalence contract (shard count, compression,
+# or append) regressed.
 #
 # The observability layer rides the same golden session: one run with
 # the trace sink, slow-query log, and metrics exports fully enabled
@@ -40,8 +41,10 @@ stop_server() {
 }
 if [ $# -ge 4 ]; then
   TMP_DIR=$4
+  mkdir -p "$TMP_DIR"
   trap 'stop_server; \
         rm -f "$TMP_DIR/smoke.cpg" "$TMP_DIR/smoke.1w" "$TMP_DIR/smoke.8w" \
+        "$TMP_DIR/smoke.stdin" \
         "$TMP_DIR/smoke.shard3" "$TMP_DIR/smoke.shard7" \
         "$TMP_DIR/smoke.shardz" "$TMP_DIR/smoke.sharda" \
         "$TMP_DIR"/smoke.obs* "$TMP_DIR"/smoke.trace* "$TMP_DIR/smoke.prom" \
@@ -92,6 +95,14 @@ diff -u "$GOLDEN" "$TMP_DIR/smoke.1w" || {
 }
 diff -u "$TMP_DIR/smoke.1w" "$TMP_DIR/smoke.8w" || {
   echo "FAIL: replies differ between 1 and 8 workers" >&2
+  exit 1
+}
+# The interactive mode answers one stdin line at a time through the
+# same service, and must print the same bytes.
+"$QUERY" "$TMP_DIR/smoke.cpg" --analysis-threads 8 < "$REQUESTS" \
+    > "$TMP_DIR/smoke.stdin"
+diff -u "$GOLDEN" "$TMP_DIR/smoke.stdin" || {
+  echo "FAIL: interactive (stdin) replies differ from the golden file" >&2
   exit 1
 }
 
@@ -301,4 +312,4 @@ diff -u "$GOLDEN" "$TMP_DIR/smoke.netdeg" || {
   exit 1
 }
 
-echo "query smoke OK: $(wc -l < "$GOLDEN") golden replies matched at 1 and 8 workers, from 3-/7-shard, compressed, and appended stores under a 40000-byte budget, over --serve (single-process and 2-worker router), with tracing and metrics fully enabled, and degraded routing around a crashed worker; broken-store error paths exit nonzero"
+echo "query smoke OK: $(wc -l < "$GOLDEN") golden replies matched at 1 and 8 workers and on stdin, from 3-/7-shard, compressed, and appended stores under a 40000-byte budget, over --serve (single-process and 2-worker router), with tracing and metrics fully enabled, and degraded routing around a crashed worker; broken-store error paths exit nonzero"
