@@ -5,63 +5,20 @@
 // The CPG makes this a graph reachability problem: taint the pages of
 // the sensitive input region, propagate forward along happens-before
 // dataflow (write-set -> read-set), and check every output
-// sub-computation against the policy.
-#include <cstdint>
+// sub-computation against the policy. The propagation is the library's
+// taint query, the same one `inspector_cli --taint` runs.
 #include <iostream>
-#include <queue>
-#include <unordered_set>
+#include <memory>
+#include <variant>
 
 #include "core/inspector.h"
-#include "memtrack/allocator.h"
+#include "memtrack/shared_memory.h"
+#include "query/engine.h"
+#include "util/page_set.h"
 #include "workloads/registry.h"
 
-namespace {
-
-using namespace inspector;
-
-/// Forward taint propagation over the CPG. A sub-computation is tainted
-/// when (a) it reads a tainted page, or (b) its same-thread predecessor
-/// was tainted -- registers survive pthreads calls, so data read before
-/// a lock() flows into the store performed inside the critical section
-/// even though the page sets alone cannot see it. Every page a tainted
-/// sub-computation writes becomes tainted. Processing in topological
-/// (happens-before-compatible) order makes a single pass sufficient.
-struct TaintResult {
-  std::unordered_set<std::uint64_t> tainted_pages;
-  std::vector<cpg::NodeId> tainted_nodes;
-};
-
-TaintResult propagate(const cpg::Graph& g,
-                      const std::unordered_set<std::uint64_t>& seeds) {
-  TaintResult result;
-  result.tainted_pages = seeds;
-  std::unordered_set<cpg::ThreadId> tainted_threads;  // register carry-over
-  std::unordered_set<cpg::NodeId> tainted_nodes;
-  for (cpg::NodeId id : g.topological_view()) {
-    const auto& node = g.node(id);
-    bool tainted = tainted_threads.contains(node.thread);
-    if (!tainted) {
-      for (std::uint64_t page : node.read_set) {
-        if (result.tainted_pages.contains(page)) {
-          tainted = true;
-          break;
-        }
-      }
-    }
-    if (!tainted) continue;
-    tainted_threads.insert(node.thread);
-    tainted_nodes.insert(id);
-    result.tainted_nodes.push_back(id);
-    for (std::uint64_t page : node.write_set) {
-      result.tainted_pages.insert(page);
-    }
-  }
-  return result;
-}
-
-}  // namespace
-
 int main() {
+  using namespace inspector;
   std::cout << "Case study: DIFT over the CPG (paper §VIII)\n\n";
 
   // Run word_count: its input file is the sensitive data.
@@ -74,34 +31,41 @@ int main() {
   const auto& g = *result.graph;
 
   // Seed taint: every page of the mmap'ed input region.
-  std::unordered_set<std::uint64_t> seeds;
+  query::TaintQuery taint_query;
   for (const auto& w : program.input) {
-    seeds.insert(memtrack::page_id_of(w.addr));
+    taint_query.seed_pages.push_back(memtrack::page_id_of(w.addr));
   }
-  std::cout << "tainted input pages: " << seeds.size() << "\n";
+  page_set_normalize(taint_query.seed_pages);
+  std::cout << "tainted input pages: " << taint_query.seed_pages.size()
+            << "\n";
 
-  const auto taint = propagate(g, seeds);
-  std::cout << "tainted sub-computations: " << taint.tainted_nodes.size()
-            << " / " << g.nodes().size() << "\n"
-            << "tainted pages after propagation: "
-            << taint.tainted_pages.size() << "\n\n";
+  // A sub-computation is tainted when it reads a tainted page, or when
+  // its same-thread predecessor was tainted: registers survive pthreads
+  // calls, so data read before a lock() flows into the store performed
+  // inside the critical section even though the page sets alone cannot
+  // see it. Every page a tainted sub-computation writes becomes
+  // tainted. The engine aliases the run's graph (non-owning).
+  query::QueryEngine engine(
+      std::shared_ptr<const cpg::Graph>(&g, [](const cpg::Graph*) {}));
+  const auto reply = engine.run(taint_query);
+  if (!reply.ok()) {
+    std::cerr << "taint query failed: " << reply.status().message() << "\n";
+    return 1;
+  }
+  const auto& taint = std::get<query::FlowResult>(reply->result);
+  std::cout << "tainted sub-computations: " << taint.nodes.size() << " / "
+            << g.nodes().size() << "\n"
+            << "tainted pages after propagation: " << taint.pages.size()
+            << "\n\n";
 
   // Policy check: pretend every thread-exit sub-computation performs an
   // output syscall (write(2) of its results). The glibc-wrapper policy
-  // checker of §VIII would block the tainted ones.
-  std::size_t flagged = 0;
-  for (const auto& node : g.nodes()) {
-    if (node.end.kind != sync::SyncEventKind::kThreadExit) continue;
-    const bool tainted =
-        std::find(taint.tainted_nodes.begin(), taint.tainted_nodes.end(),
-                  node.id) != taint.tainted_nodes.end();
-    if (tainted) {
-      ++flagged;
-      std::cout << "POLICY: output at " << node
-                << " carries input-derived data -> would require review\n";
-    }
+  // checker of §VIII would block the tainted ones -- the query's sinks.
+  for (const cpg::NodeId id : taint.sinks) {
+    std::cout << "POLICY: output at " << g.node(id)
+              << " carries input-derived data -> would require review\n";
   }
-  if (flagged == 0) {
+  if (taint.sinks.empty()) {
     std::cout << "POLICY: no tainted output sites\n";
   }
   std::cout << "\nThe taint never leaves the provenance domain: pages the "

@@ -33,17 +33,4 @@ struct CriticalPath {
 /// programming over a topological order).
 [[nodiscard]] CriticalPath critical_path(const cpg::Graph& graph);
 
-/// Per-thread summary used by the reports: sub-computations, thunks,
-/// pages read/written.
-struct ThreadSummary {
-  cpg::ThreadId thread = 0;
-  std::size_t subcomputations = 0;
-  std::uint64_t thunks = 0;
-  std::uint64_t pages_read = 0;
-  std::uint64_t pages_written = 0;
-};
-
-[[nodiscard]] std::vector<ThreadSummary> per_thread_summary(
-    const cpg::Graph& graph);
-
 }  // namespace inspector::analysis

@@ -1,7 +1,9 @@
 #include "core/inspector.h"
 
+#include <map>
+#include <span>
 #include <sstream>
-#include <stdexcept>
+#include <vector>
 
 #include "cpg/offline.h"
 #include "ptsim/flow.h"
@@ -20,70 +22,83 @@ double Comparison::work_overhead() const {
          static_cast<double>(native.stats.work_ns);
 }
 
-runtime::ExecutorOptions Inspector::executor_options(
-    runtime::Mode mode) const {
-  runtime::ExecutorOptions opts;
-  opts.mode = mode;
-  opts.costs = options_.costs;
-  opts.capture_journal = options_.capture_journal;
-  opts.schedule_seed = options_.schedule_seed;
-  opts.schedule_jitter_ns = options_.schedule_jitter_ns;
-  opts.enable_pt = options_.enable_pt;
-  opts.enable_memtrack = options_.enable_memtrack;
-  opts.perf.aux_bytes = options_.aux_buffer_bytes;
-  opts.perf.mode = options_.aux_mode;
-  opts.drain_interval_quanta = options_.aux_drain_interval_quanta;
-  opts.snapshot_every_syncs = options_.snapshot_every_syncs;
-  opts.snapshot_ring_slots = options_.snapshot_ring_slots;
-  opts.snapshot_slot_bytes = options_.snapshot_slot_bytes;
-  return opts;
-}
-
 runtime::ExecutionResult Inspector::run(
     const runtime::Program& program) const {
-  return runtime::execute(program, executor_options(runtime::Mode::kInspector));
+  return runtime::execute(program, runtime::Mode::kInspector, options_);
 }
 
 runtime::ExecutionResult Inspector::run_native(
     const runtime::Program& program) const {
-  return runtime::execute(program, executor_options(runtime::Mode::kNative));
+  return runtime::execute(program, runtime::Mode::kNative, options_);
 }
 
 Comparison Inspector::compare(const runtime::Program& program) const {
   return Comparison{run_native(program), run(program)};
 }
 
-std::map<cpg::ThreadId, std::vector<cpg::BranchRecord>>
-Inspector::decode_branches(const runtime::ExecutionResult& result) {
-  std::map<cpg::ThreadId, std::vector<cpg::BranchRecord>> branches;
-  if (result.perf_session == nullptr || result.image == nullptr) {
-    return branches;
-  }
-  for (perf::Pid pid : result.perf_session->traced_pids()) {
-    const auto& trace = result.perf_session->trace_for(pid);
-    ptsim::FlowDecoder decoder(result.image->image, trace);
+namespace {
+
+/// One traced process's control flow as the recorder keeps it: the
+/// branch records of its thunks, in retirement order.
+struct DecodedStream {
+  std::vector<cpg::BranchRecord> branches;
+  std::uint64_t gaps = 0;
+};
+
+/// The one PT-event -> BranchRecord conversion, shared by the offline
+/// rebuild and the PT cross-check.
+Result<DecodedStream> decode_stream(perf::Pid pid,
+                                    std::span<const std::uint8_t> aux,
+                                    const ptsim::Image& image) {
+  try {
+    ptsim::FlowDecoder decoder(image, aux);
     const ptsim::FlowResult flow = decoder.run();
-    auto& out = branches[pid];
+    DecodedStream out;
+    out.gaps = flow.gaps;
     for (const auto& e : flow.events) {
       using K = ptsim::BranchEvent::Kind;
       if (e.kind == K::kConditional) {
-        out.push_back({e.ip, e.target, e.taken, false});
+        out.branches.push_back({e.ip, e.target, e.taken, false});
       } else if (e.kind == K::kIndirect) {
-        out.push_back({e.ip, e.target, true, true});
+        out.branches.push_back({e.ip, e.target, true, true});
       }
     }
+    return out;
+  } catch (const ptsim::DecodeError& e) {
+    return Status(StatusCode::kInvalidArgument,
+                  "perf data: AUX stream of pid " + std::to_string(pid) +
+                      ": " + e.what());
   }
-  return branches;
 }
 
-cpg::Graph Inspector::rebuild_offline(
-    const runtime::ExecutionResult& result) {
-  if (result.journal == nullptr) {
-    throw std::runtime_error(
-        "rebuild_offline: run with Options::capture_journal = true");
+}  // namespace
+
+Result<cpg::Graph> rebuild_offline(const perf::DataFile& trace,
+                                   const cpg::Journal& journal,
+                                   const ptsim::Image& image,
+                                   std::uint64_t* gaps) {
+  std::map<cpg::ThreadId, std::vector<cpg::BranchRecord>> branches;
+  std::uint64_t total_gaps = 0;
+  for (const auto& stream : trace.aux) {
+    auto decoded = decode_stream(stream.pid, stream.data, image);
+    if (!decoded.ok()) return decoded.status();
+    total_gaps += decoded->gaps;
+    branches[stream.pid] = std::move(decoded).value().branches;
   }
-  return cpg::rebuild_from_journal(*result.journal,
-                                   decode_branches(result));
+  if (gaps != nullptr) *gaps = total_gaps;
+  return cpg::rebuild_from_journal(journal, branches);
+}
+
+Result<cpg::Graph> Inspector::rebuild_offline(
+    const runtime::ExecutionResult& result) {
+  if (result.journal == nullptr || result.perf_session == nullptr ||
+      result.image == nullptr) {
+    return Status(StatusCode::kFailedPrecondition,
+                  "rebuild_offline: run with PT enabled and "
+                  "Options::capture_journal = true");
+  }
+  return core::rebuild_offline(perf::capture(*result.perf_session),
+                               *result.journal, result.image->image);
 }
 
 PtVerification Inspector::verify_pt(const runtime::ExecutionResult& result) {
@@ -99,10 +114,16 @@ PtVerification Inspector::verify_pt(const runtime::ExecutionResult& result) {
   auto& session = *result.perf_session;
 
   for (perf::Pid pid : session.traced_pids()) {
-    const auto& trace = session.trace_for(pid);
-    ptsim::FlowDecoder decoder(result.image->image, trace);
-    ptsim::FlowResult flow = decoder.run();
-    v.gaps += flow.gaps;
+    const auto flow =
+        decode_stream(pid, session.trace_for(pid), result.image->image);
+    if (!flow.ok()) {
+      ++v.mismatches;
+      v.ok = false;
+      detail << flow.status().message() << "\n";
+      continue;
+    }
+    v.gaps += flow->gaps;
+    if (flow->gaps != 0) continue;  // lossy trace: skip the strict check
 
     // Recorded thunks of this thread, in execution order.
     std::vector<cpg::BranchRecord> recorded;
@@ -111,17 +132,7 @@ PtVerification Inspector::verify_pt(const runtime::ExecutionResult& result) {
         recorded.push_back(t.branch);
       }
     }
-    // Decoded control-flow events.
-    std::vector<cpg::BranchRecord> decoded;
-    for (const auto& e : flow.events) {
-      using K = ptsim::BranchEvent::Kind;
-      if (e.kind == K::kConditional) {
-        decoded.push_back({e.ip, e.target, e.taken, false});
-      } else if (e.kind == K::kIndirect) {
-        decoded.push_back({e.ip, e.target, true, true});
-      }
-    }
-    if (flow.gaps != 0) continue;  // lossy trace: skip the strict check
+    const std::vector<cpg::BranchRecord>& decoded = flow->branches;
 
     ++v.threads_checked;
     const std::size_t n = std::min(recorded.size(), decoded.size());

@@ -19,46 +19,20 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
-#include <vector>
 
 #include "cpg/graph.h"
+#include "cpg/journal.h"
+#include "perf/data_file.h"
+#include "ptsim/image.h"
 #include "runtime/executor.h"
 #include "runtime/program.h"
+#include "util/status.h"
 
 namespace inspector::core {
 
-/// User-facing knobs; forwarded into the executor.
-struct Options {
-  /// Trace control flow via the simulated Intel PT PMU.
-  bool enable_pt = true;
-  /// Track data/schedule dependencies via MMU page protection.
-  bool enable_memtrack = true;
-  /// Take a consistent CPG snapshot every N sync events (0 = off, §VI).
-  std::uint32_t snapshot_every_syncs = 0;
-  std::uint32_t snapshot_ring_slots = 4;
-  std::size_t snapshot_slot_bytes = snapshot::kDefaultSlotBytes;
-  /// Capture the threading-library journal so the CPG can be rebuilt
-  /// offline from journal + perf.data (cpg/offline.h).
-  bool capture_journal = false;
-  /// Scheduling seed: different seeds explore different interleavings.
-  std::uint64_t schedule_seed = 0;
-  /// Per-slice jitter magnitude used when schedule_seed != 0.
-  std::uint64_t schedule_jitter_ns = 2'000;
-  /// Cost model for simulated time (defaults approximate the paper's
-  /// Xeon D-1540 testbed; see EXPERIMENTS.md).
-  runtime::CostModel costs;
-  /// AUX ring capacity per traced process.
-  std::size_t aux_buffer_bytes = 8 * 1024 * 1024;
-  /// AUX mode: full trace (gaps under overflow) or snapshot
-  /// (continuous overwrite).
-  ptsim::RingMode aux_mode = ptsim::RingMode::kFullTrace;
-  /// How often (in scheduler quanta) the perf tool drains the AUX
-  /// rings. Large values with small rings model a perf that cannot
-  /// keep up -> trace gaps.
-  std::uint32_t aux_drain_interval_quanta = 16;
-};
+/// User-facing knobs: the capture settings runtime::execute takes.
+using Options = runtime::CaptureOptions;
 
 /// Side-by-side native/INSPECTOR runs of the same program.
 struct Comparison {
@@ -101,30 +75,33 @@ class Inspector {
 
   /// Decode every traced process's PT stream against the binary image
   /// and compare with the thunks recorded in the CPG. Exercises the
-  /// full encoder -> AUX -> decoder -> flow-reconstruction pipeline.
+  /// full encoder -> AUX -> decoder -> flow-reconstruction pipeline. A
+  /// stream the flow decoder rejects counts as a mismatch.
   [[nodiscard]] static PtVerification verify_pt(
       const runtime::ExecutionResult& result);
 
-  /// Decode each traced process's PT stream into per-thread branch
-  /// records (the flow-decoder output the offline pipeline consumes).
-  [[nodiscard]] static std::map<cpg::ThreadId, std::vector<cpg::BranchRecord>>
-  decode_branches(const runtime::ExecutionResult& result);
-
-  /// Rebuild the CPG offline from the run's journal + decoded PT
-  /// streams (requires Options::capture_journal). The result is
-  /// bit-identical to the online graph -- the paper's post-processing
-  /// pipeline (§V-B). Throws std::runtime_error when the journal is
-  /// missing.
-  [[nodiscard]] static cpg::Graph rebuild_offline(
+  /// Rebuild the CPG offline from the run's perf session, journal and
+  /// image through core::rebuild_offline. The result is bit-identical
+  /// to the online graph. kFailedPrecondition when the run captured no
+  /// journal (Options::capture_journal) or no PT trace.
+  [[nodiscard]] static Result<cpg::Graph> rebuild_offline(
       const runtime::ExecutionResult& result);
 
   [[nodiscard]] const Options& options() const noexcept { return options_; }
 
  private:
-  [[nodiscard]] runtime::ExecutorOptions executor_options(
-      runtime::Mode mode) const;
-
   Options options_;
 };
+
+/// The offline pipeline of §V-B, written once: decode every AUX stream
+/// of `trace` (a run's perf.data) against `image`, then replay
+/// `journal` over the decoded branch streams into the CPG. A stream
+/// the flow decoder rejects, a stream shorter than the journal demands
+/// and a journal the recorder refuses are kInvalidArgument naming the
+/// pid or the journal op; no exception leaves this function. When
+/// `gaps` is non-null it receives the overflow gaps the decode crossed.
+[[nodiscard]] Result<cpg::Graph> rebuild_offline(
+    const perf::DataFile& trace, const cpg::Journal& journal,
+    const ptsim::Image& image, std::uint64_t* gaps = nullptr);
 
 }  // namespace inspector::core

@@ -1,15 +1,17 @@
-// Little-endian binary readers/writers shared by the CPG file formats.
-//
-// serialize.cpp (whole-graph "CPG1" files) and the sharded store
-// (src/shard/, per-shard files plus a manifest) encode with the same
-// primitives, and both open with the same versioned header: a u32
-// magic identifying the file kind followed by a u32 format version.
-// check_header() turns the two classic stale-file failure modes --
+// Little-endian binary readers/writers: the one byte codec every file
+// format in the tree shares -- the whole-graph CPG file
+// (serialize.cpp), the shard files and manifest (src/shard/), and the
+// three files a traced run persists for the offline rebuild of §V-B:
+// perf.data (perf/data_file.cpp), the threading-library journal
+// (journal.cpp) and the binary image (ptsim/image.cpp). Every file
+// opens with a u32 magic naming its kind; the CPG, shard and manifest
+// formats follow it with a u32 format version. check_magic() and
+// check_header() turn the two classic stale-file failure modes --
 // "this is not one of our files at all" and "this file is from
 // another format generation" -- into precise SerializeError messages
 // instead of whatever a misparsed length field would have produced
-// downstream; callers convert SerializeError into a typed Status at
-// their API boundary.
+// downstream; decoders convert SerializeError into a typed Status
+// naming the file kind at their API boundary.
 #pragma once
 
 #include <cstdint>
@@ -86,6 +88,17 @@ class ByteReader {
   std::uint8_t u8() {
     need(1, "u8");
     return in_[pos_++];
+  }
+  /// A one-byte enum tag: values at or above `count` name no
+  /// enumerator, so a decoder can never switch over an unknown kind.
+  std::uint8_t u8_enum(std::uint8_t count, const char* what) {
+    const std::uint8_t v = u8();
+    if (v >= count) {
+      throw SerializeError(std::string("unknown ") + what + " " +
+                           std::to_string(v) + " at offset " +
+                           std::to_string(pos_ - 1));
+    }
+    return v;
   }
   std::uint32_t u32() {
     need(4, "u32");
@@ -173,6 +186,15 @@ class ByteReader {
     return in_.size() - pos_;
   }
 
+  /// Reject bytes after the last field: a file that decodes but does
+  /// not end where its own structure says it does is malformed.
+  void expect_end(const char* what) const {
+    if (remaining() != 0) {
+      throw SerializeError(std::to_string(remaining()) +
+                           " trailing bytes after the " + what);
+    }
+  }
+
   /// Read a length prefix and reject counts the buffer cannot hold
   /// (`element_size` = the record's minimum encoded size). The one
   /// plausibility guard for every counted section in every format --
@@ -217,18 +239,21 @@ inline void write_header(ByteWriter& w, std::uint32_t magic,
   w.u32(version);
 }
 
+/// Check the leading magic, with a message that names the file kind.
+inline void check_magic(ByteReader& r, std::uint32_t magic, const char* what) {
+  const std::uint32_t got_magic = r.u32();
+  if (got_magic != magic) {
+    char buf[9];
+    std::snprintf(buf, sizeof buf, "%08x", got_magic);
+    throw SerializeError(std::string("not a ") + what +
+                         " file (bad magic 0x" + buf + ")");
+  }
+}
+
 /// Check magic + exact version, with messages that name the file kind.
 inline void check_header(ByteReader& r, std::uint32_t magic,
                          std::uint32_t version, const char* what) {
-  const std::uint32_t got_magic = r.u32();
-  if (got_magic != magic) {
-    throw SerializeError(std::string("not a ") + what +
-                         " file (bad magic 0x" + [&] {
-                           char buf[9];
-                           std::snprintf(buf, sizeof buf, "%08x", got_magic);
-                           return std::string(buf);
-                         }() + ")");
-  }
+  check_magic(r, magic, what);
   const std::uint32_t got_version = r.u32();
   if (got_version != version) {
     throw SerializeError(std::string(what) + " format version " +

@@ -1,7 +1,5 @@
 #include "cpg/journal.h"
 
-#include <stdexcept>
-
 #include "cpg/binary_io.h"
 
 namespace inspector::cpg {
@@ -9,6 +7,10 @@ namespace inspector::cpg {
 namespace {
 
 constexpr std::uint32_t kMagic = 0x314E524A;  // "JRN1"
+constexpr std::uint8_t kOpKinds =
+    static_cast<std::uint8_t>(JournalOp::Kind::kThreadExit) + 1;
+constexpr std::uint8_t kEventKinds =
+    static_cast<std::uint8_t>(sync::SyncEventKind::kThreadJoin) + 1;
 
 }  // namespace
 
@@ -32,29 +34,48 @@ std::vector<std::uint8_t> serialize(const Journal& journal) {
   return out;
 }
 
-Journal deserialize_journal(const std::vector<std::uint8_t>& bytes) {
+Result<Journal> deserialize_journal(std::span<const std::uint8_t> bytes) {
   try {
     detail::ByteReader r(bytes);
-    if (r.u32() != kMagic) throw std::runtime_error("journal: bad magic");
+    detail::check_magic(r, kMagic, "journal");
     Journal journal;
     // Minimum encoded op: kind 1 + tid 4 + aux 1 + event 1 + two
     // empty sets 2 + branch count 1.
     const std::uint64_t count = r.counted_varint(10, "journal op");
     journal.ops.reserve(count);
+    // Thread ids size dense per-thread tables (vector clocks, the
+    // graph's thread index), so an id no valid journal can hold must
+    // die here, not as a gigabyte-scale allocation in the rebuild.
+    auto check_thread = [&](std::uint64_t id, std::uint64_t op,
+                            const char* what) {
+      if (id >= count) {
+        throw detail::SerializeError(
+            "op " + std::to_string(op) + ": " + what + " " +
+            std::to_string(id) + " is not below the op count " +
+            std::to_string(count));
+      }
+    };
     for (std::uint64_t i = 0; i < count; ++i) {
       JournalOp op;
-      op.kind = static_cast<JournalOp::Kind>(r.u8());
+      op.kind = static_cast<JournalOp::Kind>(r.u8_enum(kOpKinds, "op kind"));
       op.tid = r.u32();
+      check_thread(op.tid, i, "thread");
       op.aux = r.uvarint();
-      op.event = static_cast<sync::SyncEventKind>(r.u8());
+      if (op.kind == JournalOp::Kind::kThreadStart) {
+        check_thread(op.aux, i, "parent thread");
+      }
+      op.event =
+          static_cast<sync::SyncEventKind>(r.u8_enum(kEventKinds, "event"));
       op.read_set = r.monotone_u64();
       op.write_set = r.monotone_u64();
       op.branch_count = static_cast<std::uint32_t>(r.uvarint());
       journal.ops.push_back(std::move(op));
     }
+    r.expect_end("journal ops");
     return journal;
-  } catch (const detail::SerializeError& e) {
-    throw std::runtime_error(std::string("journal: ") + e.what());
+  } catch (const std::exception& e) {
+    return Status(StatusCode::kInvalidArgument,
+                  std::string("journal: ") + e.what());
   }
 }
 

@@ -11,10 +11,12 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <vector>
 
 #include "cpg/node.h"
 #include "sync/sync_event.h"
+#include "util/status.h"
 
 namespace inspector::cpg {
 
@@ -47,8 +49,12 @@ struct Journal {
 
 /// Binary encoding ("JRN1" magic).
 [[nodiscard]] std::vector<std::uint8_t> serialize(const Journal& journal);
-/// Inverse; throws std::runtime_error on malformed input.
-[[nodiscard]] Journal deserialize_journal(
-    const std::vector<std::uint8_t>& bytes);
+/// Inverse. Malformed input -- truncation, a bad magic, an op kind or
+/// event outside its enum, a thread id or parent at or above the op
+/// count (every thread has a start op, so no valid id is that large),
+/// an implausible count, trailing bytes -- is kInvalidArgument with a
+/// message starting "journal: ".
+[[nodiscard]] Result<Journal> deserialize_journal(
+    std::span<const std::uint8_t> bytes);
 
 }  // namespace inspector::cpg

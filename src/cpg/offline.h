@@ -14,15 +14,18 @@
 #include "cpg/graph.h"
 #include "cpg/journal.h"
 #include "cpg/node.h"
+#include "util/status.h"
 
 namespace inspector::cpg {
 
 /// Rebuild the CPG by replaying `journal` through a fresh recorder,
 /// attaching each sub-computation's branches from the per-thread branch
 /// streams (`branches[tid]`, in retirement order -- the flow decoder's
-/// output). Throws std::runtime_error when a thread's stream is shorter
-/// than the journal demands (trace gap or wrong trace).
-[[nodiscard]] Graph rebuild_from_journal(
+/// output). A thread's stream shorter than the journal demands (trace
+/// gap or wrong trace) and a journal the recorder refuses (a thread
+/// used before its start op, started twice, or never exiting) are
+/// kInvalidArgument naming the journal op.
+[[nodiscard]] Result<Graph> rebuild_from_journal(
     const Journal& journal,
     const std::map<ThreadId, std::vector<BranchRecord>>& branches);
 

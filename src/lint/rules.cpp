@@ -241,8 +241,8 @@ namespace {
 
 // --- rule: no-throw-across-boundary ---------------------------------
 
-constexpr std::array<std::string_view, 4> kNoThrowScopes = {
-    "src/query/", "src/shard/", "src/net/", "src/obs/"};
+constexpr std::array<std::string_view, 5> kNoThrowScopes = {
+    "src/query/", "src/shard/", "src/net/", "src/obs/", "src/perf/"};
 
 void rule_no_throw(const LexedFile& file, std::vector<Finding>& out) {
   bool in_scope = false;

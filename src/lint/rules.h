@@ -18,7 +18,7 @@
 //
 // The rule families (see README "Static analysis" for the table):
 //
-//   no-throw-across-boundary   `throw` in src/{query,shard,net,obs}/
+//   no-throw-across-boundary   `throw` in src/{query,shard,net,obs,perf}/
 //   failpoint-seam             raw ::open/::read/::write/::fsync/
 //                              rename/fopen/fstream IO in
 //                              src/{shard,snapshot}/ outside the

@@ -1,80 +1,22 @@
 #include "perf/data_file.h"
 
-#include <cstring>
-#include <fstream>
-#include <stdexcept>
+#include <set>
+#include <string>
+
+#include "cpg/binary_io.h"
 
 namespace inspector::perf {
 
 namespace {
 
+using cpg::detail::ByteReader;
+using cpg::detail::ByteWriter;
+
 constexpr std::uint32_t kMagic = 0x31465049;  // "IPF1"
-
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-void put_string(std::vector<std::uint8_t>& out, const std::string& s) {
-  put_u64(out, s.size());
-  out.insert(out.end(), s.begin(), s.end());
-}
-
-class Cursor {
- public:
-  explicit Cursor(const std::vector<std::uint8_t>& in) : in_(in) {}
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in_[pos_++]) << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(in_[pos_++]) << (8 * i);
-    return v;
-  }
-  std::uint8_t u8() {
-    need(1);
-    return in_[pos_++];
-  }
-  std::string str() {
-    const std::uint64_t n = u64();
-    need(n);
-    std::string s(in_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                  in_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return s;
-  }
-  std::vector<std::uint8_t> blob() {
-    const std::uint64_t n = u64();
-    need(n);
-    std::vector<std::uint8_t> b(in_.begin() + static_cast<std::ptrdiff_t>(pos_),
-                                in_.begin() + static_cast<std::ptrdiff_t>(pos_ + n));
-    pos_ += n;
-    return b;
-  }
-
- private:
-  void need(std::uint64_t n) const {
-    if (pos_ + n > in_.size()) {
-      throw std::runtime_error("perf data: truncated buffer");
-    }
-  }
-  const std::vector<std::uint8_t>& in_;
-  std::size_t pos_ = 0;
-};
+constexpr std::uint8_t kRecordTypes =
+    static_cast<std::uint8_t>(RecordType::kAuxTruncated) + 1;
 
 }  // namespace
-
-const std::vector<std::uint8_t>* DataFile::stream_for(Pid pid) const {
-  for (const auto& s : aux) {
-    if (s.pid == pid) return &s.data;
-  }
-  return nullptr;
-}
 
 DataFile capture(PerfSession& session) {
   session.drain(0);
@@ -88,73 +30,68 @@ DataFile capture(PerfSession& session) {
 
 std::vector<std::uint8_t> serialize(const DataFile& file) {
   std::vector<std::uint8_t> out;
-  put_u32(out, kMagic);
-  put_u64(out, file.records.size());
+  ByteWriter w(out);
+  w.u32(kMagic);
+  w.u64(file.records.size());
   for (const auto& r : file.records) {
-    out.push_back(static_cast<std::uint8_t>(r.type));
-    put_u32(out, r.pid);
-    put_u32(out, r.parent);
-    put_u64(out, r.time);
-    put_u64(out, r.addr);
-    put_u64(out, r.len);
-    put_string(out, r.name);
+    w.u8(static_cast<std::uint8_t>(r.type));
+    w.u32(r.pid);
+    w.u32(r.parent);
+    w.u64(r.time);
+    w.u64(r.addr);
+    w.u64(r.len);
+    w.str(r.name);
   }
-  put_u64(out, file.aux.size());
+  w.u64(file.aux.size());
   for (const auto& s : file.aux) {
-    put_u32(out, s.pid);
-    put_u64(out, s.data.size());
-    out.insert(out.end(), s.data.begin(), s.data.end());
+    w.u32(s.pid);
+    w.u8_vec(s.data);
   }
   return out;
 }
 
-DataFile deserialize(const std::vector<std::uint8_t>& bytes) {
-  Cursor c(bytes);
-  if (c.u32() != kMagic) {
-    throw std::runtime_error("perf data: bad magic");
+Result<DataFile> deserialize(std::span<const std::uint8_t> bytes) {
+  try {
+    ByteReader r(bytes);
+    cpg::detail::check_magic(r, kMagic, "perf data");
+    DataFile file;
+    // Minimum encoded record: type 1 + pid/parent 8 + time/addr/len 24
+    // + empty name 8.
+    const std::uint64_t record_count = r.counted(41, "record");
+    file.records.reserve(record_count);
+    for (std::uint64_t i = 0; i < record_count; ++i) {
+      Record rec;
+      rec.type =
+          static_cast<RecordType>(r.u8_enum(kRecordTypes, "record type"));
+      rec.pid = r.u32();
+      rec.parent = r.u32();
+      rec.time = r.u64();
+      rec.addr = r.u64();
+      rec.len = r.u64();
+      rec.name = r.str();
+      file.records.push_back(std::move(rec));
+    }
+    // Minimum encoded stream: pid 4 + empty data 8.
+    const std::uint64_t stream_count = r.counted(12, "AUX stream");
+    file.aux.reserve(stream_count);
+    std::set<Pid> pids;
+    for (std::uint64_t i = 0; i < stream_count; ++i) {
+      DataFile::AuxStream s;
+      s.pid = r.u32();
+      if (!pids.insert(s.pid).second) {
+        return Status(StatusCode::kInvalidArgument,
+                      "perf data: a second AUX stream for pid " +
+                          std::to_string(s.pid));
+      }
+      s.data = r.u8_vec();
+      file.aux.push_back(std::move(s));
+    }
+    r.expect_end("AUX streams");
+    return file;
+  } catch (const std::exception& e) {
+    return Status(StatusCode::kInvalidArgument,
+                  std::string("perf data: ") + e.what());
   }
-  DataFile file;
-  const std::uint64_t record_count = c.u64();
-  file.records.reserve(record_count);
-  for (std::uint64_t i = 0; i < record_count; ++i) {
-    Record r;
-    r.type = static_cast<RecordType>(c.u8());
-    r.pid = c.u32();
-    r.parent = c.u32();
-    r.time = c.u64();
-    r.addr = c.u64();
-    r.len = c.u64();
-    r.name = c.str();
-    file.records.push_back(std::move(r));
-  }
-  const std::uint64_t stream_count = c.u64();
-  for (std::uint64_t i = 0; i < stream_count; ++i) {
-    DataFile::AuxStream s;
-    s.pid = c.u32();
-    s.data = c.blob();
-    file.aux.push_back(std::move(s));
-  }
-  return file;
-}
-
-void save(const DataFile& file, const std::string& path) {
-  const auto bytes = serialize(file);
-  std::ofstream out(path, std::ios::binary | std::ios::trunc);
-  if (!out) throw std::runtime_error("perf data: cannot open " + path);
-  out.write(reinterpret_cast<const char*>(bytes.data()),
-            static_cast<std::streamsize>(bytes.size()));
-  if (!out) throw std::runtime_error("perf data: write failed: " + path);
-}
-
-DataFile load(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) throw std::runtime_error("perf data: cannot open " + path);
-  const auto size = in.tellg();
-  in.seekg(0);
-  std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
-  in.read(reinterpret_cast<char*>(bytes.data()), size);
-  if (!in) throw std::runtime_error("perf data: read failed: " + path);
-  return deserialize(bytes);
 }
 
 }  // namespace inspector::perf

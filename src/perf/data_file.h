@@ -4,16 +4,16 @@
 // perf.data for later decoding (§V-B: "After execution the result can
 // be further processed by using a set of tools"). This is that
 // container: side-band records plus one AUX blob per traced process,
-// written to a byte buffer or a file, readable back for offline
-// decoding.
+// encoded to bytes for the offline rebuild (core::rebuild_offline).
 #pragma once
 
 #include <cstdint>
-#include <string>
+#include <span>
 #include <vector>
 
 #include "perf/events.h"
 #include "perf/session.h"
+#include "util/status.h"
 
 namespace inspector::perf {
 
@@ -23,24 +23,19 @@ struct DataFile {
     Pid pid = 0;
     std::vector<std::uint8_t> data;
   };
-  std::vector<AuxStream> aux;
-
-  /// The AUX data of `pid`, or nullptr.
-  [[nodiscard]] const std::vector<std::uint8_t>* stream_for(Pid pid) const;
+  std::vector<AuxStream> aux;  ///< one per traced pid, in attach order
 };
 
 /// Capture everything a session recorded (drains the rings first).
 [[nodiscard]] DataFile capture(PerfSession& session);
 
-/// Binary encoding ("IPF1" magic + versioned layout).
+/// Binary encoding ("IPF1" magic, then the records and the streams).
 [[nodiscard]] std::vector<std::uint8_t> serialize(const DataFile& file);
 
-/// Inverse of serialize(). Throws std::runtime_error on malformed
-/// input.
-[[nodiscard]] DataFile deserialize(const std::vector<std::uint8_t>& bytes);
-
-/// Convenience file I/O. Throws std::runtime_error on I/O failure.
-void save(const DataFile& file, const std::string& path);
-[[nodiscard]] DataFile load(const std::string& path);
+/// Inverse of serialize(). Malformed input -- truncation, a bad magic,
+/// an unknown record type, an implausible count, two streams for one
+/// pid, trailing bytes -- is kInvalidArgument with a message starting
+/// "perf data: ".
+[[nodiscard]] Result<DataFile> deserialize(std::span<const std::uint8_t> bytes);
 
 }  // namespace inspector::perf

@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <string>
 
 namespace inspector::perf {
@@ -36,8 +35,5 @@ struct Record {
 
   bool operator==(const Record&) const = default;
 };
-
-[[nodiscard]] std::string to_string(RecordType type);
-std::ostream& operator<<(std::ostream& os, const Record& record);
 
 }  // namespace inspector::perf

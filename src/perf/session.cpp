@@ -1,35 +1,6 @@
 #include "perf/session.h"
 
-#include <ostream>
-
 namespace inspector::perf {
-
-std::string to_string(RecordType type) {
-  switch (type) {
-    case RecordType::kComm: return "COMM";
-    case RecordType::kFork: return "FORK";
-    case RecordType::kExit: return "EXIT";
-    case RecordType::kMmap: return "MMAP";
-    case RecordType::kItraceStart: return "ITRACE_START";
-    case RecordType::kAux: return "AUX";
-    case RecordType::kAuxTruncated: return "AUX(truncated)";
-  }
-  return "UNKNOWN";
-}
-
-std::ostream& operator<<(std::ostream& os, const Record& record) {
-  os << to_string(record.type) << " pid=" << record.pid;
-  if (record.type == RecordType::kFork) os << " parent=" << record.parent;
-  if (record.type == RecordType::kMmap) {
-    os << " addr=0x" << std::hex << record.addr << " len=0x" << record.len
-       << std::dec << ' ' << record.name;
-  }
-  if (record.type == RecordType::kAux ||
-      record.type == RecordType::kAuxTruncated) {
-    os << " size=" << record.len;
-  }
-  return os;
-}
 
 PerfSession::PerfSession(std::string cgroup_name, SessionOptions options)
     : cgroup_(std::move(cgroup_name)), options_(options) {}
@@ -90,15 +61,10 @@ void PerfSession::drain(std::uint64_t now) {
     }
     std::vector<std::uint8_t> chunk = stream.ring.drain();
     if (chunk.empty()) continue;
-    std::uint64_t take = chunk.size();
-    if (options_.drain_bytes_per_interval != 0 &&
-        take > options_.drain_bytes_per_interval) {
-      take = options_.drain_bytes_per_interval;  // rest stays... lost
-    }
     records_.push_back({RecordType::kAux, pid, 0, now,
-                        stream.collected.size(), take, std::string{}});
+                        stream.collected.size(), chunk.size(), std::string{}});
     stream.collected.insert(stream.collected.end(), chunk.begin(),
-                            chunk.begin() + static_cast<std::ptrdiff_t>(take));
+                            chunk.end());
   }
 }
 

@@ -21,17 +21,12 @@ namespace inspector::perf {
 struct SessionOptions {
   std::size_t aux_bytes = 8 * 1024 * 1024;  ///< AUX area per process
   ptsim::RingMode mode = ptsim::RingMode::kFullTrace;
-  ptsim::EncoderOptions encoder;
-  /// Simulated perf-tool drain bandwidth in bytes per drain interval; a
-  /// stream producing faster than this overflows (trace gaps). Zero
-  /// disables the limit.
-  std::uint64_t drain_bytes_per_interval = 0;
 };
 
 /// One traced process's PT stream.
 struct TraceStream {
   explicit TraceStream(const SessionOptions& options)
-      : ring(options.aux_bytes, options.mode), encoder(ring, options.encoder) {}
+      : ring(options.aux_bytes, options.mode), encoder(ring) {}
 
   ptsim::AuxRingBuffer ring;
   ptsim::PacketEncoder encoder;
@@ -79,7 +74,6 @@ class PerfSession {
   [[nodiscard]] const std::vector<Record>& records() const noexcept {
     return records_;
   }
-  [[nodiscard]] const Cgroup& cgroup() const noexcept { return cgroup_; }
   [[nodiscard]] std::uint64_t overflow_count() const noexcept {
     return overflows_;
   }

@@ -1,27 +1,6 @@
 #include "ptsim/flow.h"
 
-#include <ostream>
-
 namespace inspector::ptsim {
-
-std::ostream& operator<<(std::ostream& os, const BranchEvent& event) {
-  switch (event.kind) {
-    case BranchEvent::Kind::kConditional:
-      return os << "cond@0x" << std::hex << event.ip
-                << (event.taken ? " taken->0x" : " fall->0x") << event.target
-                << std::dec;
-    case BranchEvent::Kind::kIndirect:
-      return os << "ind@0x" << std::hex << event.ip << " ->0x" << event.target
-                << std::dec;
-    case BranchEvent::Kind::kEnable:
-      return os << "enable@0x" << std::hex << event.target << std::dec;
-    case BranchEvent::Kind::kDisable:
-      return os << "disable";
-    case BranchEvent::Kind::kGap:
-      return os << "gap->0x" << std::hex << event.target << std::dec;
-  }
-  return os;
-}
 
 FlowDecoder::FlowDecoder(const Image& image,
                          std::span<const std::uint8_t> trace)
@@ -30,6 +9,7 @@ FlowDecoder::FlowDecoder(const Image& image,
 // Pull packets until the decoder yields one that affects control flow.
 // Handles enable/disable/overflow inline; stashes TNT payloads.
 void FlowDecoder::refill() {
+  blocks_without_packet_ = 0;
   while (true) {
     auto p = decoder_.next();
     if (!p) {
@@ -88,6 +68,7 @@ void FlowDecoder::refill() {
 
 bool FlowDecoder::next_tnt_bit() {
   // Precondition: caller verified a bit is pending or pulls via walk().
+  blocks_without_packet_ = 0;
   const bool bit = pending_tnt_.taken(tnt_pos_);
   ++tnt_pos_;
   if (tnt_pos_ >= pending_tnt_.count) {
@@ -98,6 +79,7 @@ bool FlowDecoder::next_tnt_bit() {
 }
 
 std::uint64_t FlowDecoder::next_tip() {
+  blocks_without_packet_ = 0;
   has_pending_tip_ = false;
   return pending_tip_;
 }
@@ -118,6 +100,11 @@ FlowResult FlowDecoder::run() {
     }
     if (block == nullptr) {
       throw DecodeError("trace IP not covered by image", decoder_.offset());
+    }
+    if (++blocks_without_packet_ > image_.block_count()) {
+      throw DecodeError("control flow cycles through the image without "
+                        "consuming a packet",
+                        decoder_.offset());
     }
     ++result_.blocks_executed;
     result_.instructions_retired += block->instr_count;

@@ -7,7 +7,6 @@
 #pragma once
 
 #include <cstdint>
-#include <iosfwd>
 #include <span>
 #include <vector>
 
@@ -34,8 +33,6 @@ struct BranchEvent {
   bool operator==(const BranchEvent&) const = default;
 };
 
-std::ostream& operator<<(std::ostream& os, const BranchEvent& event);
-
 /// Result of a flow reconstruction pass.
 struct FlowResult {
   std::vector<BranchEvent> events;
@@ -52,7 +49,9 @@ struct FlowResult {
 ///
 /// Throws DecodeError when the packet stream is inconsistent with the
 /// image (e.g. a TNT bit arrives while the current block ends in an
-/// indirect branch).
+/// indirect branch), and when the walk visits more blocks than the
+/// image holds without consuming a packet: such a walk is a cycle of
+/// jump, call and fall-through blocks and would never end.
 class FlowDecoder {
  public:
   FlowDecoder(const Image& image, std::span<const std::uint8_t> trace);
@@ -88,6 +87,9 @@ class FlowDecoder {
   // Set when a post-overflow FUP moved control: the current walk step
   // must abandon its pending packet request and restart at the new IP.
   bool diverted_ = false;
+
+  // Blocks walked since the trace last yielded a packet or TNT bit.
+  std::uint64_t blocks_without_packet_ = 0;
 };
 
 }  // namespace inspector::ptsim

@@ -2,6 +2,8 @@
 
 #include <stdexcept>
 
+#include "cpg/binary_io.h"
+
 namespace inspector::ptsim {
 
 void Image::add_segment(Segment segment) {
@@ -46,96 +48,71 @@ std::vector<BasicBlock> Image::blocks() const {
 }
 
 namespace {
+
+using cpg::detail::ByteReader;
+using cpg::detail::ByteWriter;
+
 constexpr std::uint32_t kImageMagic = 0x31474D49;  // "IMG1"
+constexpr std::uint8_t kTermKinds =
+    static_cast<std::uint8_t>(TermKind::kExit) + 1;
 
-void put_u32(std::vector<std::uint8_t>& out, std::uint32_t v) {
-  for (int i = 0; i < 4; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-void put_u64(std::vector<std::uint8_t>& out, std::uint64_t v) {
-  for (int i = 0; i < 8; ++i) out.push_back(static_cast<std::uint8_t>(v >> (8 * i)));
-}
-
-struct Cursor {
-  const std::vector<std::uint8_t>& in;
-  std::size_t pos = 0;
-  void need(std::size_t n) const {
-    if (pos + n > in.size()) throw std::runtime_error("image: truncated");
-  }
-  std::uint8_t u8() {
-    need(1);
-    return in[pos++];
-  }
-  std::uint32_t u32() {
-    need(4);
-    std::uint32_t v = 0;
-    for (int i = 0; i < 4; ++i) v |= static_cast<std::uint32_t>(in[pos++]) << (8 * i);
-    return v;
-  }
-  std::uint64_t u64() {
-    need(8);
-    std::uint64_t v = 0;
-    for (int i = 0; i < 8; ++i) v |= static_cast<std::uint64_t>(in[pos++]) << (8 * i);
-    return v;
-  }
-  std::string str() {
-    const std::uint64_t n = u64();
-    need(n);
-    std::string s(in.begin() + static_cast<std::ptrdiff_t>(pos),
-                  in.begin() + static_cast<std::ptrdiff_t>(pos + n));
-    pos += n;
-    return s;
-  }
-};
 }  // namespace
 
 std::vector<std::uint8_t> serialize_image(const Image& image) {
   std::vector<std::uint8_t> out;
-  put_u32(out, kImageMagic);
-  const auto segments = image.segments();
-  put_u64(out, segments.size());
-  for (const auto& s : segments) {
-    put_u64(out, s.name.size());
-    out.insert(out.end(), s.name.begin(), s.name.end());
-    put_u64(out, s.base);
-    put_u64(out, s.size);
+  ByteWriter w(out);
+  w.u32(kImageMagic);
+  w.u64(image.segments().size());
+  for (const auto& s : image.segments()) {
+    w.str(s.name);
+    w.u64(s.base);
+    w.u64(s.size);
   }
   const auto blocks = image.blocks();
-  put_u64(out, blocks.size());
+  w.u64(blocks.size());
   for (const auto& b : blocks) {
-    put_u64(out, b.start);
-    put_u32(out, b.size_bytes);
-    put_u32(out, b.instr_count);
-    out.push_back(static_cast<std::uint8_t>(b.term));
-    put_u64(out, b.taken_target);
-    put_u64(out, b.fall_target);
+    w.u64(b.start);
+    w.u32(b.size_bytes);
+    w.u32(b.instr_count);
+    w.u8(static_cast<std::uint8_t>(b.term));
+    w.u64(b.taken_target);
+    w.u64(b.fall_target);
   }
   return out;
 }
 
-Image deserialize_image(const std::vector<std::uint8_t>& bytes) {
-  Cursor c{bytes};
-  if (c.u32() != kImageMagic) throw std::runtime_error("image: bad magic");
-  Image image;
-  const std::uint64_t segment_count = c.u64();
-  for (std::uint64_t i = 0; i < segment_count; ++i) {
-    Segment s;
-    s.name = c.str();
-    s.base = c.u64();
-    s.size = c.u64();
-    image.add_segment(std::move(s));
+Result<Image> deserialize_image(std::span<const std::uint8_t> bytes) {
+  try {
+    ByteReader r(bytes);
+    cpg::detail::check_magic(r, kImageMagic, "binary image");
+    Image image;
+    // Minimum encoded segment: empty name 8 + base 8 + size 8.
+    const std::uint64_t segment_count = r.counted(24, "segment");
+    for (std::uint64_t i = 0; i < segment_count; ++i) {
+      Segment s;
+      s.name = r.str();
+      s.base = r.u64();
+      s.size = r.u64();
+      image.add_segment(std::move(s));
+    }
+    // Encoded block: start 8 + size 4 + instrs 4 + kind 1 + targets 16.
+    const std::uint64_t block_count = r.counted(33, "block");
+    for (std::uint64_t i = 0; i < block_count; ++i) {
+      BasicBlock b;
+      b.start = r.u64();
+      b.size_bytes = r.u32();
+      b.instr_count = r.u32();
+      b.term = static_cast<TermKind>(r.u8_enum(kTermKinds, "block kind"));
+      b.taken_target = r.u64();
+      b.fall_target = r.u64();
+      image.add_block(b);
+    }
+    r.expect_end("blocks");
+    return image;
+  } catch (const std::exception& e) {  // SerializeError, or add_block's
+    return Status(StatusCode::kInvalidArgument,
+                  std::string("image: ") + e.what());
   }
-  const std::uint64_t block_count = c.u64();
-  for (std::uint64_t i = 0; i < block_count; ++i) {
-    BasicBlock b;
-    b.start = c.u64();
-    b.size_bytes = c.u32();
-    b.instr_count = c.u32();
-    b.term = static_cast<TermKind>(c.u8());
-    b.taken_target = c.u64();
-    b.fall_target = c.u64();
-    image.add_block(b);
-  }
-  return image;
 }
 
 }  // namespace inspector::ptsim

@@ -10,8 +10,11 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
+
+#include "util/status.h"
 
 namespace inspector::ptsim {
 
@@ -89,7 +92,11 @@ class Image {
 /// Persist the image ("the decoder needs access to executables and
 /// linked libraries", §V-B -- this is the executable side-car).
 [[nodiscard]] std::vector<std::uint8_t> serialize_image(const Image& image);
-/// Inverse; throws std::runtime_error on malformed input.
-[[nodiscard]] Image deserialize_image(const std::vector<std::uint8_t>& bytes);
+/// Inverse. Malformed input -- truncation, a bad magic, a block kind
+/// outside TermKind, an empty or overlapping block, an implausible
+/// count, trailing bytes -- is kInvalidArgument with a message starting
+/// "image: ".
+[[nodiscard]] Result<Image> deserialize_image(
+    std::span<const std::uint8_t> bytes);
 
 }  // namespace inspector::ptsim

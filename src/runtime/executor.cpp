@@ -41,20 +41,26 @@ struct Thread {
   std::uint64_t last_pt_bytes = 0;              // encoder byte watermark
 };
 
+/// Ops per scheduling slice before re-evaluating which thread runs.
+constexpr std::uint32_t kQuantumOps = 64;
+
 class Engine {
  public:
-  Engine(const Program& program, const ExecutorOptions& options)
+  Engine(const Program& program, Mode mode, const CaptureOptions& options)
       : prog_(program),
+        mode_(mode),
         opts_(options),
         image_(std::make_shared<BuiltImage>(build_image(program))),
         shared_(std::make_shared<memtrack::SharedMemory>()),
         rng_(options.schedule_seed) {
     if (inspector()) {
       if (opts_.capture_journal) recorder_.enable_journal();
-      perf_ = std::make_shared<perf::PerfSession>("inspector", opts_.perf);
+      perf_ = std::make_shared<perf::PerfSession>(
+          "inspector",
+          perf::SessionOptions{opts_.aux_buffer_bytes, opts_.aux_mode});
       if (opts_.snapshot_every_syncs != 0) {
         ring_ = std::make_shared<snapshot::SnapshotRing>(
-            opts_.snapshot_ring_slots, opts_.snapshot_slot_bytes);
+            opts_.snapshot_ring_slots);
       }
     }
   }
@@ -63,7 +69,7 @@ class Engine {
 
  private:
   [[nodiscard]] bool inspector() const noexcept {
-    return opts_.mode == Mode::kInspector;
+    return mode_ == Mode::kInspector;
   }
   [[nodiscard]] bool track_memory() const noexcept {
     return inspector() && opts_.enable_memtrack;
@@ -123,7 +129,8 @@ class Engine {
   void maybe_snapshot();
 
   const Program& prog_;
-  ExecutorOptions opts_;
+  Mode mode_;
+  CaptureOptions opts_;
   std::shared_ptr<BuiltImage> image_;
   std::shared_ptr<memtrack::SharedMemory> shared_;
   sync::SyncManager sm_;
@@ -550,7 +557,7 @@ bool Engine::run_quantum(Thread& t) {
     // scheduling non-determinism).
     t.clock += rng_() % opts_.schedule_jitter_ns;
   }
-  for (std::uint32_t i = 0; i < opts_.quantum_ops; ++i) {
+  for (std::uint32_t i = 0; i < kQuantumOps; ++i) {
     if (!step(t)) return false;
     // Discrete-event fairness: once this thread's clock passes the next
     // runnable thread's, yield so simulated time advances in order
@@ -586,7 +593,7 @@ ExecutionResult Engine::run() {
     if (run_quantum(t)) {
       ready_.push({t.clock, t.tid});
     }
-    if (trace_pt() && ++quanta_ % opts_.drain_interval_quanta == 0) {
+    if (trace_pt() && ++quanta_ % opts_.aux_drain_interval_quanta == 0) {
       perf_->drain(t.clock);
     }
   }
@@ -601,7 +608,7 @@ ExecutionResult Engine::run() {
   // Aggregate statistics.
   ExecutionResult result;
   result.workload = prog_.name;
-  result.mode = opts_.mode;
+  result.mode = mode_;
   for (const auto& t : threads_) {
     stats_.sim_time_ns = std::max(stats_.sim_time_ns, t->clock);
     stats_.work_ns += t->busy;
@@ -642,9 +649,9 @@ ExecutionResult Engine::run() {
 
 }  // namespace
 
-ExecutionResult execute(const Program& program,
-                        const ExecutorOptions& options) {
-  Engine engine(program, options);
+ExecutionResult execute(const Program& program, Mode mode,
+                        const CaptureOptions& options) {
+  Engine engine(program, mode, options);
   return engine.run();
 }
 

@@ -32,33 +32,37 @@ namespace inspector::runtime {
 
 enum class Mode : std::uint8_t { kNative, kInspector };
 
-struct ExecutorOptions {
-  Mode mode = Mode::kNative;
-  CostModel costs;
-  /// Ops per scheduling slice before re-evaluating which thread runs.
-  std::uint32_t quantum_ops = 64;
-  /// Non-zero: per-slice timing jitter (seeded), perturbing lock
-  /// acquisition order across seeds -- the OS scheduling
-  /// non-determinism of §II.
+/// The capture settings of one run: what INSPECTOR traces and how the
+/// simulated machine schedules it. core::Options names this struct.
+struct CaptureOptions {
+  /// Trace control flow via the simulated Intel PT PMU (§V-B).
+  bool enable_pt = true;
+  /// Track data/schedule dependencies via MMU page protection (§V-A).
+  bool enable_memtrack = true;
+  /// Take a consistent CPG snapshot every N sync events (0 = off, §VI).
+  std::uint32_t snapshot_every_syncs = 0;
+  std::uint32_t snapshot_ring_slots = 4;
+  /// Capture the threading-library journal so the CPG can be rebuilt
+  /// offline from journal + perf.data (core::rebuild_offline).
+  bool capture_journal = false;
+  /// Scheduling seed. Non-zero adds seeded per-slice timing jitter,
+  /// perturbing lock acquisition order across seeds -- the OS
+  /// scheduling non-determinism of §II.
   std::uint64_t schedule_seed = 0;
   /// Maximum jitter per scheduling slice when schedule_seed != 0.
   /// Real preemption/IRQ noise is on the order of microseconds.
   std::uint64_t schedule_jitter_ns = 2'000;
-
-  // --- INSPECTOR-mode settings ----------------------------------------
-  bool enable_pt = true;        ///< control-flow tracing (OS support, §V-B)
-  bool enable_memtrack = true;  ///< data/schedule tracking (threading lib, §V-A)
-  perf::SessionOptions perf;
+  /// Cost model for simulated time (defaults approximate the paper's
+  /// Xeon D-1540 testbed).
+  CostModel costs;
+  /// AUX ring capacity per traced process.
+  std::size_t aux_buffer_bytes = 8 * 1024 * 1024;
+  /// AUX mode: full trace (gaps under overflow) or snapshot
+  /// (continuous overwrite).
+  ptsim::RingMode aux_mode = ptsim::RingMode::kFullTrace;
   /// The perf tool drains the AUX rings every N scheduling quanta; an
   /// undersized ring overflows between drains, producing trace gaps.
-  std::uint32_t drain_interval_quanta = 16;
-  /// Capture the threading-library journal for offline CPG rebuilds
-  /// (cpg/journal.h).
-  bool capture_journal = false;
-  /// Take a CPG snapshot into the ring every N sync events (0 = off).
-  std::uint32_t snapshot_every_syncs = 0;
-  std::uint32_t snapshot_ring_slots = 4;
-  std::size_t snapshot_slot_bytes = snapshot::kDefaultSlotBytes;
+  std::uint32_t aux_drain_interval_quanta = 16;
 };
 
 struct ExecutionStats {
@@ -105,9 +109,10 @@ struct ExecutionResult {
   std::shared_ptr<cpg::Journal> journal;
 };
 
-/// Run `program` to completion. Throws on deadlock (no runnable thread
-/// while unfinished threads remain) and on sync-API misuse.
-[[nodiscard]] ExecutionResult execute(const Program& program,
-                                      const ExecutorOptions& options);
+/// Run `program` to completion in `mode` (native runs ignore the
+/// tracing settings). Throws on deadlock (no runnable thread while
+/// unfinished threads remain) and on sync-API misuse.
+[[nodiscard]] ExecutionResult execute(const Program& program, Mode mode,
+                                      const CaptureOptions& options = {});
 
 }  // namespace inspector::runtime

@@ -409,28 +409,19 @@ Result<AppendResult> append(const std::string& dir, const cpg::Graph& graph,
   keep = std::min(keep, 254u);
   const std::uint32_t cut_rank = keep == 0 ? 0 : old_m.shards[keep - 1].rank_hi;
 
-  // Tail sizing: unless told otherwise, aim at the shard width the
-  // store would have if the *grown* history were re-cut at its
-  // original shard count -- so repeated appends keep the store near
-  // its configured granularity instead of inheriting the width of a
-  // small bootstrap prefix -- within the 255-shard (one-byte node
-  // map) ceiling.
+  // Tail sizing: aim at the shard width the store would have if the
+  // *grown* history were re-cut at its original shard count -- so
+  // repeated appends keep the store near its configured granularity
+  // instead of inheriting the width of a small bootstrap prefix --
+  // within the 255-shard (one-byte node map) ceiling, which keep <=
+  // 254 leaves room for.
   const std::uint64_t tail_nodes = n - cut_rank;
-  std::uint32_t tail = options.tail_shards;
-  if (tail == 0) {
-    const std::uint64_t width = std::max<std::uint64_t>(
-        1, (n + old_m.shard_count - 1) / old_m.shard_count);
-    tail = static_cast<std::uint32_t>(
-        std::min<std::uint64_t>(255, (tail_nodes + width - 1) / width));
-    tail = std::max(tail, 1u);
-    tail = std::min(tail, 255u - keep);
-  }
-  if (tail == 0 || keep + tail > 255) {
-    return Status(StatusCode::kInvalidArgument,
-                  "append: " + std::to_string(keep) + " kept + " +
-                      std::to_string(tail) +
-                      " tail shards exceed the 255-shard limit");
-  }
+  const std::uint64_t width = std::max<std::uint64_t>(
+      1, (n + old_m.shard_count - 1) / old_m.shard_count);
+  std::uint32_t tail = static_cast<std::uint32_t>(
+      std::min<std::uint64_t>(255, (tail_nodes + width - 1) / width));
+  tail = std::max(tail, 1u);
+  tail = std::min(tail, 255u - keep);
 
   ShardPlan plan;
   plan.shard_count = keep + tail;

@@ -91,12 +91,6 @@ struct AppendOptions {
   /// whole store is being rewritten -- so appending never silently
   /// changes a store's compression choice.
   std::optional<ShardCodec> codec;
-  /// Shard count for the rewritten rank suffix; 0 = size tail shards
-  /// to the width the *grown* history would have at the store's
-  /// original shard count (so repeated appends keep the store near
-  /// its configured granularity, rather than inheriting the width of
-  /// a small bootstrap prefix).
-  std::uint32_t tail_shards = 0;
 };
 
 struct AppendResult {

@@ -280,20 +280,6 @@ TEST_F(AnalysisFixture, ParallelWorkloadHasParallelism) {
   EXPECT_EQ(cp.total_nodes, result.graph->nodes().size());
 }
 
-TEST_F(AnalysisFixture, PerThreadSummaryAddsUp) {
-  const auto result = run(flow_program());
-  const auto& g = *result.graph;
-  const auto summaries = analysis::per_thread_summary(g);
-  std::size_t nodes = 0;
-  std::uint64_t thunks = 0;
-  for (const auto& s : summaries) {
-    nodes += s.subcomputations;
-    thunks += s.thunks;
-  }
-  EXPECT_EQ(nodes, g.nodes().size());
-  EXPECT_EQ(thunks, g.stats().thunks);
-}
-
 TEST(CriticalPathEdge, EmptyGraph) {
   const auto cp = analysis::critical_path(cpg::Graph{});
   EXPECT_EQ(cp.length, 0u);

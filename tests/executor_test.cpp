@@ -13,17 +13,6 @@ using inspector::workloads::global_word;
 using inspector::workloads::mutex_id;
 using inspector::workloads::ScriptBuilder;
 
-ExecutorOptions native_opts() {
-  ExecutorOptions o;
-  o.mode = Mode::kNative;
-  return o;
-}
-ExecutorOptions inspector_opts() {
-  ExecutorOptions o;
-  o.mode = Mode::kInspector;
-  return o;
-}
-
 // One thread stores, spawns a child that increments, joins, reads.
 Program parent_child_program() {
   Program p;
@@ -43,7 +32,7 @@ Program parent_child_program() {
 }
 
 TEST(Executor, RunsToCompletionNative) {
-  const auto result = execute(parent_child_program(), native_opts());
+  const auto result = execute(parent_child_program(), Mode::kNative);
   EXPECT_EQ(result.stats.threads_spawned, 2u);
   EXPECT_EQ(result.memory->read_word(global_word(0)), 11u);
   EXPECT_EQ(result.memory->read_word(global_word(1)), 5u);
@@ -53,7 +42,7 @@ TEST(Executor, RunsToCompletionNative) {
 }
 
 TEST(Executor, InspectorProducesGraphAndSameState) {
-  const auto result = execute(parent_child_program(), inspector_opts());
+  const auto result = execute(parent_child_program(), Mode::kInspector);
   ASSERT_TRUE(result.graph.has_value());
   std::string reason;
   EXPECT_TRUE(result.graph->validate(&reason)) << reason;
@@ -79,7 +68,7 @@ TEST(Executor, ChildSeesParentWritesBeforeSpawn) {
   p.main_script = 1;
   p.scripts.push_back(main.take());
 
-  const auto result = execute(p, inspector_opts());
+  const auto result = execute(p, Mode::kInspector);
   ASSERT_TRUE(result.graph.has_value());
   // The child's first node must read page of global 7 and be ordered
   // after the parent's pre-spawn node that wrote it.
@@ -112,8 +101,8 @@ TEST(Executor, MutexOrdersCriticalSections) {
   p.main_script = 2;
   p.scripts.push_back(main.take());
 
-  const auto native = execute(p, native_opts());
-  const auto traced = execute(p, inspector_opts());
+  const auto native = execute(p, Mode::kNative);
+  const auto traced = execute(p, Mode::kInspector);
   EXPECT_EQ(native.memory->read_word(global_word(0)),
             traced.memory->read_word(global_word(0)))
       << "lock-ordered same-word writes must agree across modes";
@@ -139,7 +128,7 @@ TEST(Executor, BarrierSynchronizesRounds) {
   p.main_script = 2;
   p.scripts.push_back(main.take());
 
-  const auto result = execute(p, inspector_opts());
+  const auto result = execute(p, Mode::kInspector);
   ASSERT_TRUE(result.graph.has_value());
   const auto& g = *result.graph;
   // Each worker's post-barrier read must depend on the peer's
@@ -171,7 +160,7 @@ TEST(Executor, SemaphoreProducerConsumer) {
   p.main_script = 2;
   p.scripts.push_back(main.take());
 
-  const auto result = execute(p, inspector_opts());
+  const auto result = execute(p, Mode::kInspector);
   EXPECT_EQ(result.memory->read_word(global_word(1)), 43u);
   const auto& g = *result.graph;
   // The consumer's post-wait read depends on the producer's write.
@@ -209,8 +198,8 @@ TEST(Executor, CondVarWakeup) {
   p.main_script = 2;
   p.scripts.push_back(main.take());
 
-  for (const auto& opts : {native_opts(), inspector_opts()}) {
-    const auto result = execute(p, opts);
+  for (const Mode mode : {Mode::kNative, Mode::kInspector}) {
+    const auto result = execute(p, mode);
     EXPECT_EQ(result.memory->read_word(global_word(1)), 9u);
   }
 }
@@ -224,7 +213,7 @@ TEST(Executor, DeadlockIsDetected) {
   main.sem_wait(sem);  // nobody ever posts
   p.main_script = 0;
   p.scripts.push_back(main.take());
-  EXPECT_THROW((void)execute(p, native_opts()), std::runtime_error);
+  EXPECT_THROW((void)execute(p, Mode::kNative), std::runtime_error);
 }
 
 TEST(Executor, SyncErrorsPropagate) {
@@ -234,7 +223,7 @@ TEST(Executor, SyncErrorsPropagate) {
   main.unlock(mutex_id(0));  // never locked
   p.main_script = 0;
   p.scripts.push_back(main.take());
-  EXPECT_THROW((void)execute(p, native_opts()), sync::SyncError);
+  EXPECT_THROW((void)execute(p, Mode::kNative), sync::SyncError);
 }
 
 TEST(Executor, SpawnUnknownScriptThrows) {
@@ -244,13 +233,13 @@ TEST(Executor, SpawnUnknownScriptThrows) {
   main.spawn(5);
   p.main_script = 0;
   p.scripts.push_back(main.take());
-  EXPECT_THROW((void)execute(p, native_opts()), std::logic_error);
+  EXPECT_THROW((void)execute(p, Mode::kNative), std::logic_error);
 }
 
 TEST(Executor, DeterministicAcrossRuns) {
   const Program p = parent_child_program();
-  const auto a = execute(p, inspector_opts());
-  const auto b = execute(p, inspector_opts());
+  const auto a = execute(p, Mode::kInspector);
+  const auto b = execute(p, Mode::kInspector);
   EXPECT_EQ(a.stats.sim_time_ns, b.stats.sim_time_ns);
   EXPECT_EQ(a.stats.page_faults, b.stats.page_faults);
   EXPECT_EQ(a.stats.pt_bytes, b.stats.pt_bytes);
@@ -278,9 +267,9 @@ TEST(Executor, ScheduleSeedPerturbsButStaysValid) {
   p.scripts.push_back(main.take());
 
   for (std::uint64_t seed : {1ull, 7ull, 99ull}) {
-    auto opts = inspector_opts();
+    CaptureOptions opts;
     opts.schedule_seed = seed;
-    const auto result = execute(p, opts);
+    const auto result = execute(p, Mode::kInspector, opts);
     std::string reason;
     EXPECT_TRUE(result.graph->validate(&reason))
         << "seed " << seed << ": " << reason;
@@ -288,9 +277,9 @@ TEST(Executor, ScheduleSeedPerturbsButStaysValid) {
 }
 
 TEST(Executor, AblationPtOffMemtrackOn) {
-  auto opts = inspector_opts();
+  CaptureOptions opts;
   opts.enable_pt = false;
-  const auto result = execute(parent_child_program(), opts);
+  const auto result = execute(parent_child_program(), Mode::kInspector, opts);
   EXPECT_EQ(result.stats.pt_bytes, 0u);
   EXPECT_GT(result.stats.page_faults, 0u);
   ASSERT_TRUE(result.graph.has_value());
@@ -299,9 +288,9 @@ TEST(Executor, AblationPtOffMemtrackOn) {
 }
 
 TEST(Executor, AblationMemtrackOffPtOn) {
-  auto opts = inspector_opts();
+  CaptureOptions opts;
   opts.enable_memtrack = false;
-  const auto result = execute(parent_child_program(), opts);
+  const auto result = execute(parent_child_program(), Mode::kInspector, opts);
   EXPECT_EQ(result.stats.page_faults, 0u);
   EXPECT_GT(result.stats.pt_bytes, 0u);
   ASSERT_TRUE(result.graph.has_value());
@@ -324,13 +313,13 @@ TEST(Executor, WorkExceedsTimeWithParallelism) {
   for (std::uint64_t w = 0; w < 4; ++w) main.join(w);
   p.main_script = 4;
   p.scripts.push_back(main.take());
-  const auto result = execute(p, native_opts());
+  const auto result = execute(p, Mode::kNative);
   EXPECT_GT(result.stats.work_ns, result.stats.sim_time_ns * 3)
       << "4 threads of equal work should give ~4x work/time";
 }
 
 TEST(Executor, PerfSessionRecordsLifecycle) {
-  const auto result = execute(parent_child_program(), inspector_opts());
+  const auto result = execute(parent_child_program(), Mode::kInspector);
   ASSERT_NE(result.perf_session, nullptr);
   bool fork = false, exit_rec = false, itrace = false;
   for (const auto& r : result.perf_session->records()) {

@@ -1,14 +1,17 @@
 // Offline-pipeline tests: journal capture/serialization, image
-// serialization, and the end-to-end guarantee that journal + decoded PT
-// rebuilds the *identical* CPG (the paper's perf.data post-processing
-// path, §V-B).
+// serialization, the typed rejection of every malformed journal and
+// image, and the end-to-end guarantee that perf.data + journal + image
+// rebuild the *identical* CPG through core::rebuild_offline (the
+// paper's perf.data post-processing path, §V-B).
 #include <gtest/gtest.h>
+
+#include <cstdint>
+#include <vector>
 
 #include "core/inspector.h"
 #include "cpg/journal.h"
-#include "cpg/offline.h"
 #include "cpg/serialize.h"
-#include "ptsim/flow.h"
+#include "perf/data_file.h"
 #include "ptsim/image.h"
 #include "runtime/image_builder.h"
 #include "workloads/registry.h"
@@ -17,22 +20,47 @@ namespace {
 
 using namespace inspector;
 
-runtime::ExecutionResult journaled_run(const std::string& name,
-                                       runtime::Program* out_program) {
+runtime::ExecutionResult journaled_run(const std::string& name) {
   workloads::WorkloadConfig config;
   config.threads = 4;
   config.scale = 0.15;
-  auto program = workloads::make_workload(name, config);
   core::Options options;
   options.capture_journal = true;
   core::Inspector insp(options);
-  auto result = insp.run(program);
-  if (out_program != nullptr) *out_program = std::move(program);
-  return result;
+  return insp.run(workloads::make_workload(name, config));
+}
+
+/// The three files a traced run persists, decoded back.
+struct Artifacts {
+  perf::DataFile trace;
+  cpg::Journal journal;
+  ptsim::Image image;
+};
+
+Artifacts artifacts_of(const runtime::ExecutionResult& result) {
+  return {perf::capture(*result.perf_session), *result.journal,
+          result.image->image};
+}
+
+/// Every cut at the first 512 offsets and at every 257th offset after
+/// must come back as a typed kInvalidArgument naming the file kind.
+template <typename Decode>
+void expect_truncations_typed(const std::vector<std::uint8_t>& bytes,
+                              Decode decode, const std::string& kind) {
+  for (std::size_t cut = 0; cut < bytes.size();
+       cut += cut < 512 ? 1 : 257) {
+    const std::vector<std::uint8_t> prefix(
+        bytes.begin(), bytes.begin() + static_cast<std::ptrdiff_t>(cut));
+    const auto decoded = decode(prefix);
+    ASSERT_FALSE(decoded.ok()) << kind << " cut at " << cut;
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(decoded.status().message().rfind(kind + ": ", 0), 0u)
+        << decoded.status().message();
+  }
 }
 
 TEST(Journal, CapturedWhenEnabled) {
-  const auto result = journaled_run("histogram", nullptr);
+  const auto result = journaled_run("histogram");
   ASSERT_NE(result.journal, nullptr);
   EXPECT_FALSE(result.journal->ops.empty());
   // Every node corresponds to exactly one kEndSub or kThreadExit.
@@ -56,34 +84,101 @@ TEST(Journal, NotCapturedByDefault) {
 }
 
 TEST(Journal, BinaryRoundTrip) {
-  const auto result = journaled_run("word_count", nullptr);
-  const auto bytes = cpg::serialize(*result.journal);
-  const auto back = cpg::deserialize_journal(bytes);
-  EXPECT_EQ(back, *result.journal);
+  const auto result = journaled_run("word_count");
+  const auto back = cpg::deserialize_journal(cpg::serialize(*result.journal));
+  ASSERT_TRUE(back.ok()) << back.status().message();
+  EXPECT_EQ(*back, *result.journal);
 }
 
-TEST(Journal, TruncationThrows) {
-  const auto result = journaled_run("histogram", nullptr);
+TEST(Journal, BadMagicAndTrailingBytesAreTyped) {
+  const auto result = journaled_run("histogram");
   auto bytes = cpg::serialize(*result.journal);
-  bytes.resize(bytes.size() / 2);
-  EXPECT_THROW((void)cpg::deserialize_journal(bytes), std::runtime_error);
+  bytes.push_back(0);
+  auto decoded = cpg::deserialize_journal(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find("trailing"), std::string::npos);
   bytes[0] ^= 0xFF;
-  EXPECT_THROW((void)cpg::deserialize_journal(bytes), std::runtime_error);
+  decoded = cpg::deserialize_journal(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(decoded.status().message().rfind("journal: not a journal file", 0),
+            0u)
+      << decoded.status().message();
+}
+
+TEST(Journal, TruncationSweepIsTyped) {
+  const auto result = journaled_run("histogram");
+  expect_truncations_typed(
+      cpg::serialize(*result.journal),
+      [](const auto& b) { return cpg::deserialize_journal(b); }, "journal");
+}
+
+// The replay's switch has no arm for an op kind outside
+// JournalOp::Kind: accepted, 9 on the release ops would silently drop
+// the CPG's release edges.
+TEST(Journal, UnknownOpKindIsRejected) {
+  auto journal = *journaled_run("histogram").journal;
+  std::size_t changed = 0;
+  for (auto& op : journal.ops) {
+    if (op.kind == cpg::JournalOp::Kind::kRelease) {
+      op.kind = static_cast<cpg::JournalOp::Kind>(9);
+      ++changed;
+    }
+  }
+  ASSERT_GT(changed, 0u);
+  const auto decoded = cpg::deserialize_journal(cpg::serialize(journal));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("unknown op kind 9"),
+            std::string::npos)
+      << decoded.status().message();
+}
+
+TEST(Journal, UnknownEventIsRejected) {
+  auto journal = *journaled_run("histogram").journal;
+  journal.ops.back().event = static_cast<sync::SyncEventKind>(40);
+  const auto decoded = cpg::deserialize_journal(cpg::serialize(journal));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find("unknown event 40"),
+            std::string::npos)
+      << decoded.status().message();
+}
+
+// A thread id sizes dense per-thread tables in the rebuild: one op
+// naming thread 2^31 would ask for about 16 GiB.
+TEST(Journal, ThreadIdsAtOrAboveTheOpCountAreRejected) {
+  const auto journal = *journaled_run("histogram").journal;
+  auto huge = journal;
+  huge.ops[0].tid = 1u << 31;
+  auto decoded = cpg::deserialize_journal(cpg::serialize(huge));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find("op 0: thread 2147483648"),
+            std::string::npos)
+      << decoded.status().message();
+
+  auto parent = journal;
+  ASSERT_EQ(parent.ops[0].kind, cpg::JournalOp::Kind::kThreadStart);
+  parent.ops[0].aux = parent.ops.size();
+  decoded = cpg::deserialize_journal(cpg::serialize(parent));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find("op 0: parent thread"),
+            std::string::npos)
+      << decoded.status().message();
 }
 
 TEST(ImageSerialize, RoundTrip) {
   workloads::WorkloadConfig config;
   config.threads = 2;
   config.scale = 0.1;
-  const auto program = workloads::make_histogram(config);
-  const auto built = runtime::build_image(program);
-  const auto bytes = ptsim::serialize_image(built.image);
-  const auto back = ptsim::deserialize_image(bytes);
-  EXPECT_EQ(back.block_count(), built.image.block_count());
-  EXPECT_EQ(back.segments().size(), built.image.segments().size());
+  const auto built = runtime::build_image(workloads::make_histogram(config));
+  const auto back =
+      ptsim::deserialize_image(ptsim::serialize_image(built.image));
+  ASSERT_TRUE(back.ok()) << back.status().message();
+  EXPECT_EQ(back->block_count(), built.image.block_count());
+  EXPECT_EQ(back->segments().size(), built.image.segments().size());
   // Spot-check block lookups agree.
   for (const auto& block : built.image.blocks()) {
-    const auto* b = back.block_at(block.start);
+    const auto* b = back->block_at(block.start);
     ASSERT_NE(b, nullptr);
     EXPECT_EQ(b->size_bytes, block.size_bytes);
     EXPECT_EQ(static_cast<int>(b->term), static_cast<int>(block.term));
@@ -91,18 +186,76 @@ TEST(ImageSerialize, RoundTrip) {
   }
 }
 
-TEST(ImageSerialize, BadInputThrows) {
-  std::vector<std::uint8_t> junk = {1, 2, 3, 4, 5};
-  EXPECT_THROW((void)ptsim::deserialize_image(junk), std::runtime_error);
+TEST(ImageSerialize, BadInputIsTyped) {
+  const std::vector<std::uint8_t> junk = {1, 2, 3, 4, 5};
+  const auto decoded = ptsim::deserialize_image(junk);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(decoded.status().message().rfind("image: ", 0), 0u);
+}
+
+TEST(PerfDataSerialize, TruncationSweepIsTyped) {
+  const auto result = journaled_run("word_count");
+  expect_truncations_typed(
+      perf::serialize(perf::capture(*result.perf_session)),
+      [](const auto& b) { return perf::deserialize(b); }, "perf data");
+}
+
+TEST(ImageSerialize, TruncationSweepIsTyped) {
+  const auto result = journaled_run("histogram");
+  expect_truncations_typed(
+      ptsim::serialize_image(result.image->image),
+      [](const auto& b) { return ptsim::deserialize_image(b); }, "image");
+}
+
+// FlowDecoder::run's switch has no arm for a block kind outside
+// TermKind: accepted, such a block would stall the walk.
+TEST(ImageSerialize, UnknownBlockKindIsRejected) {
+  ptsim::Image image;
+  image.add_block({0x1000, 0x10, 1, static_cast<ptsim::TermKind>(7), 0, 0});
+  const auto decoded = ptsim::deserialize_image(ptsim::serialize_image(image));
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find("unknown block kind 7"),
+            std::string::npos)
+      << decoded.status().message();
+}
+
+// Image::add_block rejects these with std::invalid_argument; the
+// decoder returns that as a typed error.
+TEST(ImageSerialize, EmptyAndOverlappingBlocksAreTyped) {
+  ptsim::Image image;
+  image.add_block({0x1000, 0x10, 1, ptsim::TermKind::kJump, 0x1010, 0});
+  image.add_block({0x1010, 0x10, 1, ptsim::TermKind::kExit, 0, 0});
+  const auto bytes = ptsim::serialize_image(image);
+  // The second block's start (u64) and size (u32) are its first bytes;
+  // each encoded block is 33 bytes and the last one ends the file.
+  const std::size_t second = bytes.size() - 33;
+
+  auto empty = bytes;
+  for (int i = 0; i < 4; ++i) empty[second + 8 + i] = 0;
+  auto decoded = ptsim::deserialize_image(empty);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(decoded.status().message().find("non-zero size"),
+            std::string::npos)
+      << decoded.status().message();
+
+  auto overlap = bytes;
+  overlap[second] = 0x08;  // start 0x1008, inside the first block
+  decoded = ptsim::deserialize_image(overlap);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_NE(decoded.status().message().find("overlaps"), std::string::npos)
+      << decoded.status().message();
 }
 
 class OfflineRebuildTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(OfflineRebuildTest, RebuildsIdenticalGraph) {
-  const auto result = journaled_run(GetParam(), nullptr);
-  const cpg::Graph offline = core::Inspector::rebuild_offline(result);
+  const auto result = journaled_run(GetParam());
+  const auto offline = core::Inspector::rebuild_offline(result);
+  ASSERT_TRUE(offline.ok()) << offline.status().message();
   // Byte-identical graphs: nodes, clocks, sets, thunks, edges, schedule.
-  EXPECT_EQ(cpg::serialize(offline), cpg::serialize(*result.graph))
+  EXPECT_EQ(cpg::serialize(*offline), cpg::serialize(*result.graph))
       << GetParam();
 }
 
@@ -118,53 +271,90 @@ TEST(OfflineRebuild, RequiresJournal) {
   config.scale = 0.15;
   core::Inspector insp;
   const auto result = insp.run(workloads::make_histogram(config));
-  EXPECT_THROW((void)core::Inspector::rebuild_offline(result),
-               std::runtime_error);
+  const auto offline = core::Inspector::rebuild_offline(result);
+  ASSERT_FALSE(offline.ok());
+  EXPECT_EQ(offline.status().code(), StatusCode::kFailedPrecondition);
 }
 
 TEST(OfflineRebuild, TruncatedTraceIsDetected) {
-  const auto result = journaled_run("histogram", nullptr);
-  auto branches = core::Inspector::decode_branches(result);
-  // Chop one thread's stream: the journal demands more branches.
-  ASSERT_FALSE(branches.empty());
-  auto& first = branches.begin()->second;
-  ASSERT_FALSE(first.empty());
-  first.resize(first.size() / 2);
-  EXPECT_THROW(
-      (void)cpg::rebuild_from_journal(*result.journal, branches),
-      std::runtime_error);
+  auto a = artifacts_of(journaled_run("histogram"));
+  // Chop one AUX stream: the journal demands more branches than it
+  // decodes to (or the cut lands mid-packet and the decoder objects).
+  ASSERT_FALSE(a.trace.aux.empty());
+  auto& data = a.trace.aux.front().data;
+  ASSERT_FALSE(data.empty());
+  data.resize(data.size() / 2);
+  const auto offline = core::rebuild_offline(a.trace, a.journal, a.image);
+  ASSERT_FALSE(offline.ok());
+  EXPECT_EQ(offline.status().code(), StatusCode::kInvalidArgument);
+}
+
+TEST(OfflineRebuild, StreamShorterThanTheJournalNamesTheOp) {
+  auto a = artifacts_of(journaled_run("histogram"));
+  // A gap-free but short stream: drop one AUX stream altogether.
+  const auto pid = a.trace.aux.back().pid;
+  a.trace.aux.pop_back();
+  const auto offline = core::rebuild_offline(a.trace, a.journal, a.image);
+  ASSERT_FALSE(offline.ok());
+  EXPECT_EQ(offline.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(offline.status().message().find(
+                "PT stream of thread " + std::to_string(pid) +
+                " is shorter"),
+            std::string::npos)
+      << offline.status().message();
+  EXPECT_EQ(offline.status().message().rfind("journal op ", 0), 0u);
+}
+
+TEST(OfflineRebuild, JournalTheRecorderRefusesIsTyped) {
+  auto a = artifacts_of(journaled_run("histogram"));
+  ASSERT_EQ(a.journal.ops.front().kind, cpg::JournalOp::Kind::kThreadStart);
+  a.journal.ops.erase(a.journal.ops.begin());
+  const auto offline = core::rebuild_offline(a.trace, a.journal, a.image);
+  ASSERT_FALSE(offline.ok());
+  EXPECT_EQ(offline.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(offline.status().message().rfind("journal op ", 0), 0u);
+  EXPECT_NE(offline.status().message().find(
+                "thread 0 used before thread_started()"),
+            std::string::npos)
+      << offline.status().message();
+}
+
+// Every block a kJump to its own start: the walk consumes no packet
+// and, unbounded, would never end.
+TEST(OfflineRebuild, PacketFreeCycleIsTypedDecodeError) {
+  auto a = artifacts_of(journaled_run("histogram"));
+  ptsim::Image cyclic;
+  for (auto block : a.image.blocks()) {
+    block.term = ptsim::TermKind::kJump;
+    block.taken_target = block.start;
+    cyclic.add_block(block);
+  }
+  const auto offline = core::rebuild_offline(a.trace, a.journal, cyclic);
+  ASSERT_FALSE(offline.ok());
+  EXPECT_EQ(offline.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(offline.status().message().rfind("perf data: AUX stream of pid ",
+                                             0),
+            0u)
+      << offline.status().message();
+  EXPECT_NE(offline.status().message().find("cycles"), std::string::npos);
 }
 
 TEST(OfflineRebuild, SerializedArtifactsSuffice) {
-  // The full offline story: persist journal + image + perf.data,
+  // The full offline story: persist perf.data + journal + image,
   // reload all three, rebuild.
-  runtime::Program program;
-  const auto result = journaled_run("word_count", &program);
-
-  const auto journal_bytes = cpg::serialize(*result.journal);
-  const auto image_bytes = ptsim::serialize_image(result.image->image);
-
-  const auto journal = cpg::deserialize_journal(journal_bytes);
-  const auto image = ptsim::deserialize_image(image_bytes);
-
-  // Decode from the perf session's streams against the *reloaded* image.
-  std::map<cpg::ThreadId, std::vector<cpg::BranchRecord>> branches;
-  for (auto pid : result.perf_session->traced_pids()) {
-    const auto& trace = result.perf_session->trace_for(pid);
-    ptsim::FlowDecoder decoder(image, trace);
-    const auto flow = decoder.run();
-    auto& out = branches[pid];
-    for (const auto& e : flow.events) {
-      using K = ptsim::BranchEvent::Kind;
-      if (e.kind == K::kConditional) {
-        out.push_back({e.ip, e.target, e.taken, false});
-      } else if (e.kind == K::kIndirect) {
-        out.push_back({e.ip, e.target, true, true});
-      }
-    }
-  }
-  const auto offline = cpg::rebuild_from_journal(journal, branches);
-  EXPECT_EQ(cpg::serialize(offline), cpg::serialize(*result.graph));
+  const auto result = journaled_run("word_count");
+  const auto trace = perf::deserialize(
+      perf::serialize(perf::capture(*result.perf_session)));
+  const auto journal =
+      cpg::deserialize_journal(cpg::serialize(*result.journal));
+  const auto image =
+      ptsim::deserialize_image(ptsim::serialize_image(result.image->image));
+  ASSERT_TRUE(trace.ok() && journal.ok() && image.ok());
+  std::uint64_t gaps = 1;
+  const auto offline = core::rebuild_offline(*trace, *journal, *image, &gaps);
+  ASSERT_TRUE(offline.ok()) << offline.status().message();
+  EXPECT_EQ(gaps, 0u);
+  EXPECT_EQ(cpg::serialize(*offline), cpg::serialize(*result.graph));
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <random>
+#include <string>
 
 #include "core/inspector.h"
 #include "ptsim/encoder.h"
@@ -128,6 +129,40 @@ TEST(Flow, UncoveredIpThrows) {
   PacketEncoder enc(sink);
   enc.on_enable(0x9000);  // not in the image
   enc.on_conditional(true);
+  enc.flush();
+  FlowDecoder dec(img, sink.data());
+  EXPECT_THROW((void)dec.run(), DecodeError);
+}
+
+// A block that jumps to itself consumes no packet, so an unbounded
+// walk never ends. Walking more blocks than the image holds without a
+// packet is a cycle, reported as a DecodeError.
+TEST(Flow, PacketFreeCycleIsDecodeError) {
+  Image img;
+  img.add_block({0x1000, 0x20, 1, TermKind::kJump, 0x1020, 0});
+  img.add_block({0x1020, 0x20, 1, TermKind::kFallThrough, 0, 0x1000});
+  VectorSink sink;
+  PacketEncoder enc(sink);
+  enc.on_enable(0x1000);
+  enc.flush();
+  FlowDecoder dec(img, sink.data());
+  try {
+    (void)dec.run();
+    FAIL() << "a packet-free cycle must not decode";
+  } catch (const DecodeError& e) {
+    EXPECT_NE(std::string(e.what()).find("cycles"), std::string::npos)
+        << e.what();
+  }
+}
+
+// A block kind outside TermKind matches no arm of the walk, so it
+// consumes nothing and trips the same bound instead of spinning.
+TEST(Flow, UnknownBlockKindIsDecodeError) {
+  Image img;
+  img.add_block({0x1000, 0x20, 1, static_cast<TermKind>(7), 0, 0});
+  VectorSink sink;
+  PacketEncoder enc(sink);
+  enc.on_enable(0x1000);
   enc.flush();
   FlowDecoder dec(img, sink.data());
   EXPECT_THROW((void)dec.run(), DecodeError);

@@ -376,7 +376,8 @@ int run(const CliArgs& args) {
     std::cout << "wrote " << args.dump_text << "\n";
   }
   if (!args.perf_data.empty()) {
-    perf::save(perf::capture(*result.perf_session), args.perf_data);
+    write_file(args.perf_data,
+               perf::serialize(perf::capture(*result.perf_session)));
     std::cout << "wrote " << args.perf_data << "\n";
   }
   if (!args.journal.empty()) {

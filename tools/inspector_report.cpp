@@ -5,25 +5,24 @@
 //                    [--dump-text F] [--analysis-threads N]
 //
 // Loads the three files a traced run persists (PT trace container,
-// threading-library journal, binary image), decodes the per-process
-// AUX streams against the image, rebuilds the Concurrent Provenance
-// Graph, validates it, and prints a summary.
+// threading-library journal, binary image), rebuilds the Concurrent
+// Provenance Graph through core::rebuild_offline, validates it, and
+// prints a summary. A malformed file exits 1 with a message naming its
+// kind ("perf data: ...", "journal: ...", "image: ...").
 //
 // lint: allow-file(finalizer-purity) report printer; stdout is its UI, it never serves query replies
 #include <fstream>
 #include <iostream>
-#include <map>
 #include <memory>
 #include <string>
 #include <variant>
 #include <vector>
 
-#include "cpg/journal.h"
-#include "cpg/offline.h"
-#include "cpg/serialize.h"
+#include "core/inspector.h"
 #include "core/report.h"
+#include "cpg/journal.h"
+#include "cpg/serialize.h"
 #include "perf/data_file.h"
-#include "ptsim/flow.h"
 #include "ptsim/image.h"
 #include "query/engine.h"
 #include "util/parallel.h"
@@ -67,33 +66,28 @@ int main(int argc, char** argv) {
         ++i;
       }
     }
+    // Each file decodes to a typed error naming its kind; nothing past
+    // this point sees unchecked bytes.
     const auto data = inspector::perf::deserialize(read_file(argv[1]));
     const auto journal =
         inspector::cpg::deserialize_journal(read_file(argv[2]));
     const auto image = inspector::ptsim::deserialize_image(read_file(argv[3]));
-
-    // Decode every process's AUX stream into branch records.
-    std::map<inspector::cpg::ThreadId,
-             std::vector<inspector::cpg::BranchRecord>>
-        branches;
-    std::uint64_t gaps = 0;
-    for (const auto& stream : data.aux) {
-      inspector::ptsim::FlowDecoder decoder(image, stream.data);
-      const auto flow = decoder.run();
-      gaps += flow.gaps;
-      auto& out = branches[stream.pid];
-      for (const auto& e : flow.events) {
-        using K = inspector::ptsim::BranchEvent::Kind;
-        if (e.kind == K::kConditional) {
-          out.push_back({e.ip, e.target, e.taken, false});
-        } else if (e.kind == K::kIndirect) {
-          out.push_back({e.ip, e.target, true, true});
-        }
+    for (const inspector::Status* st :
+         {&data.status(), &journal.status(), &image.status()}) {
+      if (!st->ok()) {
+        std::cerr << "error: " << st->message() << "\n";
+        return 1;
       }
     }
-
+    std::uint64_t gaps = 0;
+    auto rebuilt =
+        inspector::core::rebuild_offline(*data, *journal, *image, &gaps);
+    if (!rebuilt.ok()) {
+      std::cerr << "error: " << rebuilt.status().message() << "\n";
+      return 1;
+    }
     const auto snapshot = std::make_shared<const inspector::cpg::Graph>(
-        inspector::cpg::rebuild_from_journal(journal, branches));
+        std::move(rebuilt).value());
     const auto& graph = *snapshot;
     std::string reason;
     const bool valid = graph.validate(&reason);
@@ -114,8 +108,8 @@ int main(int argc, char** argv) {
 
     std::cout << "offline CPG rebuilt from " << argv[1] << " + " << argv[2]
               << "\n"
-              << "  processes traced: " << data.aux.size() << ", sideband "
-              << "records: " << data.records.size() << ", trace gaps: "
+              << "  processes traced: " << data->aux.size() << ", sideband "
+              << "records: " << data->records.size() << ", trace gaps: "
               << gaps << "\n"
               << "  sub-computations: " << stats.nodes << " across "
               << stats.threads << " threads\n"
