@@ -24,7 +24,7 @@
 #include "util/page_set.h"
 #include "util/varint.h"
 
-#include "analysis/races.h"
+#include "analysis/kernels.h"
 #include "bench_json.h"
 #include "cpg/recorder.h"
 #include "memtrack/thread_memory.h"
@@ -221,7 +221,8 @@ void BM_QueryLatestWriters(benchmark::State& state) {
   const auto n = static_cast<cpg::NodeId>(g.nodes().size());
   cpg::NodeId id = 0;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(g.latest_writers(id));
+    benchmark::DoNotOptimize(
+        analysis::kernels::latest_writers(analysis::GraphView(g), id));
     id = (id + 1) % n;
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
@@ -270,7 +271,8 @@ void BM_QueryBackwardSlice(benchmark::State& state) {
   const cpg::Graph g = synthetic_cpg(threads, 32, 8);
   const auto last = static_cast<cpg::NodeId>(g.nodes().size() - 1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(g.backward_slice(last));
+    benchmark::DoNotOptimize(
+        analysis::kernels::backward_slice(analysis::GraphView(g), last));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -280,7 +282,8 @@ void BM_QueryForwardSlice(benchmark::State& state) {
   const auto threads = static_cast<std::uint32_t>(state.range(0));
   const cpg::Graph g = synthetic_cpg(threads, 32, 8);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(g.forward_slice(0));
+    benchmark::DoNotOptimize(
+        analysis::kernels::forward_slice(analysis::GraphView(g), 0));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }
@@ -342,7 +345,8 @@ void BM_QueryRaceScan(benchmark::State& state) {
   const auto threads = static_cast<std::uint32_t>(state.range(0));
   const cpg::Graph g = synthetic_cpg(threads, 32, 8);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(analysis::find_races(g));
+    benchmark::DoNotOptimize(
+        analysis::kernels::find_races(analysis::GraphView(g), {}, 0));
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
 }

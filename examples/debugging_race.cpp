@@ -5,13 +5,17 @@
 // different runs. Core dumps say *what* the state is; the CPG says
 // *why*. This example builds a program whose final answer depends on
 // the lock-acquisition order (the paper's Figure-1 pattern), runs it
-// under two different schedules, and uses the CPG's backward slice and
-// latest-writer queries to explain each outcome.
+// under two different schedules, and asks the query engine for the
+// page's writers, the latest writers and the backward slice to explain
+// each outcome.
 #include <cstdint>
 #include <iostream>
+#include <memory>
+#include <variant>
 
 #include "core/inspector.h"
 #include "memtrack/shared_memory.h"
+#include "query/engine.h"
 #include "workloads/common.h"
 
 namespace {
@@ -70,36 +74,49 @@ runtime::Program figure1_program() {
   return p;
 }
 
-void explain(const runtime::ExecutionResult& result, std::uint64_t y_addr) {
+bool explain(const runtime::ExecutionResult& result, std::uint64_t y_addr) {
   const auto& g = *result.graph;
   const std::uint64_t y_page = memtrack::page_id_of(y_addr);
+  // The main thread's final read of y, and the three questions about
+  // it. The engine aliases the run's graph (non-owning).
+  const cpg::NodeId last_main = g.thread_nodes(0).back();
+  query::QueryEngine engine(
+      std::shared_ptr<const cpg::Graph>(&g, [](const cpg::Graph*) {}));
+  const auto accessors = engine.run(query::PageAccessorsQuery{y_page});
+  const auto latest = engine.run(query::LatestWritersQuery{last_main});
+  const auto slice = engine.run(query::BackwardSliceQuery{last_main});
+  for (const auto* reply : {&accessors, &latest, &slice}) {
+    if (!reply->ok()) {
+      std::cerr << "query failed: " << reply->status().message() << "\n";
+      return false;
+    }
+  }
 
   std::cout << "  final y-word = "
             << result.memory->read_word(y_addr) << "\n";
 
   // Who wrote y, in happens-before order?
   std::cout << "  writers of y's page, with order:\n";
-  const auto writers = g.writers_of_page(y_page);
-  for (auto w : writers) {
+  for (auto w : std::get<query::PageAccessorsResult>(accessors->result)
+                    .writers) {
     std::cout << "    " << g.node(w) << "\n";
   }
-  // The main thread's final read: which writer does it actually see?
-  const auto main_nodes = g.thread_nodes(0);
-  const cpg::NodeId last_main = main_nodes.back();
-  for (const auto& e : g.latest_writers(last_main)) {
+  // Which writer does main's final read actually see?
+  for (const auto& e : std::get<query::EdgeListResult>(latest->result).edges) {
     if (e.object == y_page) {
       const auto& n = g.node(e.from);
       std::cout << "  main's final read of y is explained by thread "
                 << n.thread << "'s sub-computation alpha=" << n.alpha
                 << "\n";
       std::cout << "  full provenance slice of that read: ";
-      for (auto id : g.backward_slice(last_main)) {
+      for (auto id : std::get<query::NodeListResult>(slice->result).nodes) {
         std::cout << "L" << g.node(id).thread << "[" << g.node(id).alpha
                   << "] ";
       }
       std::cout << "\n";
     }
   }
+  return true;
 }
 
 }  // namespace
@@ -141,7 +158,7 @@ int main() {
     options.schedule_jitter_ns = 120'000;
     const auto result = core::Inspector(options).run(program);
     std::cout << "schedule seed " << seed << ":\n";
-    explain(result, y);
+    if (!explain(result, y)) return 1;
     std::cout << "\n";
   }
   std::cout << "The runs disagree on y; the CPG pinpoints the "

@@ -7,53 +7,73 @@
 // reused. The experiment shows the reuse fraction for localized edits.
 #include <cstdint>
 #include <iostream>
+#include <memory>
+#include <optional>
+#include <variant>
+#include <vector>
 
-#include "analysis/incremental.h"
 #include "core/inspector.h"
 #include "core/report.h"
 #include "memtrack/shared_memory.h"
+#include "query/engine.h"
 #include "workloads/registry.h"
 
 int main() {
+  using namespace inspector;
   std::cout << "Workflow: incremental re-execution from the CPG\n\n";
 
-  inspector::workloads::WorkloadConfig config;
+  workloads::WorkloadConfig config;
   config.threads = 8;
   config.scale = 0.4;
-  const auto program = inspector::workloads::make_histogram(config);
-  inspector::core::Inspector insp;
+  const auto program = workloads::make_histogram(config);
+  core::Inspector insp;
   const auto result = insp.run(program);
   const auto& graph = *result.graph;
+  const std::size_t total = graph.nodes().size();
+  // The engine aliases the run's graph (non-owning).
+  query::QueryEngine engine(
+      std::shared_ptr<const cpg::Graph>(&graph, [](const cpg::Graph*) {}));
+  // Nodes that must re-run when `changed` pages differ.
+  const auto dirty_nodes =
+      [&](const PageSet& changed) -> std::optional<std::size_t> {
+    const auto reply = engine.run(query::InvalidateQuery{changed});
+    if (!reply.ok()) {
+      std::cerr << "invalidate query failed: " << reply.status().message()
+                << "\n";
+      return std::nullopt;
+    }
+    return std::get<query::FlowResult>(reply->result).nodes.size();
+  };
 
   // Input pages, in address order.
   std::vector<std::uint64_t> input_pages;
   for (const auto& w : program.input) {
-    input_pages.push_back(inspector::memtrack::page_id_of(w.addr));
+    input_pages.push_back(memtrack::page_id_of(w.addr));
   }
 
-  inspector::core::Table table(
-      {"changed_pages", "dirty_nodes", "total_nodes", "reuse"});
+  core::Table table({"changed_pages", "dirty_nodes", "total_nodes", "reuse"});
   for (std::size_t changed : {1u, 4u, 16u, 64u}) {
-    inspector::PageSet delta;
+    PageSet delta;
     for (std::size_t i = 0; i < changed && i < input_pages.size(); ++i) {
       delta.push_back(input_pages[i]);
     }
-    inspector::page_set_normalize(delta);
-    const auto inv = inspector::analysis::invalidate(graph, delta);
-    table.add_row({std::to_string(delta.size()),
-                   std::to_string(inv.dirty.size()),
-                   std::to_string(graph.nodes().size()),
-                   inspector::core::format_fixed(
-                       100.0 * inv.reuse_fraction(graph.nodes().size()), 1) +
-                       "%"});
+    page_set_normalize(delta);
+    const auto dirty = dirty_nodes(delta);
+    if (!dirty) return 1;
+    // Reuse: the fraction of the graph that need not re-run.
+    const double reuse = 1.0 - static_cast<double>(*dirty) /
+                                   static_cast<double>(total);
+    table.add_row({std::to_string(delta.size()), std::to_string(*dirty),
+                   std::to_string(total),
+                   core::format_fixed(100.0 * reuse, 1) + "%"});
   }
   std::cout << table << "\n";
 
   // Whole-input change: everything that touches input re-runs.
-  inspector::PageSet all(input_pages.begin(), input_pages.end());
-  const auto full = inspector::analysis::invalidate(graph, all);
-  std::cout << "whole-input change: " << full.dirty.size() << "/"
-            << graph.nodes().size()
+  const auto full =
+      dirty_nodes(PageSet(input_pages.begin(), input_pages.end()));
+  if (!full) return 1;
+  std::cout << "whole-input change: " << *full << "/" << total
             << " sub-computations re-run (the non-reader remainder is "
                "spawn/join bookkeeping)\n\n"
             << "Localized edits invalidate only the owning worker's chain "

@@ -9,6 +9,8 @@
 // serves an in-memory cpg::Graph with zero-copy spans; shard/engine.cpp
 // serves a sharded store through pinned shards. The kernels never
 // reach past the view, so both forms answer with the same bytes.
+// Library code and tests call them over a GraphView; applications ask
+// query::QueryEngine, whose one dispatch (query/dispatch.h) calls them.
 //
 // A view answers through a *scope*: what a scope hands out (node
 // payloads, bucket entries) stays valid -- for a store, resident --
@@ -32,27 +34,25 @@
 //   S::try_node(id)          lenient; nullopt for a node the view
 //                            skips (degraded serving)
 //   S::writers(page_index), S::readers(page_index)
-//                            rank-ordered bucket; bucket[i] is a NodeRef
+//                            rank-ordered bucket of cpg::NodeRef
 //   S::for_each_predecessor(node, fn(id))   recorded in-edges, in
 //                            global edge order
 //   S::for_each_successor(node, fn(id))     recorded out-edges
 //   S::for_each_level_node(level, fn(node))
 //
-// A node is a NodeRef, or derives from one to carry where the view
-// found it.
+// A node is a cpg::NodeRef (cpg/node.h, with the happens-before test
+// over it), or derives from one to carry where the view found it.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
 #include <optional>
+#include <ostream>
 #include <span>
 #include <unordered_map>
 #include <utility>
 #include <vector>
 
-#include "analysis/critical_path.h"
-#include "analysis/propagation.h"
-#include "analysis/races.h"
 #include "cpg/graph.h"
 #include "util/bitset.h"
 #include "util/page_set.h"
@@ -60,23 +60,46 @@
 
 namespace inspector::analysis {
 
-/// One node as a view hands it out: everything a happens-before check,
-/// a bucket walk and a page-set test need, without going back through
-/// storage.
-struct NodeRef {
-  cpg::NodeId id = cpg::kInvalidNode;
-  std::uint32_t rank = 0;  ///< global happens-before-compatible rank
-  const cpg::SubComputation* node = nullptr;
+// --- results ---------------------------------------------------------------
+
+/// Two sub-computations race when they are concurrent under
+/// happens-before and their page sets conflict (write/write or
+/// read/write overlap). At page granularity a report means "these two
+/// unordered code regions touched the same page": true races, and also
+/// false sharing (itself actionable; cf. Sheriff).
+struct RaceReport {
+  cpg::NodeId first = cpg::kInvalidNode;
+  cpg::NodeId second = cpg::kInvalidNode;
+  std::uint64_t page = 0;
+  bool write_write = false;  ///< else read/write
+
+  bool operator==(const RaceReport&) const = default;
 };
 
-/// a happens-before b (§IV-B). The rank fast-reject comes first: rank
-/// embeds happens-before, so rank(a) >= rank(b) rules it out without
-/// touching either node. Then same-thread alpha order, then the clocks.
-[[nodiscard]] inline bool happens_before(const NodeRef& a, const NodeRef& b) {
-  if (a.rank >= b.rank) return false;
-  if (a.node->thread == b.node->thread) return a.node->alpha < b.node->alpha;
-  return a.node->clock.happens_before(b.node->clock);
+inline std::ostream& operator<<(std::ostream& os, const RaceReport& report) {
+  return os << (report.write_write ? "W/W" : "R/W") << " race on page "
+            << report.page << " between node " << report.first << " and "
+            << report.second;
 }
+
+/// A page-flow propagation's marks (taint, invalidation).
+struct Propagation {
+  /// Marked sub-computations, ascending id order.
+  std::vector<cpg::NodeId> nodes;
+  /// Marked pages: the seeds plus everything marked nodes wrote.
+  /// Sorted and duplicate-free, like every page set in the system.
+  PageSet pages;
+};
+
+/// One longest chain of dependent sub-computations. It bounds how much
+/// an incremental or replicated re-execution (§I) can parallelize:
+/// everything on it must re-run sequentially.
+struct CriticalPath {
+  /// Node ids along the chain, in execution order.
+  std::vector<cpg::NodeId> nodes;
+  /// Total nodes in the graph, for the parallelism ratio.
+  std::size_t total_nodes = 0;
+};
 
 /// An in-memory cpg::Graph as a view: buckets, edges and levels are
 /// spans into the graph's own query index. Nothing needs pinning, so a
@@ -91,7 +114,7 @@ class GraphView {
     std::span<const cpg::NodeId> ids;
 
     [[nodiscard]] std::size_t size() const noexcept { return ids.size(); }
-    [[nodiscard]] NodeRef operator[](std::size_t i) const {
+    [[nodiscard]] cpg::NodeRef operator[](std::size_t i) const {
       return {ids[i], graph->rank(ids[i]), &graph->nodes()[ids[i]]};
     }
   };
@@ -125,10 +148,10 @@ class GraphView {
 
   // --- scope ------------------------------------------------------------
   /// Throws std::out_of_range for an id the graph lacks.
-  [[nodiscard]] NodeRef node(cpg::NodeId id) const {
+  [[nodiscard]] cpg::NodeRef node(cpg::NodeId id) const {
     return {id, graph_->rank(id), &graph_->node(id)};
   }
-  [[nodiscard]] std::optional<NodeRef> try_node(cpg::NodeId id) const {
+  [[nodiscard]] std::optional<cpg::NodeRef> try_node(cpg::NodeId id) const {
     return node(id);
   }
   [[nodiscard]] Bucket writers(std::size_t page_index) const {
@@ -138,13 +161,13 @@ class GraphView {
     return {graph_, graph_->readers_at(page_index)};
   }
   template <typename Fn>
-  void for_each_predecessor(const NodeRef& n, Fn&& fn) const {
+  void for_each_predecessor(const cpg::NodeRef& n, Fn&& fn) const {
     for (const std::uint32_t e : graph_->in_edges(n.id)) {
       fn(graph_->edges()[e].from);
     }
   }
   template <typename Fn>
-  void for_each_successor(const NodeRef& n, Fn&& fn) const {
+  void for_each_successor(const cpg::NodeRef& n, Fn&& fn) const {
     for (const std::uint32_t e : graph_->out_edges(n.id)) {
       fn(graph_->edges()[e].to);
     }
@@ -192,14 +215,6 @@ void for_each_indexed_page(std::span<const std::uint64_t> universe,
   }
 }
 
-/// The page index of `page`, if the universe holds it.
-[[nodiscard]] inline std::optional<std::size_t> page_index(
-    std::span<const std::uint64_t> universe, std::uint64_t page) {
-  const auto it = std::lower_bound(universe.begin(), universe.end(), page);
-  if (it == universe.end() || *it != page) return std::nullopt;
-  return static_cast<std::size_t>(it - universe.begin());
-}
-
 // --- dependence queries (§IV-A III) -----------------------------------
 
 /// fn(page, writer) for the latest writers of each page `reader` reads:
@@ -207,8 +222,8 @@ void for_each_indexed_page(std::span<const std::uint64_t> universe,
 /// the page succeeds, ascending id within a page.
 template <typename View, typename Scope, typename Fn>
 void for_each_latest_writer(const View& view, Scope& scope,
-                            const NodeRef& reader, Fn&& fn) {
-  std::vector<NodeRef> maximal;
+                            const cpg::NodeRef& reader, Fn&& fn) {
+  std::vector<cpg::NodeRef> maximal;
   for_each_indexed_page(
       view.pages(), reader.node->read_set,
       [&](std::uint64_t page, std::size_t idx) {
@@ -220,16 +235,16 @@ void for_each_latest_writer(const View& view, Scope& scope,
         // un-superseded set.
         for (std::size_t i = rank_lower_bound(writers, reader.rank);
              i-- > 0;) {
-          const NodeRef w = writers[i];
-          if (!happens_before(w, reader)) continue;
+          const cpg::NodeRef w = writers[i];
+          if (!cpg::happens_before(w, reader)) continue;
           const bool superseded = std::any_of(
               maximal.begin(), maximal.end(),
-              [&](const NodeRef& d) { return happens_before(w, d); });
+              [&](const cpg::NodeRef& d) { return cpg::happens_before(w, d); });
           if (!superseded) maximal.push_back(w);
         }
         std::sort(maximal.begin(), maximal.end(),
                   [](const auto& a, const auto& b) { return a.id < b.id; });
-        for (const NodeRef& w : maximal) fn(page, w.id);
+        for (const cpg::NodeRef& w : maximal) fn(page, w.id);
       });
 }
 
@@ -260,8 +275,8 @@ template <typename View>
         // the candidate window ends at the reader's rank.
         const std::size_t end = rank_lower_bound(writers, r.rank);
         for (std::size_t i = 0; i < end; ++i) {
-          const NodeRef w = writers[i];
-          if (happens_before(w, r)) {
+          const cpg::NodeRef w = writers[i];
+          if (cpg::happens_before(w, r)) {
             result.push_back({w.id, reader, cpg::EdgeKind::kData, page});
           }
         }
@@ -344,8 +359,9 @@ template <typename View>
               const auto readers = scope.readers(idx);
               for (std::size_t i = rank_lower_bound(readers, node.rank + 1);
                    i < readers.size(); ++i) {
-                const NodeRef reader = readers[i];
-                if (!visited.test(reader.id) && happens_before(node, reader)) {
+                const cpg::NodeRef reader = readers[i];
+                if (!visited.test(reader.id) &&
+                    cpg::happens_before(node, reader)) {
                   visited.set(reader.id);
                   next.push_back(reader.id);
                 }
@@ -382,26 +398,26 @@ using PairMap = std::unordered_map<std::uint64_t, PairConflicts>;
 template <typename Bucket>
 void scan_page(std::uint64_t page, const Bucket& writers,
                const Bucket& readers, PairMap& pairs) {
-  const auto conflicts_of = [&](const NodeRef& a,
-                                const NodeRef& b) -> PairConflicts* {
+  const auto conflicts_of = [&](const cpg::NodeRef& a,
+                                const cpg::NodeRef& b) -> PairConflicts* {
     const auto key = std::minmax(a.id, b.id);
     const std::uint64_t packed =
         (static_cast<std::uint64_t>(key.first) << 32) | key.second;
     if (const auto it = pairs.find(packed); it != pairs.end()) {
       return &it->second;
     }
-    if (happens_before(a, b) || happens_before(b, a)) return nullptr;
+    if (cpg::happens_before(a, b) || cpg::happens_before(b, a)) return nullptr;
     return &pairs.try_emplace(packed).first->second;
   };
   for (std::size_t i = 0; i < writers.size(); ++i) {
-    const NodeRef w = writers[i];
+    const cpg::NodeRef w = writers[i];
     for (std::size_t j = i + 1; j < writers.size(); ++j) {
-      const NodeRef other = writers[j];
+      const cpg::NodeRef other = writers[j];
       if (w.node->thread == other.node->thread) continue;
       if (PairConflicts* c = conflicts_of(w, other)) note_page(c->ww, page);
     }
     for (std::size_t j = 0; j < readers.size(); ++j) {
-      const NodeRef r = readers[j];
+      const cpg::NodeRef r = readers[j];
       if (w.id == r.id || w.node->thread == r.node->thread) continue;
       if (PairConflicts* c = conflicts_of(w, r)) {
         // Orient the conflict the way the (first, second) pair sees it.
@@ -538,14 +554,14 @@ template <typename View>
   };
   const auto pool = util::shared_pool();
   util::WorkerLocal<Delta> local(*pool);
-  std::vector<NodeRef> pending;
-  std::vector<NodeRef> still_unmarked;
+  std::vector<cpg::NodeRef> pending;
+  std::vector<cpg::NodeRef> still_unmarked;
 
   for (std::size_t lvl = 0; lvl < view.level_count(); ++lvl) {
     auto scope = view.scope();
     pending.clear();
-    scope.for_each_level_node(lvl,
-                              [&](const NodeRef& n) { pending.push_back(n); });
+    scope.for_each_level_node(
+        lvl, [&](const cpg::NodeRef& n) { pending.push_back(n); });
     while (!pending.empty()) {
       pool->parallel_for(
           0, pending.size(), 64,
@@ -603,7 +619,7 @@ template <typename View>
       }
       if (!marks_grew) break;
       still_unmarked.clear();
-      for (const NodeRef& p : pending) {
+      for (const cpg::NodeRef& p : pending) {
         if (node_marked[p.id] == 0) still_unmarked.push_back(p);
       }
       pending.swap(still_unmarked);
@@ -624,7 +640,7 @@ template <typename View>
     if (id < view.node_count()) is_marked.set(id);
   }
   std::vector<cpg::NodeId> sinks;
-  view.for_each_node([&](const NodeRef& n) {
+  view.for_each_node([&](const cpg::NodeRef& n) {
     if (n.node->end.kind == sink_kind && is_marked.test(n.id)) {
       sinks.push_back(n.id);
     }
@@ -656,7 +672,6 @@ template <typename View>
   });
   const auto tail = static_cast<cpg::NodeId>(
       std::max_element(depth.begin(), depth.end()) - depth.begin());
-  result.length = depth[tail];
   for (cpg::NodeId v = tail; v != cpg::kInvalidNode; v = pred[v]) {
     result.nodes.push_back(v);
   }

@@ -94,7 +94,7 @@ Result<cpg::Graph> Inspector::rebuild_offline(
   if (result.journal == nullptr || result.perf_session == nullptr ||
       result.image == nullptr) {
     return Status(StatusCode::kFailedPrecondition,
-                  "rebuild_offline: run with PT enabled and "
+                  "rebuild_offline: run under INSPECTOR with "
                   "Options::capture_journal = true");
   }
   return core::rebuild_offline(perf::capture(*result.perf_session),

@@ -82,8 +82,10 @@ class Inspector {
 
   /// Rebuild the CPG offline from the run's perf session, journal and
   /// image through core::rebuild_offline. The result is bit-identical
-  /// to the online graph. kFailedPrecondition when the run captured no
-  /// journal (Options::capture_journal) or no PT trace.
+  /// to the online graph, PT or not: a run with enable_pt = false
+  /// journals no branches and has no streams to decode.
+  /// kFailedPrecondition when the run captured no journal
+  /// (Options::capture_journal) or ran natively.
   [[nodiscard]] static Result<cpg::Graph> rebuild_offline(
       const runtime::ExecutionResult& result);
 

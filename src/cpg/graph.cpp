@@ -8,7 +8,6 @@
 #include <stdexcept>
 #include <string>
 
-#include "analysis/kernels.h"
 #include "util/page_set.h"
 #include "util/parallel.h"
 
@@ -325,8 +324,8 @@ bool Graph::happens_before(NodeId a, NodeId b) const {
   // braced list evaluates left to right). The rank fast-reject then
   // answers half of all random probes, and every self or descendant
   // probe, from two u32 loads without touching the node table.
-  return analysis::happens_before({a, rank_.at(a), &nodes_[a]},
-                                  {b, rank_.at(b), &nodes_[b]});
+  return cpg::happens_before({a, rank_.at(a), &nodes_[a]},
+                             {b, rank_.at(b), &nodes_[b]});
 }
 
 bool Graph::concurrent(NodeId a, NodeId b) const {
@@ -335,7 +334,7 @@ bool Graph::concurrent(NodeId a, NodeId b) const {
 }
 
 std::optional<std::size_t> Graph::page_index_of(std::uint64_t page) const {
-  return analysis::kernels::page_index(pages_, page);
+  return page_index(pages_, page);
 }
 
 std::span<const NodeId> Graph::page_writers(std::uint64_t page) const {
@@ -362,33 +361,6 @@ std::span<const NodeId> Graph::readers_at(std::size_t page_index) const {
   }
   return {readers_.data() + reader_offsets_[page_index],
           readers_.data() + reader_offsets_[page_index + 1]};
-}
-
-std::vector<Edge> Graph::data_dependencies(NodeId reader) const {
-  return analysis::kernels::data_dependencies(analysis::GraphView(*this),
-                                              reader);
-}
-
-std::vector<Edge> Graph::latest_writers(NodeId reader) const {
-  return analysis::kernels::latest_writers(analysis::GraphView(*this), reader);
-}
-
-std::vector<NodeId> Graph::writers_of_page(std::uint64_t page) const {
-  const auto span = page_writers(page);
-  return {span.begin(), span.end()};
-}
-
-std::vector<NodeId> Graph::readers_of_page(std::uint64_t page) const {
-  const auto span = page_readers(page);
-  return {span.begin(), span.end()};
-}
-
-std::vector<NodeId> Graph::backward_slice(NodeId start) const {
-  return analysis::kernels::backward_slice(analysis::GraphView(*this), start);
-}
-
-std::vector<NodeId> Graph::forward_slice(NodeId start) const {
-  return analysis::kernels::forward_slice(analysis::GraphView(*this), start);
 }
 
 std::span<const NodeId> Graph::topological_view() const {

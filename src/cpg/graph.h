@@ -4,8 +4,9 @@
 //
 // Construction builds a shared, immutable query index once (CSR
 // adjacency, per-thread node lists, a happens-before-compatible rank,
-// and a page -> writers/readers inverted index); every dependence and
-// slicing query below consumes the index instead of scanning all nodes.
+// and a page -> writers/readers inverted index); the query kernels
+// (analysis/kernels.h) read it through a GraphView instead of scanning
+// all nodes.
 #pragma once
 
 #include <cstdint>
@@ -48,7 +49,7 @@ class Graph {
     return nodes_.at(id);
   }
   /// Control + sync edges recorded at build time (data edges are
-  /// derived on demand; see queries below).
+  /// derived on demand by the query kernels).
   [[nodiscard]] const std::vector<Edge>& edges() const noexcept {
     return edges_;
   }
@@ -101,35 +102,6 @@ class Graph {
   /// implies rank(a) < rank(b). Derived from vector-clock weight, so it
   /// holds even for hb pairs with no recorded edge path.
   [[nodiscard]] std::uint32_t rank(NodeId id) const { return rank_.at(id); }
-
-  // --- data-dependence queries (§IV-A III) -----------------------------
-  /// All update-use (read-after-write) dependencies of `reader`: edges
-  /// from every sub-computation that happens-before `reader` and whose
-  /// write set intersects `reader`'s read set.
-  [[nodiscard]] std::vector<Edge> data_dependencies(NodeId reader) const;
-
-  /// For each page `reader` reads, the *latest* writer under
-  /// happens-before (the writer no other happens-before writer of the
-  /// same page succeeds). This is the dataflow a slicing query follows.
-  /// Answered by a per-page backward walk over the rank-sorted writer
-  /// list, not a scan of all nodes.
-  [[nodiscard]] std::vector<Edge> latest_writers(NodeId reader) const;
-
-  /// All nodes that wrote `page`, in rank order (index lookup).
-  [[nodiscard]] std::vector<NodeId> writers_of_page(std::uint64_t page) const;
-  [[nodiscard]] std::vector<NodeId> readers_of_page(std::uint64_t page) const;
-
-  /// Backward provenance slice: every node reachable from `start` going
-  /// against control, sync, and latest-writer data edges. This is the
-  /// "why is the state like this" query of the debugging case study
-  /// (§VIII).
-  [[nodiscard]] std::vector<NodeId> backward_slice(NodeId start) const;
-
-  /// Forward impact slice: every node reachable from `start` along
-  /// control, sync, and read-after-write data edges -- everything whose
-  /// result may depend on `start`. The change-propagation query of the
-  /// incremental-computation workflow (§I, iThreads).
-  [[nodiscard]] std::vector<NodeId> forward_slice(NodeId start) const;
 
   /// Zero-copy view of the topological order consistent with
   /// happens-before, computed once at construction; throws

@@ -9,8 +9,6 @@ namespace {
 constexpr std::uint32_t kMagic = 0x314E524A;  // "JRN1"
 constexpr std::uint8_t kOpKinds =
     static_cast<std::uint8_t>(JournalOp::Kind::kThreadExit) + 1;
-constexpr std::uint8_t kEventKinds =
-    static_cast<std::uint8_t>(sync::SyncEventKind::kThreadJoin) + 1;
 
 }  // namespace
 
@@ -64,8 +62,8 @@ Result<Journal> deserialize_journal(std::span<const std::uint8_t> bytes) {
       if (op.kind == JournalOp::Kind::kThreadStart) {
         check_thread(op.aux, i, "parent thread");
       }
-      op.event =
-          static_cast<sync::SyncEventKind>(r.u8_enum(kEventKinds, "event"));
+      op.event = static_cast<sync::SyncEventKind>(
+          r.u8_enum(sync::kSyncEventKinds, "event"));
       op.read_set = r.monotone_u64();
       op.write_set = r.monotone_u64();
       op.branch_count = static_cast<std::uint32_t>(r.uvarint());

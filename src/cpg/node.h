@@ -67,12 +67,34 @@ struct SubComputation {
   [[nodiscard]] bool writes_page(std::uint64_t page) const;
 };
 
+/// One node as a storage view hands it out: everything a
+/// happens-before check, a bucket walk and a page-set test need,
+/// without going back through storage.
+struct NodeRef {
+  NodeId id = kInvalidNode;
+  std::uint32_t rank = 0;  ///< global happens-before-compatible rank
+  const SubComputation* node = nullptr;
+};
+
+/// a happens-before b (§IV-B). The rank fast-reject comes first: rank
+/// embeds happens-before, so rank(a) >= rank(b) rules it out without
+/// touching either node. Then same-thread alpha order, then the clocks.
+[[nodiscard]] inline bool happens_before(const NodeRef& a, const NodeRef& b) {
+  if (a.rank >= b.rank) return false;
+  if (a.node->thread == b.node->thread) return a.node->alpha < b.node->alpha;
+  return a.node->clock.happens_before(b.node->clock);
+}
+
 /// Directed edge kinds of the CPG (§IV-A I/II/III).
 enum class EdgeKind : std::uint8_t {
   kControl,  ///< L_t[a] -> L_t[a+1], same thread
   kSync,     ///< release -> matching acquire
   kData,     ///< write-set/read-set intersection under happens-before
 };
+
+/// Number of EdgeKind values: a decoded kind byte must be below it.
+inline constexpr std::uint8_t kEdgeKinds =
+    static_cast<std::uint8_t>(EdgeKind::kData) + 1;
 
 struct Edge {
   NodeId from = kInvalidNode;

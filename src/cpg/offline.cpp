@@ -14,18 +14,20 @@ Result<Graph> rebuild_from_journal(
   Recorder recorder;
   std::unordered_map<ThreadId, std::size_t> cursor;  // into branches[tid]
 
+  // A thread with no stream has an empty one: a run traced without PT
+  // journals 0 branches per sub-computation and rebuilds from that.
+  const std::vector<BranchRecord> no_stream;
   auto feed_branches = [&](ThreadId tid, std::uint32_t count) {
-    auto it = branches.find(tid);
-    const auto* stream =
-        it == branches.end() ? nullptr : &it->second;
+    const auto it = branches.find(tid);
+    const auto& stream = it == branches.end() ? no_stream : it->second;
     std::size_t& pos = cursor[tid];
-    if (stream == nullptr || pos + count > stream->size()) {
+    if (pos + count > stream.size()) {
       throw std::length_error(
           "PT stream of thread " + std::to_string(tid) +
           " is shorter than the journal requires (gap or wrong trace)");
     }
     for (std::uint32_t i = 0; i < count; ++i) {
-      recorder.on_branch(tid, (*stream)[pos++]);
+      recorder.on_branch(tid, stream[pos++]);
     }
   };
 

@@ -21,10 +21,11 @@ namespace inspector::cpg {
 /// Rebuild the CPG by replaying `journal` through a fresh recorder,
 /// attaching each sub-computation's branches from the per-thread branch
 /// streams (`branches[tid]`, in retirement order -- the flow decoder's
-/// output). A thread's stream shorter than the journal demands (trace
-/// gap or wrong trace) and a journal the recorder refuses (a thread
-/// used before its start op, started twice, or never exiting) are
-/// kInvalidArgument naming the journal op.
+/// output; a thread without an entry has an empty stream). A thread's
+/// stream shorter than the journal demands (trace gap or wrong trace)
+/// and a journal the recorder refuses (a thread used before its start
+/// op, started twice, or never exiting) are kInvalidArgument naming
+/// the journal op.
 [[nodiscard]] Result<Graph> rebuild_from_journal(
     const Journal& journal,
     const std::map<ThreadId, std::vector<BranchRecord>>& branches);

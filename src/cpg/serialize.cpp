@@ -107,7 +107,9 @@ Result<Graph> deserialize_checked(std::span<const std::uint8_t> bytes) {
         t.branch.indirect = (flags & 2) != 0;
         n.thunks.push_back(t);
       }
-      n.end.kind = static_cast<sync::SyncEventKind>(r.u8());
+      // lint: allow(format-version-discipline) the encoded bytes are unchanged; the decoder now rejects kind bytes that no writer emits for a valid graph
+      n.end.kind = static_cast<sync::SyncEventKind>(
+          r.u8_enum(sync::kSyncEventKinds, "end-reason kind"));
       n.end.object = r.u64();
       n.start_seq = r.uvarint();
       n.end_seq = r.uvarint();
@@ -120,7 +122,7 @@ Result<Graph> deserialize_checked(std::span<const std::uint8_t> bytes) {
       Edge e;
       e.from = r.u32();
       e.to = r.u32();
-      e.kind = static_cast<EdgeKind>(r.u8());
+      e.kind = static_cast<EdgeKind>(r.u8_enum(kEdgeKinds, "edge kind"));
       e.object = r.u64();
       edges.push_back(e);
     }
@@ -132,7 +134,8 @@ Result<Graph> deserialize_checked(std::span<const std::uint8_t> bytes) {
       s.seq = r.u64();
       s.thread = r.u32();
       s.object = r.u64();
-      s.kind = static_cast<sync::SyncEventKind>(r.u8());
+      s.kind = static_cast<sync::SyncEventKind>(
+          r.u8_enum(sync::kSyncEventKinds, "schedule event kind"));
       schedule.push_back(s);
     }
     // Graph construction validates edge endpoints and may throw; fold

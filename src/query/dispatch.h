@@ -66,7 +66,7 @@ template <typename View>
                 EdgeListResult{kernels::data_dependencies(view, s.node)});
           },
           [&](const PageAccessorsQuery& s) -> Result<QueryResult> {
-            const auto idx = kernels::page_index(view.pages(), s.page);
+            const auto idx = page_index(view.pages(), s.page);
             if (!idx) return untouched_page_error(s.page);
             auto scope = view.scope();
             const auto writers = scope.writers(*idx);
@@ -98,9 +98,9 @@ template <typename View>
             auto scope = view.scope();
             const auto a = scope.node(s.first);
             const auto b = scope.node(s.second);
-            if (analysis::happens_before(a, b)) {
+            if (cpg::happens_before(a, b)) {
               out.ordering = Ordering::kBefore;
-            } else if (analysis::happens_before(b, a)) {
+            } else if (cpg::happens_before(b, a)) {
               out.ordering = Ordering::kAfter;
             } else {
               out.ordering = Ordering::kConcurrent;

@@ -5,7 +5,6 @@
 #include <chrono>
 #include <exception>
 #include <optional>
-#include <stdexcept>
 #include <utility>
 
 #include "obs/metrics.h"
@@ -20,6 +19,9 @@ namespace inspector::query {
 namespace {
 
 using detail::Overloaded;
+
+/// Result-cache capacity in entries, shared by every session.
+constexpr std::size_t kCacheEntries = 128;
 
 /// Normalize the page-set fields of a query, so order/duplicate
 /// variants of the same request share one cache key and one dispatch
@@ -79,8 +81,6 @@ class GraphQueryBackend final : public QueryBackend {
     return detail::execute_on(analysis::GraphView(*graph_), q);
   }
 
-  [[nodiscard]] const cpg::Graph& graph() const noexcept { return *graph_; }
-
  private:
   std::shared_ptr<const cpg::Graph> graph_;
 };
@@ -103,28 +103,16 @@ Status cursor_exhausted_error(std::uint64_t cursor) {
 
 }  // namespace detail
 
-QueryEngine::QueryEngine(std::shared_ptr<const cpg::Graph> graph,
-                         Options options)
-    : QueryEngine(std::make_shared<const GraphQueryBackend>(std::move(graph)),
-                  options) {}
+QueryEngine::QueryEngine(std::shared_ptr<const cpg::Graph> graph)
+    : QueryEngine(
+          std::make_shared<const GraphQueryBackend>(std::move(graph))) {}
 
-QueryEngine::QueryEngine(std::shared_ptr<const QueryBackend> backend,
-                         Options options)
-    : backend_(std::move(backend)), options_(options) {
+QueryEngine::QueryEngine(std::shared_ptr<const QueryBackend> backend)
+    : backend_(std::move(backend)) {
   if (!backend_) {
     backend_ = std::make_shared<const GraphQueryBackend>(nullptr);
   }
   sessions_.emplace(kDefaultSession, Session{});
-}
-
-const cpg::Graph& QueryEngine::graph() const {
-  const auto* graph_backend =
-      dynamic_cast<const GraphQueryBackend*>(backend_.get());
-  if (graph_backend == nullptr) {
-    // lint: allow(no-throw-across-boundary) documented throwing accessor; calling it on a non-graph engine is a programming error, not a request failure
-    throw std::logic_error("QueryEngine::graph(): engine is not graph-backed");
-  }
-  return graph_backend->graph();
 }
 
 QueryEngine::SessionId QueryEngine::open_session() {
@@ -160,7 +148,7 @@ Result<QueryEngine::FullOutcome> QueryEngine::execute_full(
   const auto started = std::chrono::steady_clock::now();
   bool cache_hit = false;
   FullResult out = [&]() -> FullResult {
-    const bool cacheable = options_.cache_entries > 0 && !options.skip_cache;
+    const bool cacheable = !options.skip_cache;
     std::string key;
     try {
       const Query canonical = canonicalized(q);
@@ -414,7 +402,7 @@ void QueryEngine::cache_put(const std::string& key,
   cache_.emplace(key, cache_lru_.begin());
   static obs::Counter& eviction_count =
       obs::Registry::global().counter("query_cache_evictions_total");
-  while (cache_.size() > options_.cache_entries) {
+  while (cache_.size() > kCacheEntries) {
     cache_.erase(cache_lru_.back().key);
     cache_lru_.pop_back();
     ++cache_stats_.evictions;

@@ -30,14 +30,9 @@
 
 #include "cpg/graph.h"
 #include "query/query.h"
-#include "query/status.h"
+#include "util/status.h"
 
 namespace inspector::query {
-
-struct EngineOptions {
-  /// Result-cache capacity in entries (0 disables caching).
-  std::size_t cache_entries = 128;
-};
 
 /// A backend's full, unpaginated answer. `degraded` is set only by
 /// backends that (on explicit opt-in) skipped quarantined shards: the
@@ -78,8 +73,6 @@ namespace detail {
 
 class QueryEngine {
  public:
-  using Options = EngineOptions;
-
   struct CacheStats {
     std::uint64_t hits = 0;
     std::uint64_t misses = 0;
@@ -122,21 +115,13 @@ class QueryEngine {
     QueryOptions options_;
   };
 
-  explicit QueryEngine(std::shared_ptr<const cpg::Graph> graph,
-                       Options options = Options());
-  /// Serve from an arbitrary backend (the sharded store). graph() is
-  /// unavailable on such engines.
-  explicit QueryEngine(std::shared_ptr<const QueryBackend> backend,
-                       Options options = Options());
+  explicit QueryEngine(std::shared_ptr<const cpg::Graph> graph);
+  /// Serve from an arbitrary backend (the sharded store).
+  explicit QueryEngine(std::shared_ptr<const QueryBackend> backend);
 
   virtual ~QueryEngine() = default;
   QueryEngine(const QueryEngine&) = delete;
   QueryEngine& operator=(const QueryEngine&) = delete;
-
-  /// The in-memory snapshot, for graph-backed engines only; throws
-  /// std::logic_error on a backend-constructed engine (use the backend
-  /// you constructed it with instead).
-  [[nodiscard]] const cpg::Graph& graph() const;
 
   /// Open an isolated cursor namespace. Never fails.
   [[nodiscard]] SessionId open_session();
@@ -230,7 +215,6 @@ class QueryEngine {
                  std::shared_ptr<const QueryResult> value);
 
   std::shared_ptr<const QueryBackend> backend_;
-  Options options_;
 
   mutable std::mutex mu_;  ///< guards sessions_ and the cache
   std::unordered_map<SessionId, Session> sessions_;

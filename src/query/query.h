@@ -13,7 +13,7 @@
 #include <variant>
 #include <vector>
 
-#include "analysis/races.h"
+#include "analysis/kernels.h"
 #include "cpg/graph.h"
 #include "cpg/node.h"
 #include "sync/sync_event.h"

@@ -32,7 +32,7 @@
 #include <variant>
 
 #include "query/query.h"
-#include "query/status.h"
+#include "util/status.h"
 
 namespace inspector::query::wire {
 

@@ -15,7 +15,7 @@ namespace inspector::shard {
 
 namespace {
 
-using analysis::NodeRef;
+using cpg::NodeRef;
 
 /// A node resolved through a pin set: its entry plus the shard holding
 /// it (valid while the resolving scope lives) and its local id there.
@@ -287,11 +287,9 @@ class ShardBackend final : public query::QueryBackend {
 }  // namespace
 
 ShardedQueryEngine::ShardedQueryEngine(std::shared_ptr<ShardStore> store,
-                                       query::EngineOptions options,
                                        bool allow_degraded)
     : query::QueryEngine(
-          std::make_shared<const ShardBackend>(store, allow_degraded),
-          options),
+          std::make_shared<const ShardBackend>(store, allow_degraded)),
       store_(std::move(store)) {}
 
 }  // namespace inspector::shard

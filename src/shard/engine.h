@@ -31,7 +31,6 @@ class ShardedQueryEngine : public query::QueryEngine {
   /// fail -- there is no partial answer to give. Replies that never
   /// touch a quarantined shard are byte-identical either way.
   explicit ShardedQueryEngine(std::shared_ptr<ShardStore> store,
-                              query::EngineOptions options = {},
                               bool allow_degraded = false);
 
   [[nodiscard]] const ShardStore& store() const noexcept { return *store_; }

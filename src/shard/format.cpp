@@ -86,7 +86,8 @@ std::vector<FrontierEdge> read_frontier(ByteReader& r) {
     }
     edges[i].from = static_cast<cpg::NodeId>(from[i]);
     edges[i].to = static_cast<cpg::NodeId>(to[i]);
-    edges[i].kind = static_cast<cpg::EdgeKind>(r.u8());
+    edges[i].kind = static_cast<cpg::EdgeKind>(
+        r.u8_enum(cpg::kEdgeKinds, "frontier edge kind"));
   }
   const std::vector<std::uint64_t> objects = r.zigzag_u64();
   if (objects.size() != edges.size()) {

@@ -8,6 +8,7 @@
 #include <string>
 #include <unordered_set>
 #include <utility>
+#include <vector>
 
 #include "snapshot/compress.h"
 #include "util/parallel.h"
@@ -15,6 +16,19 @@
 namespace inspector::shard {
 
 namespace {
+
+/// Where every node of a history goes.
+struct ShardPlan {
+  std::uint32_t shard_count = 0;
+  /// shard_count+1 rank fences; shard k owns ranks
+  /// [rank_fences[k], rank_fences[k+1]).
+  std::vector<std::uint32_t> rank_fences;
+  std::vector<std::uint8_t> node_shard;   ///< global node id -> shard
+  std::vector<std::uint32_t> node_level;  ///< global topological level
+  /// Global node ids per shard, ascending (so a shard's local id order
+  /// is its global id order).
+  std::vector<std::vector<cpg::NodeId>> shard_nodes;
+};
 
 /// The preconditions both write paths share: a topological order
 /// exists and every recorded edge advances the hb rank (what makes
@@ -40,7 +54,7 @@ Status validate_shardable(const cpg::Graph& graph) {
 }
 
 /// Fill node_shard / node_level / shard_nodes for a fence vector that
-/// is already in place (plan() and append() share this loop).
+/// is already in place (write_store() and append() share this loop).
 void assign_nodes(const cpg::Graph& graph, ShardPlan& plan) {
   const std::size_t n = graph.nodes().size();
   plan.node_shard.resize(n);
@@ -261,8 +275,9 @@ Manifest manifest_skeleton(const cpg::Graph& graph, const ShardPlan& plan) {
 
 }  // namespace
 
-Result<ShardPlan> ShardPlanner::plan(const cpg::Graph& graph) const {
-  const std::uint32_t k = options_.shard_count;
+Result<Manifest> write_store(const cpg::Graph& graph, const std::string& dir,
+                             PlanOptions options, ShardCodec codec) {
+  const std::uint32_t k = options.shard_count;
   if (k == 0 || k > 255) {
     return Status(StatusCode::kInvalidArgument,
                   "shard count must be in [1, 255], got " +
@@ -277,23 +292,12 @@ Result<ShardPlan> ShardPlanner::plan(const cpg::Graph& graph) const {
     plan.rank_fences[i] = static_cast<std::uint32_t>(n * i / k);
   }
   assign_nodes(graph, plan);
-  return plan;
-}
 
-Result<Manifest> ShardWriter::write(const cpg::Graph& graph,
-                                    const ShardPlan& plan) const {
-  const std::uint32_t k = plan.shard_count;
-  const std::size_t n = graph.nodes().size();
-  if (plan.node_shard.size() != n || plan.node_level.size() != n ||
-      plan.shard_nodes.size() != k) {
-    return Status(StatusCode::kInvalidArgument,
-                  "shard plan does not match the graph");
-  }
   std::error_code ec;
-  std::filesystem::create_directories(dir_, ec);
+  std::filesystem::create_directories(dir, ec);
   if (ec) {
     return Status(StatusCode::kInternal,
-                  "cannot create store directory " + dir_ + ": " +
+                  "cannot create store directory " + dir + ": " +
                       ec.message());
   }
   const EdgeBuckets buckets = bucket_edges(graph, plan);
@@ -304,18 +308,18 @@ Result<Manifest> ShardWriter::write(const cpg::Graph& graph,
   // the new files land under fresh names and the old store stays
   // readable until the new manifest commits (same protocol as
   // append()).
-  if (auto existing = ShardReader::read_manifest(dir_); existing.ok()) {
+  if (auto existing = ShardReader::read_manifest(dir); existing.ok()) {
     manifest.generation = existing->generation + 1;
   }
-  if (Status st = materialize_shards(graph, plan, buckets, 0, dir_, codec_,
+  if (Status st = materialize_shards(graph, plan, buckets, 0, dir, codec,
                                      manifest.generation, manifest.shards);
       !st.ok()) {
     return st;
   }
   // The shard files' directory entries must be durable before the
   // manifest that references them commits.
-  if (Status st = sync_directory(dir_); !st.ok()) return st;
-  if (Status st = replace_file_bytes(dir_ + "/" + kManifestFileName,
+  if (Status st = sync_directory(dir); !st.ok()) return st;
+  if (Status st = replace_file_bytes(dir + "/" + kManifestFileName,
                                      serialize_manifest(manifest));
       !st.ok()) {
     return st;
@@ -323,16 +327,8 @@ Result<Manifest> ShardWriter::write(const cpg::Graph& graph,
   // Re-writing over a directory that held an appended store leaves
   // generation-named files behind; collect them now that the fresh
   // manifest is committed.
-  sweep_unreferenced_shard_files(dir_, manifest);
+  sweep_unreferenced_shard_files(dir, manifest);
   return manifest;
-}
-
-Result<Manifest> write_store(const cpg::Graph& graph, const std::string& dir,
-                             PlanOptions options, ShardCodec codec) {
-  ShardPlanner planner(options);
-  auto plan = planner.plan(graph);
-  if (!plan.ok()) return plan.status();
-  return ShardWriter(dir, codec).write(graph, plan.value());
 }
 
 Result<AppendResult> append(const std::string& dir, const cpg::Graph& graph,

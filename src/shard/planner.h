@@ -1,13 +1,13 @@
 // Partitioning a captured history into shards.
 //
-// The planner cuts the node set into K contiguous happens-before-rank
+// write_store() cuts the node set into K contiguous happens-before-rank
 // ranges (Graph::rank() embeds the hb partial order in a total order,
 // so equal-width rank windows are balanced topological sections: every
-// recorded edge points from its shard to the same or a later shard).
-// The writer then materializes one self-contained file per shard --
-// local graph, global-id/rank/level sidecars, cross-shard frontier --
-// plus the routing manifest, fanning the per-shard builds out over the
-// shared util::TaskPool. Payloads optionally run through the LZ block
+// recorded edge points from its shard to the same or a later shard),
+// then materializes one self-contained file per shard -- local graph,
+// global-id/rank/level sidecars, cross-shard frontier -- plus the
+// routing manifest, fanning the per-shard builds out over the shared
+// util::TaskPool. Payloads optionally run through the LZ block
 // codec (ShardCodec::kLz).
 //
 // append() re-shards incrementally when a new capture extends a
@@ -20,7 +20,6 @@
 #include <cstdint>
 #include <optional>
 #include <string>
-#include <vector>
 
 #include "cpg/graph.h"
 #include "shard/format.h"
@@ -34,50 +33,14 @@ struct PlanOptions {
   std::uint32_t shard_count = 4;
 };
 
-struct ShardPlan {
-  std::uint32_t shard_count = 0;
-  /// shard_count+1 rank fences; shard k owns ranks
-  /// [rank_fences[k], rank_fences[k+1]).
-  std::vector<std::uint32_t> rank_fences;
-  std::vector<std::uint8_t> node_shard;   ///< global node id -> shard
-  std::vector<std::uint32_t> node_level;  ///< global topological level
-  /// Global node ids per shard, ascending (so a shard's local id order
-  /// is its global id order).
-  std::vector<std::vector<cpg::NodeId>> shard_nodes;
-};
-
-class ShardPlanner {
- public:
-  explicit ShardPlanner(PlanOptions options = {}) : options_(options) {}
-
-  /// Cut `graph` into rank ranges. Fails with kInvalidArgument for a
-  /// shard count outside [1, 255] and kFailedPrecondition for
-  /// histories the rank partition cannot serve: a cyclic graph, or
-  /// clock-inconsistent edges that do not advance the hb rank.
-  [[nodiscard]] Result<ShardPlan> plan(const cpg::Graph& graph) const;
-
- private:
-  PlanOptions options_;
-};
-
-class ShardWriter {
- public:
-  /// Writes into `dir` (created if missing), encoding every shard
-  /// body with `codec`.
-  explicit ShardWriter(std::string dir, ShardCodec codec = ShardCodec::kRaw)
-      : dir_(std::move(dir)), codec_(codec) {}
-
-  /// Materialize the planned shards of `graph` plus MANIFEST.bin.
-  /// Per-shard payload builds run on the shared analysis pool.
-  [[nodiscard]] Result<Manifest> write(const cpg::Graph& graph,
-                                       const ShardPlan& plan) const;
-
- private:
-  std::string dir_;
-  ShardCodec codec_;
-};
-
-/// Convenience: plan + write in one call.
+/// Cut `graph` into `options.shard_count` contiguous hb-rank ranges and
+/// write one self-contained file per shard plus MANIFEST.bin into
+/// `dir` (created if missing), encoding every shard body with `codec`.
+/// Per-shard payload builds run on the shared analysis pool. Fails with
+/// kInvalidArgument for a shard count outside [1, 255] and
+/// kFailedPrecondition for histories the rank partition cannot serve:
+/// a cyclic graph, or clock-inconsistent edges that do not advance the
+/// hb rank.
 [[nodiscard]] Result<Manifest> write_store(const cpg::Graph& graph,
                                            const std::string& dir,
                                            PlanOptions options = {},

@@ -59,6 +59,10 @@ enum class SyncEventKind : std::uint8_t {
   kThreadJoin,
 };
 
+/// Number of SyncEventKind values: a decoded kind byte must be below it.
+inline constexpr std::uint8_t kSyncEventKinds =
+    static_cast<std::uint8_t>(SyncEventKind::kThreadJoin) + 1;
+
 [[nodiscard]] std::string to_string(SyncEventKind kind);
 
 /// One entry of the recorded sync schedule.

@@ -156,6 +156,15 @@ page_set_first_intersection_scalar(const PageSet& a, const PageSet& b,
   return first;
 }
 
+/// The position of `page` in the sorted universe `set` (its dense page
+/// index), if the universe holds it.
+[[nodiscard]] inline std::optional<std::size_t> page_index(
+    std::span<const std::uint64_t> set, std::uint64_t page) noexcept {
+  const auto it = std::lower_bound(set.begin(), set.end(), page);
+  if (it == set.end() || *it != page) return std::nullopt;
+  return static_cast<std::size_t>(it - set.begin());
+}
+
 /// Smallest element common to `a` and `b` but not in `ignored`.
 /// Disjoint ranges exit before any loop (the sorted invariant gives
 /// the fences for free). Near-equal sizes use a merge that scans

@@ -5,9 +5,8 @@
 // node id, a stale file with the wrong format version, a cursor that
 // was already drained -- maps to a StatusCode, and fallible entry
 // points return Result<T> (a value or a Status, never an exception).
-// Originally this lived in inspector::query; the sharded on-disk store
-// needs the same vocabulary below the query layer, so the types live
-// here and query/status.h re-exports them under the old names.
+// The sharded on-disk store needs the same vocabulary as the query
+// layer, so the types live here, below both.
 #pragma once
 
 #include <cstdint>

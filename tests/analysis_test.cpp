@@ -1,13 +1,12 @@
-// Tests for the analysis layer: taint propagation, race detection,
-// NUMA affinity, critical path (the §VIII case studies as libraries).
+// Tests for the analysis layer: the taint propagation, race scan and
+// critical path kernels over a GraphView, and NUMA affinity (the §VIII
+// case studies as libraries).
 #include <gtest/gtest.h>
 
 #include <unordered_set>
 
-#include "analysis/critical_path.h"
+#include "analysis/kernels.h"
 #include "analysis/numa.h"
-#include "analysis/races.h"
-#include "analysis/taint.h"
 #include "core/inspector.h"
 #include "memtrack/shared_memory.h"
 #include "runtime/executor.h"
@@ -17,6 +16,8 @@
 namespace {
 
 using namespace inspector;
+using analysis::GraphView;
+namespace kernels = analysis::kernels;
 using workloads::global_word;
 using workloads::mutex_id;
 using workloads::ScriptBuilder;
@@ -70,23 +71,22 @@ TEST_F(AnalysisFixture, TaintFollowsTwoHopFlow) {
 
   const PageSet seeds = {
       memtrack::page_id_of(memtrack::AddressLayout::kInputBase)};
-  const auto taint = analysis::propagate_taint(g, seeds);
+  const auto taint = kernels::propagate_pages(GraphView(g), seeds, true);
 
   // The shared page A wrote and the second-hop page B wrote are both
   // tainted.
-  EXPECT_TRUE(page_set_contains(taint.tainted_pages,
-                                memtrack::page_id_of(global_word(0))));
-  EXPECT_TRUE(page_set_contains(taint.tainted_pages,
-                                memtrack::page_id_of(global_word(512))));
+  EXPECT_TRUE(
+      page_set_contains(taint.pages, memtrack::page_id_of(global_word(0))));
+  EXPECT_TRUE(
+      page_set_contains(taint.pages, memtrack::page_id_of(global_word(512))));
   // C's private page is not.
   EXPECT_FALSE(page_set_contains(
-      taint.tainted_pages,
-      memtrack::page_id_of(workloads::thread_heap_base(2))));
+      taint.pages, memtrack::page_id_of(workloads::thread_heap_base(2))));
 
   // A (thread 1) and B (thread 2) have tainted nodes; C (thread 3)
   // does not.
   std::unordered_set<cpg::ThreadId> tainted_threads;
-  for (cpg::NodeId id : taint.tainted_nodes) {
+  for (cpg::NodeId id : taint.nodes) {
     tainted_threads.insert(g.node(id).thread);
   }
   EXPECT_TRUE(tainted_threads.contains(1));
@@ -100,14 +100,12 @@ TEST_F(AnalysisFixture, TaintWithoutCarryoverIsPagePure) {
   const PageSet seeds = {
       memtrack::page_id_of(memtrack::AddressLayout::kInputBase)};
 
-  analysis::TaintOptions no_carry;
-  no_carry.track_register_carryover = false;
-  const auto pure = analysis::propagate_taint(g, seeds, no_carry);
-  const auto carry = analysis::propagate_taint(g, seeds);
+  const auto pure = kernels::propagate_pages(GraphView(g), seeds, false);
+  const auto carry = kernels::propagate_pages(GraphView(g), seeds, true);
   // Register carry-over can only taint more, never less.
-  EXPECT_LE(pure.tainted_nodes.size(), carry.tainted_nodes.size());
-  for (std::uint64_t page : pure.tainted_pages) {
-    EXPECT_TRUE(page_set_contains(carry.tainted_pages, page));
+  EXPECT_LE(pure.nodes.size(), carry.nodes.size());
+  for (std::uint64_t page : pure.pages) {
+    EXPECT_TRUE(page_set_contains(carry.pages, page));
   }
 }
 
@@ -116,9 +114,9 @@ TEST_F(AnalysisFixture, TaintedSinksFindExitNodes) {
   const auto& g = *result.graph;
   const PageSet seeds = {
       memtrack::page_id_of(memtrack::AddressLayout::kInputBase)};
-  const auto taint = analysis::propagate_taint(g, seeds);
-  const auto sinks =
-      analysis::tainted_sinks(g, taint, sync::SyncEventKind::kThreadExit);
+  const auto taint = kernels::propagate_pages(GraphView(g), seeds, true);
+  const auto sinks = kernels::tainted_sinks(GraphView(g), taint.nodes,
+                                            sync::SyncEventKind::kThreadExit);
   // A's and B's exits are tainted sinks; C's is not.
   std::unordered_set<cpg::ThreadId> sink_threads;
   for (auto id : sinks) sink_threads.insert(g.node(id).thread);
@@ -147,32 +145,30 @@ runtime::Program racy_program() {
 
 TEST_F(AnalysisFixture, DetectsUnsynchronizedWriteWrite) {
   const auto result = run(racy_program());
-  const auto races = analysis::find_races(*result.graph);
+  const auto races = kernels::find_races(GraphView(*result.graph), {}, 0);
   ASSERT_FALSE(races.empty());
   EXPECT_TRUE(races[0].write_write);
   EXPECT_EQ(races[0].page, memtrack::page_id_of(global_word(0)));
-  EXPECT_FALSE(analysis::race_free(*result.graph));
+  EXPECT_FALSE(kernels::find_races(GraphView(*result.graph), {}, 1).empty());
 }
 
 TEST_F(AnalysisFixture, LockedAccessesAreNotRaces) {
   const auto result = run(flow_program());
-  EXPECT_TRUE(analysis::race_free(*result.graph))
+  EXPECT_TRUE(kernels::find_races(GraphView(*result.graph), {}, 1).empty())
       << "lock-ordered and join-ordered accesses are happens-before "
          "ordered";
 }
 
 TEST_F(AnalysisFixture, IgnoredPagesSuppressReports) {
   const auto result = run(racy_program());
-  analysis::RaceOptions options;
-  options.ignored_pages = {memtrack::page_id_of(global_word(0))};
-  EXPECT_TRUE(analysis::find_races(*result.graph, options).empty());
+  const PageSet ignored = {memtrack::page_id_of(global_word(0))};
+  EXPECT_TRUE(
+      kernels::find_races(GraphView(*result.graph), ignored, 0).empty());
 }
 
 TEST_F(AnalysisFixture, RaceLimitShortCircuits) {
   const auto result = run(racy_program());
-  analysis::RaceOptions options;
-  options.limit = 1;
-  EXPECT_EQ(analysis::find_races(*result.graph, options).size(), 1u);
+  EXPECT_EQ(kernels::find_races(GraphView(*result.graph), {}, 1).size(), 1u);
 }
 
 TEST_F(AnalysisFixture, LockDisciplinedWorkloadsAreRaceFree) {
@@ -185,7 +181,8 @@ TEST_F(AnalysisFixture, LockDisciplinedWorkloadsAreRaceFree) {
        {"histogram", "string_match", "swaptions", "word_count",
         "blackscholes", "kmeans", "reverse_index", "streamcluster"}) {
     const auto result = run(workloads::make_workload(name, config));
-    EXPECT_TRUE(analysis::race_free(*result.graph)) << name;
+    EXPECT_TRUE(kernels::find_races(GraphView(*result.graph), {}, 1).empty())
+        << name;
   }
 }
 
@@ -202,7 +199,8 @@ TEST_F(AnalysisFixture, FalseSharingWorkloadsAreFlagged) {
   for (const std::string name :
        {"linear_regression", "matrix_multiply", "pca", "canneal"}) {
     const auto result = run(workloads::make_workload(name, config));
-    EXPECT_FALSE(analysis::race_free(*result.graph)) << name;
+    EXPECT_FALSE(kernels::find_races(GraphView(*result.graph), {}, 1).empty())
+        << name;
   }
 }
 
@@ -256,10 +254,10 @@ TEST_F(AnalysisFixture, CriticalPathOfSequentialChain) {
   p.main_script = 0;
   p.scripts.push_back(main.take());
   const auto result = run(p);
-  const auto cp = analysis::critical_path(*result.graph);
+  const auto cp = kernels::critical_path(GraphView(*result.graph));
   // Single thread: the critical path is the whole node chain.
-  EXPECT_EQ(cp.length, result.graph->nodes().size());
-  EXPECT_DOUBLE_EQ(cp.parallelism(), 1.0);
+  EXPECT_EQ(cp.nodes.size(), result.graph->nodes().size());
+  EXPECT_EQ(cp.total_nodes, cp.nodes.size());
   // Path nodes are consecutive alphas of thread 0.
   for (std::size_t i = 1; i < cp.nodes.size(); ++i) {
     EXPECT_EQ(result.graph->node(cp.nodes[i]).alpha,
@@ -274,15 +272,16 @@ TEST_F(AnalysisFixture, ParallelWorkloadHasParallelism) {
   // streamcluster: barrier rounds give every worker a long node chain,
   // so the graph is much wider than its critical path.
   const auto result = run(workloads::make_streamcluster(config));
-  const auto cp = analysis::critical_path(*result.graph);
-  EXPECT_GT(cp.parallelism(), 2.0)
+  const auto cp = kernels::critical_path(GraphView(*result.graph));
+  EXPECT_GT(cp.total_nodes, 2 * cp.nodes.size())
       << "8 barrier-round workers must show available parallelism";
   EXPECT_EQ(cp.total_nodes, result.graph->nodes().size());
 }
 
 TEST(CriticalPathEdge, EmptyGraph) {
-  const auto cp = analysis::critical_path(cpg::Graph{});
-  EXPECT_EQ(cp.length, 0u);
+  const cpg::Graph empty;
+  const auto cp = kernels::critical_path(GraphView(empty));
+  EXPECT_EQ(cp.total_nodes, 0u);
   EXPECT_TRUE(cp.nodes.empty());
 }
 

@@ -2,12 +2,15 @@
 // INSPECTOR equivalence, determinism, deadlock detection, stats.
 #include <gtest/gtest.h>
 
+#include "analysis/kernels.h"
 #include "runtime/executor.h"
 #include "workloads/common.h"
 
 namespace {
 
 using namespace inspector::runtime;
+using inspector::analysis::GraphView;
+namespace kernels = inspector::analysis::kernels;
 namespace sync = inspector::sync;
 using inspector::workloads::global_word;
 using inspector::workloads::mutex_id;
@@ -73,7 +76,7 @@ TEST(Executor, ChildSeesParentWritesBeforeSpawn) {
   // The child's first node must read page of global 7 and be ordered
   // after the parent's pre-spawn node that wrote it.
   const auto& g = *result.graph;
-  const auto deps = g.data_dependencies(*g.find(1, 0));
+  const auto deps = kernels::data_dependencies(GraphView(g), *g.find(1, 0));
   bool saw_parent_write = false;
   for (const auto& e : deps) {
     if (g.node(e.from).thread == 0) saw_parent_write = true;
@@ -133,7 +136,7 @@ TEST(Executor, BarrierSynchronizesRounds) {
   const auto& g = *result.graph;
   // Each worker's post-barrier read must depend on the peer's
   // pre-barrier write.
-  const auto deps = g.data_dependencies(*g.find(2, 1));
+  const auto deps = kernels::data_dependencies(GraphView(g), *g.find(2, 1));
   bool cross = false;
   for (const auto& e : deps) {
     if (g.node(e.from).thread == 1) cross = true;

@@ -96,8 +96,7 @@ std::string serve_store(const std::string& dir, cpg::NodeId last,
                         bool allow_degraded = false) {
   auto store = shard::ShardStore::open(dir);
   EXPECT_TRUE(store.ok()) << store.status().message();
-  shard::ShardedQueryEngine engine(std::move(store).value(),
-                                   query::EngineOptions{}, allow_degraded);
+  shard::ShardedQueryEngine engine(std::move(store).value(), allow_degraded);
   return serialized_session(engine, last, first_page);
 }
 
@@ -296,8 +295,7 @@ TEST(FailpointStore, DegradedModeServesPartialAnswers) {
   const auto one_query = [&](bool allow) {
     auto store = shard::ShardStore::open(dir);
     EXPECT_TRUE(store.ok());
-    shard::ShardedQueryEngine engine(std::move(store).value(),
-                                     query::EngineOptions{}, allow);
+    shard::ShardedQueryEngine engine(std::move(store).value(), allow);
     return wire::serialize_reply(
         1, engine.run(QueryEngine::kDefaultSession, BackwardSliceQuery{0}));
   };

@@ -1,16 +1,26 @@
 // CPG query tests on hand-crafted graphs: data dependencies, latest
-// writers, slices, topological order, validation (§IV-A III).
+// writers and slices (the kernels over a GraphView), the page index,
+// topological order, validation (§IV-A III).
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <stdexcept>
+#include <vector>
 
+#include "analysis/kernels.h"
 #include "cpg/graph.h"
 
 namespace {
 
 using namespace inspector::cpg;
+using inspector::analysis::GraphView;
+namespace kernels = inspector::analysis::kernels;
 namespace sync = inspector::sync;
+
+std::vector<NodeId> ids(std::span<const NodeId> span) {
+  return {span.begin(), span.end()};
+}
 
 // Build the paper's Figure-1 example:
 //   T1.a: reads {y}, writes {x,y}   (pages: y=1, x=2)
@@ -58,12 +68,12 @@ TEST(Graph, Figure1HappensBefore) {
 TEST(Graph, Figure1DataDependencies) {
   const Graph g = figure1_graph();
   // T2.a reads x which T1.a wrote.
-  const auto deps1 = g.data_dependencies(1);
+  const auto deps1 = kernels::data_dependencies(GraphView(g), 1);
   ASSERT_EQ(deps1.size(), 1u);
   EXPECT_EQ(deps1[0].from, 0u);
   EXPECT_EQ(deps1[0].object, 2u);  // page of x
   // T1.b reads y; both T1.a and T2.a wrote it.
-  const auto deps2 = g.data_dependencies(2);
+  const auto deps2 = kernels::data_dependencies(GraphView(g), 2);
   ASSERT_EQ(deps2.size(), 2u);
 }
 
@@ -71,7 +81,7 @@ TEST(Graph, Figure1LatestWriterMasksEarlier) {
   const Graph g = figure1_graph();
   // For T1.b's read of y, T2.a is the latest writer (T1.a is masked:
   // it happens-before T2.a).
-  const auto latest = g.latest_writers(2);
+  const auto latest = kernels::latest_writers(GraphView(g), 2);
   ASSERT_EQ(latest.size(), 1u);
   EXPECT_EQ(latest[0].from, 1u);
   EXPECT_EQ(latest[0].object, 1u);
@@ -84,23 +94,23 @@ TEST(Graph, ConcurrentWritersBothLatest) {
   nodes.push_back(node(1, 1, 0, {0, 1, 0}, {}, {7}));
   nodes.push_back(node(2, 2, 0, {1, 1, 1}, {7}, {}));
   Graph g({nodes}, {}, {});
-  const auto latest = g.latest_writers(2);
+  const auto latest = kernels::latest_writers(GraphView(g), 2);
   EXPECT_EQ(latest.size(), 2u);
 }
 
 TEST(Graph, WritersAndReadersOfPage) {
   const Graph g = figure1_graph();
-  EXPECT_EQ(g.writers_of_page(1), (std::vector<NodeId>{0, 1, 2}));
-  EXPECT_EQ(g.readers_of_page(2), (std::vector<NodeId>{1}));
-  EXPECT_TRUE(g.writers_of_page(55).empty());
+  EXPECT_EQ(ids(g.page_writers(1)), (std::vector<NodeId>{0, 1, 2}));
+  EXPECT_EQ(ids(g.page_readers(2)), (std::vector<NodeId>{1}));
+  EXPECT_TRUE(g.page_writers(55).empty());
 }
 
 TEST(Graph, BackwardSliceFollowsDataAndSync) {
   const Graph g = figure1_graph();
-  const auto slice = g.backward_slice(2);
+  const auto slice = kernels::backward_slice(GraphView(g), 2);
   EXPECT_EQ(slice, (std::vector<NodeId>{0, 1, 2}))
       << "the debugging query: why is y's state what it is";
-  const auto slice0 = g.backward_slice(0);
+  const auto slice0 = kernels::backward_slice(GraphView(g), 0);
   EXPECT_EQ(slice0, (std::vector<NodeId>{0}));
 }
 

@@ -3,7 +3,7 @@
 
 #include <unordered_set>
 
-#include "analysis/incremental.h"
+#include "analysis/kernels.h"
 #include "core/inspector.h"
 #include "memtrack/shared_memory.h"
 #include "workloads/common.h"
@@ -12,6 +12,8 @@
 namespace {
 
 using namespace inspector;
+using analysis::GraphView;
+namespace kernels = analysis::kernels;
 using workloads::global_word;
 using workloads::mutex_id;
 using workloads::ScriptBuilder;
@@ -53,6 +55,11 @@ runtime::Program pipeline_program() {
   return p;
 }
 
+/// Invalidation is page-flow propagation with register carry-over on:
+/// once a thread consumed changed data, everything it does afterwards
+/// may differ.
+constexpr bool kCarryover = true;
+
 class IncrementalTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -66,34 +73,41 @@ class IncrementalTest : public ::testing::Test {
 
 TEST_F(IncrementalTest, ChangedInputDirtiesTheChain) {
   const auto& g = *result_.graph;
-  const auto inv = analysis::invalidate(
-      g, {memtrack::page_id_of(memtrack::AddressLayout::kInputBase)});
+  const auto inv = kernels::propagate_pages(
+      GraphView(g),
+      {memtrack::page_id_of(memtrack::AddressLayout::kInputBase)},
+      kCarryover);
 
   // A's reader node and B's reader node are dirty; C's nodes are not.
   std::unordered_set<cpg::ThreadId> dirty_threads;
-  for (auto id : inv.dirty) dirty_threads.insert(g.node(id).thread);
+  for (auto id : inv.nodes) dirty_threads.insert(g.node(id).thread);
   EXPECT_TRUE(dirty_threads.contains(2)) << "A reads the changed input";
   EXPECT_TRUE(dirty_threads.contains(3)) << "B reads A's output";
   EXPECT_FALSE(dirty_threads.contains(1)) << "C is input-independent";
 
   // Both intermediate pages become dirty.
-  EXPECT_TRUE(page_set_contains(inv.dirty_pages,
-                                memtrack::page_id_of(global_word(0))));
-  EXPECT_TRUE(page_set_contains(inv.dirty_pages,
-                                memtrack::page_id_of(global_word(512))));
+  EXPECT_TRUE(
+      page_set_contains(inv.pages, memtrack::page_id_of(global_word(0))));
+  EXPECT_TRUE(
+      page_set_contains(inv.pages, memtrack::page_id_of(global_word(512))));
   EXPECT_FALSE(page_set_contains(
-      inv.dirty_pages, memtrack::page_id_of(workloads::thread_heap_base(5))));
+      inv.pages, memtrack::page_id_of(workloads::thread_heap_base(5))));
 }
 
 TEST_F(IncrementalTest, NoChangeMeansFullReuse) {
-  const auto inv = analysis::invalidate(*result_.graph, {});
-  EXPECT_TRUE(inv.dirty.empty());
-  EXPECT_DOUBLE_EQ(inv.reuse_fraction(result_.graph->nodes().size()), 1.0);
+  const auto inv =
+      kernels::propagate_pages(GraphView(*result_.graph), {}, kCarryover);
+  EXPECT_TRUE(inv.nodes.empty());
+  EXPECT_DOUBLE_EQ(
+      1.0 - static_cast<double>(inv.nodes.size()) /
+                static_cast<double>(result_.graph->nodes().size()),
+      1.0);
 }
 
 TEST_F(IncrementalTest, UnrelatedPageChangeDirtiesNothing) {
-  const auto inv = analysis::invalidate(*result_.graph, {0xDEAD});
-  EXPECT_TRUE(inv.dirty.empty());
+  const auto inv =
+      kernels::propagate_pages(GraphView(*result_.graph), {0xDEAD}, kCarryover);
+  EXPECT_TRUE(inv.nodes.empty());
 }
 
 TEST_F(IncrementalTest, ReuseFractionIsMonotoneInChangeSize) {
@@ -114,8 +128,11 @@ TEST_F(IncrementalTest, ReuseFractionIsMonotoneInChangeSize) {
     for (std::size_t i = 0; i < n && i < pages.size(); ++i) {
       delta.push_back(pages[i]);
     }
-    const auto inv = analysis::invalidate(*result.graph, delta);
-    const double reuse = inv.reuse_fraction(result.graph->nodes().size());
+    const auto inv =
+        kernels::propagate_pages(GraphView(*result.graph), delta, kCarryover);
+    const double reuse =
+        1.0 - static_cast<double>(inv.nodes.size()) /
+                  static_cast<double>(result.graph->nodes().size());
     EXPECT_LE(reuse, last_reuse) << n << " changed pages";
     last_reuse = reuse;
   }
@@ -128,10 +145,11 @@ TEST_F(IncrementalTest, DirtySetEqualsForwardSliceReaders) {
   const auto& g = *result_.graph;
   const std::uint64_t input_page =
       memtrack::page_id_of(memtrack::AddressLayout::kInputBase);
-  const auto inv = analysis::invalidate(g, {input_page});
-  ASSERT_FALSE(inv.dirty.empty());
-  const auto slice = g.forward_slice(inv.dirty.front());
-  for (auto id : inv.dirty) {
+  const auto inv =
+      kernels::propagate_pages(GraphView(g), {input_page}, kCarryover);
+  ASSERT_FALSE(inv.nodes.empty());
+  const auto slice = kernels::forward_slice(GraphView(g), inv.nodes.front());
+  for (auto id : inv.nodes) {
     EXPECT_TRUE(std::binary_search(slice.begin(), slice.end(), id))
         << "dirty node " << id << " not reachable from the first reader";
   }
@@ -149,7 +167,7 @@ TEST_F(IncrementalTest, ForwardSliceCoversDownstream) {
     }
   }
   ASSERT_NE(publisher, cpg::kInvalidNode);
-  const auto slice = g.forward_slice(publisher);
+  const auto slice = kernels::forward_slice(GraphView(g), publisher);
   // B's consumer node must be in the slice; concurrent C must not
   // (forward reachability includes schedule successors, and C has no
   // ordering with A beyond the initial spawn).
@@ -166,10 +184,10 @@ TEST_F(IncrementalTest, ForwardAndBackwardSlicesAgree) {
   // If y is in forward_slice(x), then x is in backward_slice(y) --
   // sampled over all pairs of this small graph.
   for (const auto& x : g.nodes()) {
-    const auto fwd = g.forward_slice(x.id);
+    const auto fwd = kernels::forward_slice(GraphView(g), x.id);
     for (auto y : fwd) {
       if (y == x.id) continue;
-      const auto back = g.backward_slice(y);
+      const auto back = kernels::backward_slice(GraphView(g), y);
       // backward_slice uses latest-writer data edges only, so it can be
       // narrower; but control+sync reachability must agree.
       bool found = std::binary_search(back.begin(), back.end(), x.id);

@@ -199,7 +199,7 @@ std::vector<std::string> session_replies(
     const auto parsed = query::wire::parse_request(line, &id);
     if (!parsed.ok()) {
       replies.push_back(query::wire::serialize_reply(
-          id, query::Result<query::Reply>(parsed.status())));
+          id, Result<query::Reply>(parsed.status())));
       continue;
     }
     if (const auto* next =

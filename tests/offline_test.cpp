@@ -276,6 +276,23 @@ TEST(OfflineRebuild, RequiresJournal) {
   EXPECT_EQ(offline.status().code(), StatusCode::kFailedPrecondition);
 }
 
+TEST(OfflineRebuild, RunWithoutPtRebuildsFromTheJournal) {
+  // With PT off no thread has a stream, and the journal asks each for
+  // 0 branches: a missing stream is an empty one, not a short one.
+  workloads::WorkloadConfig config;
+  config.threads = 4;
+  config.scale = 0.15;
+  core::Options options;
+  options.capture_journal = true;
+  options.enable_pt = false;
+  core::Inspector insp(options);
+  const auto result = insp.run(workloads::make_histogram(config));
+  ASSERT_EQ(result.graph->stats().thunks, 0u);
+  const auto offline = core::Inspector::rebuild_offline(result);
+  ASSERT_TRUE(offline.ok()) << offline.status().message();
+  EXPECT_EQ(cpg::serialize(*offline), cpg::serialize(*result.graph));
+}
+
 TEST(OfflineRebuild, TruncatedTraceIsDetected) {
   auto a = artifacts_of(journaled_run("histogram"));
   // Chop one AUX stream: the journal demands more branches than it

@@ -12,9 +12,7 @@
 #include <algorithm>
 #include <vector>
 
-#include "analysis/incremental.h"
-#include "analysis/races.h"
-#include "analysis/taint.h"
+#include "analysis/kernels.h"
 #include "history_fixtures.h"
 #include "util/parallel.h"
 
@@ -22,6 +20,8 @@ namespace {
 
 using namespace inspector::cpg;
 namespace analysis = inspector::analysis;
+namespace kernels = inspector::analysis::kernels;
+using inspector::analysis::GraphView;
 namespace sync = inspector::sync;
 namespace util = inspector::util;
 using inspector::PageSet;
@@ -38,10 +38,11 @@ struct AnalysisFingerprint {
   std::vector<std::vector<NodeId>> writers;
   std::vector<std::vector<NodeId>> readers;
   std::vector<analysis::RaceReport> races;
-  std::vector<NodeId> tainted_nodes;
+  std::vector<NodeId> tainted_nodes;  ///< carry-over flow (taint, invalidate)
   std::vector<std::uint64_t> tainted_pages;
-  std::vector<NodeId> dirty_nodes;
-  std::vector<std::uint64_t> dirty_pages;
+  std::vector<NodeId> sinks;
+  std::vector<NodeId> page_flow_nodes;  ///< flow through pages alone
+  std::vector<std::uint64_t> page_flow_pages;
 
   bool operator==(const AnalysisFingerprint&) const = default;
 };
@@ -58,19 +59,26 @@ AnalysisFingerprint fingerprint(const Graph& g) {
   const auto pages = g.pages();
   fp.pages.assign(pages.begin(), pages.end());
   for (std::uint64_t page : pages) {
-    fp.writers.push_back(g.writers_of_page(page));
-    fp.readers.push_back(g.readers_of_page(page));
+    const auto writers = g.page_writers(page);
+    const auto readers = g.page_readers(page);
+    fp.writers.emplace_back(writers.begin(), writers.end());
+    fp.readers.emplace_back(readers.begin(), readers.end());
   }
-  fp.races = analysis::find_races(g);
+  const GraphView view(g);
+  fp.races = kernels::find_races(view, {}, 0);
 
+  // Taint and invalidation both run the carry-over flow; the pure page
+  // flow is the other propagation mode.
   const PageSet seeds = {0, 3, 7};
-  const auto taint = analysis::propagate_taint(g, seeds);
-  fp.tainted_nodes = taint.tainted_nodes;
-  fp.tainted_pages = taint.tainted_pages;  // PageSet: already sorted
+  const auto taint = kernels::propagate_pages(view, seeds, true);
+  fp.tainted_nodes = taint.nodes;
+  fp.tainted_pages = taint.pages;  // PageSet: already sorted
+  fp.sinks = kernels::tainted_sinks(view, taint.nodes,
+                                    sync::SyncEventKind::kThreadExit);
 
-  const auto inv = analysis::invalidate(g, seeds);
-  fp.dirty_nodes = inv.dirty;
-  fp.dirty_pages = inv.dirty_pages;
+  const auto page_flow = kernels::propagate_pages(view, seeds, false);
+  fp.page_flow_nodes = page_flow.nodes;
+  fp.page_flow_pages = page_flow.pages;
   return fp;
 }
 
@@ -95,8 +103,11 @@ TEST_P(ParallelDeterminism, IdenticalAcrossWorkerCounts) {
         << workers << " workers";
     EXPECT_EQ(fp.tainted_pages, reference.tainted_pages)
         << workers << " workers";
-    EXPECT_EQ(fp.dirty_nodes, reference.dirty_nodes) << workers << " workers";
-    EXPECT_EQ(fp.dirty_pages, reference.dirty_pages) << workers << " workers";
+    EXPECT_EQ(fp.sinks, reference.sinks) << workers << " workers";
+    EXPECT_EQ(fp.page_flow_nodes, reference.page_flow_nodes)
+        << workers << " workers";
+    EXPECT_EQ(fp.page_flow_pages, reference.page_flow_pages)
+        << workers << " workers";
   }
 }
 
@@ -143,13 +154,17 @@ TEST(PropagationRacyFlow, ConcurrentWriterReaderIsCovered) {
     const Graph g = std::move(rec).finalize();
     ASSERT_TRUE(g.concurrent(0, 1)) << "history must actually race";
 
-    const auto taint = analysis::propagate_taint(g, PageSet{100});
-    EXPECT_TRUE(taint.node_tainted(0)) << workers << " workers";
-    EXPECT_TRUE(taint.node_tainted(1))
+    const auto taint =
+        kernels::propagate_pages(GraphView(g), PageSet{100}, true);
+    const auto tainted = [&](NodeId id) {
+      return std::binary_search(taint.nodes.begin(), taint.nodes.end(), id);
+    };
+    EXPECT_TRUE(tainted(0)) << workers << " workers";
+    EXPECT_TRUE(tainted(1))
         << "concurrent reader of a racy write must stay tainted at "
         << workers << " workers";
-    EXPECT_TRUE(inspector::page_set_contains(taint.tainted_pages, 200));
-    EXPECT_TRUE(inspector::page_set_contains(taint.tainted_pages, 300))
+    EXPECT_TRUE(inspector::page_set_contains(taint.pages, 200));
+    EXPECT_TRUE(inspector::page_set_contains(taint.pages, 300))
         << "the racy flow's downstream write must be tainted";
   }
 }

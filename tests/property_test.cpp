@@ -6,7 +6,7 @@
 
 #include <tuple>
 
-#include "analysis/incremental.h"
+#include "analysis/kernels.h"
 #include "core/inspector.h"
 #include "replay/replay.h"
 #include "snapshot/consistent_cut.h"
@@ -15,6 +15,8 @@
 namespace {
 
 using namespace inspector;
+using analysis::GraphView;
+namespace kernels = analysis::kernels;
 
 using Param = std::tuple<std::string, std::uint64_t>;  // workload, seed
 
@@ -124,14 +126,15 @@ TEST_P(PipelineProperty, DataDependenciesRespectHappensBefore) {
   // happens-before ordered and actually share the page.
   for (std::size_t i = 0; i < g.nodes().size(); i += g.nodes().size() / 5 + 1) {
     const auto id = static_cast<cpg::NodeId>(i);
-    for (const auto& e : g.data_dependencies(id)) {
+    const auto deps = kernels::data_dependencies(GraphView(g), id);
+    for (const auto& e : deps) {
       EXPECT_TRUE(g.happens_before(e.from, id));
       EXPECT_TRUE(g.node(e.from).writes_page(e.object));
       EXPECT_TRUE(g.node(id).reads_page(e.object));
     }
-    for (const auto& e : g.latest_writers(id)) {
+    for (const auto& e : kernels::latest_writers(GraphView(g), id)) {
       // A latest writer is a data dependency no other writer supersedes.
-      for (const auto& other : g.data_dependencies(id)) {
+      for (const auto& other : deps) {
         if (other.object == e.object) {
           EXPECT_FALSE(g.happens_before(e.from, other.from))
               << "latest writer superseded by another writer";

@@ -30,10 +30,9 @@ namespace util = inspector::util;
 std::string serialized_session(const cpg::Graph& source) {
   auto snapshot = std::make_shared<const cpg::Graph>(source);
   QueryEngine engine(std::move(snapshot));
-  const auto last =
-      static_cast<cpg::NodeId>(engine.graph().nodes().size() - 1);
+  const auto last = static_cast<cpg::NodeId>(source.nodes().size() - 1);
   const std::uint64_t first_page =
-      engine.graph().page_count() > 0 ? engine.graph().pages()[0] : 0;
+      source.page_count() > 0 ? source.pages()[0] : 0;
 
   const auto paged = [](Query q, std::uint64_t page_size) {
     QueryOptions options;

@@ -9,7 +9,7 @@
 #include <variant>
 #include <vector>
 
-#include "analysis/taint.h"
+#include "analysis/kernels.h"
 #include "cpg/graph.h"
 #include "history_fixtures.h"
 #include "query/engine.h"
@@ -411,12 +411,13 @@ TEST(QueryEngineParity, TaintMatchesDirectAnalysis) {
   ASSERT_TRUE(reply.ok());
   const auto& flow = std::get<FlowResult>(reply->result);
 
-  const auto direct = analysis::propagate_taint(*snapshot, seeds);
-  EXPECT_EQ(flow.nodes, direct.tainted_nodes);
-  EXPECT_EQ(flow.pages, direct.tainted_pages);
+  const analysis::GraphView view(*snapshot);
+  const auto direct = analysis::kernels::propagate_pages(view, seeds, true);
+  EXPECT_EQ(flow.nodes, direct.nodes);
+  EXPECT_EQ(flow.pages, direct.pages);
   EXPECT_EQ(flow.sinks,
-            analysis::tainted_sinks(*snapshot, direct,
-                                    sync::SyncEventKind::kThreadExit));
+            analysis::kernels::tainted_sinks(view, direct.nodes,
+                                             sync::SyncEventKind::kThreadExit));
 }
 
 }  // namespace

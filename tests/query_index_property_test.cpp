@@ -1,9 +1,10 @@
 // Equivalence of the indexed CPG queries against brute force.
 //
-// Graph::data_dependencies / latest_writers / writers_of_page /
-// readers_of_page / the slices, the race scan and the critical path
-// answer from the page inverted index built at construction, through
-// the one kernel set both storage forms share (analysis/kernels.h).
+// The page index (Graph::page_writers / page_readers) and the kernels
+// over a GraphView -- data dependencies, latest writers, the slices,
+// the race scan and the critical path -- answer from the inverted
+// index built at construction, through the one kernel set both storage
+// forms share (analysis/kernels.h).
 // These tests keep all-nodes-scan implementations as the independent
 // reference and assert equality on randomized recorder histories, so
 // any index or kernel bug (bad rank, wrong bucket boundaries,
@@ -13,17 +14,19 @@
 #include <algorithm>
 #include <optional>
 #include <random>
+#include <span>
 #include <vector>
 
-#include "analysis/critical_path.h"
-#include "analysis/races.h"
+#include "analysis/kernels.h"
 #include "cpg/recorder.h"
 
 namespace {
 
 using namespace inspector::cpg;
 namespace sync = inspector::sync;
+namespace kernels = inspector::analysis::kernels;
 using inspector::PageSet;
+using inspector::analysis::GraphView;
 
 // --- brute-force reference implementations (the seed's O(nodes) scans) --
 
@@ -203,7 +206,8 @@ std::vector<Edge> canonical(std::vector<Edge> edges) {
   return edges;
 }
 
-std::vector<NodeId> canonical(std::vector<NodeId> ids) {
+std::vector<NodeId> canonical(std::span<const NodeId> span) {
+  std::vector<NodeId> ids(span.begin(), span.end());
   std::sort(ids.begin(), ids.end());
   return ids;
 }
@@ -266,10 +270,10 @@ TEST_P(QueryIndexProperty, PageIndexMatchesBruteForce) {
   const Graph g = random_history(GetParam());
   // Sweep past the universe edge to cover untouched pages too.
   for (std::uint64_t page = 0; page < kPageUniverse + 2; ++page) {
-    EXPECT_EQ(canonical(g.writers_of_page(page)),
+    EXPECT_EQ(canonical(g.page_writers(page)),
               canonical(brute_writers_of_page(g, page)))
         << "writers of page " << page;
-    EXPECT_EQ(canonical(g.readers_of_page(page)),
+    EXPECT_EQ(canonical(g.page_readers(page)),
               canonical(brute_readers_of_page(g, page)))
         << "readers of page " << page;
   }
@@ -278,7 +282,7 @@ TEST_P(QueryIndexProperty, PageIndexMatchesBruteForce) {
 TEST_P(QueryIndexProperty, DataDependenciesMatchBruteForce) {
   const Graph g = random_history(GetParam());
   for (const auto& n : g.nodes()) {
-    EXPECT_EQ(canonical(g.data_dependencies(n.id)),
+    EXPECT_EQ(canonical(kernels::data_dependencies(GraphView(g), n.id)),
               canonical(brute_data_dependencies(g, n.id)))
         << "data dependencies of node " << n.id;
   }
@@ -287,7 +291,7 @@ TEST_P(QueryIndexProperty, DataDependenciesMatchBruteForce) {
 TEST_P(QueryIndexProperty, LatestWritersMatchBruteForce) {
   const Graph g = random_history(GetParam());
   for (const auto& n : g.nodes()) {
-    EXPECT_EQ(canonical(g.latest_writers(n.id)),
+    EXPECT_EQ(canonical(kernels::latest_writers(GraphView(g), n.id)),
               canonical(brute_latest_writers(g, n.id)))
         << "latest writers of node " << n.id;
   }
@@ -296,18 +300,19 @@ TEST_P(QueryIndexProperty, LatestWritersMatchBruteForce) {
 TEST_P(QueryIndexProperty, SlicesMatchBruteForceReachability) {
   const Graph g = random_history(GetParam());
   for (const auto& n : g.nodes()) {
-    EXPECT_EQ(g.backward_slice(n.id), brute_backward_slice(g, n.id))
+    EXPECT_EQ(kernels::backward_slice(GraphView(g), n.id),
+              brute_backward_slice(g, n.id))
         << "backward slice of node " << n.id;
-    EXPECT_EQ(g.forward_slice(n.id), brute_forward_slice(g, n.id))
+    EXPECT_EQ(kernels::forward_slice(GraphView(g), n.id),
+              brute_forward_slice(g, n.id))
         << "forward slice of node " << n.id;
   }
 }
 
 TEST_P(QueryIndexProperty, CriticalPathIsALongestRecordedChain) {
   const Graph g = random_history(GetParam());
-  const auto cp = inspector::analysis::critical_path(g);
+  const auto cp = kernels::critical_path(GraphView(g));
   EXPECT_EQ(cp.total_nodes, g.nodes().size());
-  EXPECT_EQ(cp.length, cp.nodes.size());
   EXPECT_EQ(cp.nodes.size(), brute_longest_chain(g));
   for (std::size_t i = 1; i < cp.nodes.size(); ++i) {
     const bool recorded = std::any_of(
@@ -332,9 +337,8 @@ TEST_P(QueryIndexProperty, RankEmbedsHappensBefore) {
 }
 
 TEST_P(QueryIndexProperty, RaceScanMatchesBruteForce) {
-  namespace analysis = inspector::analysis;
   const Graph g = random_history(GetParam());
-  const auto indexed = analysis::find_races(g);
+  const auto indexed = kernels::find_races(GraphView(g), {}, 0);
   const auto brute = brute_find_races(g);
   ASSERT_EQ(indexed.size(), brute.size());
   for (std::size_t i = 0; i < indexed.size(); ++i) {
@@ -343,9 +347,7 @@ TEST_P(QueryIndexProperty, RaceScanMatchesBruteForce) {
   // A limited scan must return a prefix-sized subset with the same
   // per-pair classification as the full scan.
   if (!brute.empty()) {
-    analysis::RaceOptions limit_one;
-    limit_one.limit = 1;
-    const auto limited = analysis::find_races(g, limit_one);
+    const auto limited = kernels::find_races(GraphView(g), {}, 1);
     ASSERT_EQ(limited.size(), 1u);
     EXPECT_TRUE(std::find(brute.begin(), brute.end(), limited.front()) !=
                 brute.end())

@@ -127,6 +127,55 @@ TEST(Serialize, TruncationIsATypedStatus) {
   }
 }
 
+TEST(Serialize, UnknownKindBytesAreTypedErrors) {
+  // The writer emits whatever kind a graph holds, so a kind byte that
+  // names no enumerator -- a crafted or corrupt file -- must die in the
+  // decoder, not reach code that switches over the kind.
+  const Graph good = sample_graph();
+  const auto decode = [](const Graph& g) {
+    return deserialize_checked(serialize(g));
+  };
+  const auto expect_rejected = [&](const Graph& g, const std::string& what) {
+    const auto result = decode(g);
+    ASSERT_FALSE(result.ok()) << what;
+    EXPECT_EQ(result.status().code(), inspector::StatusCode::kInvalidArgument);
+    EXPECT_NE(result.status().message().find("unknown " + what),
+              std::string::npos)
+        << result.status().message();
+  };
+
+  auto nodes = good.nodes();
+  nodes[0].end.kind = static_cast<sync::SyncEventKind>(40);
+  expect_rejected(Graph(nodes, good.edges(), good.schedule()),
+                  "end-reason kind");
+
+  auto edges = good.edges();
+  bool saw_sync = false;
+  for (Edge& e : edges) {
+    if (e.kind != EdgeKind::kSync) continue;
+    e.kind = static_cast<EdgeKind>(7);
+    saw_sync = true;
+  }
+  ASSERT_TRUE(saw_sync);
+  expect_rejected(Graph(good.nodes(), edges, good.schedule()), "edge kind");
+
+  auto schedule = good.schedule();
+  ASSERT_FALSE(schedule.empty());
+  schedule[0].kind = static_cast<sync::SyncEventKind>(41);
+  expect_rejected(Graph(good.nodes(), good.edges(), schedule),
+                  "schedule event kind");
+
+  // The last enumerator of each kind is still in range.
+  nodes = good.nodes();
+  nodes[0].end.kind = sync::SyncEventKind::kThreadJoin;
+  edges = good.edges();
+  edges[0].kind = EdgeKind::kData;
+  schedule = good.schedule();
+  schedule[0].kind = sync::SyncEventKind::kThreadJoin;
+  const auto last_kinds = decode(Graph(nodes, edges, schedule));
+  EXPECT_TRUE(last_kinds.ok()) << last_kinds.status().message();
+}
+
 TEST(Serialize, TextExportMentionsNodesAndEdges) {
   const Graph g = sample_graph();
   const std::string text = to_text(g);

@@ -361,8 +361,7 @@ std::shared_ptr<query::QueryEngine> make_engine(const ToolArgs& args) {
       return nullptr;
     }
     return std::make_shared<shard::ShardedQueryEngine>(
-        std::move(store).value(), query::EngineOptions{},
-        args.allow_degraded);
+        std::move(store).value(), args.allow_degraded);
   }
   auto snapshot = cpg::deserialize_checked(read_file(args.cpg_path));
   if (!snapshot.ok()) {
