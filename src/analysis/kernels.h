@@ -536,9 +536,9 @@ template <typename View>
   page_set_normalize(result.pages);
 
   // Dense mark bits over the page universe. A page outside it -- a
-  // seed no node touched, or a page of a stale shard file mixed into a
-  // store directory, which the load-time checks do not bound -- has
-  // no slot: it cannot propagate and is never written through.
+  // seed no node touched -- has no slot: it cannot propagate and is
+  // never written through. (A store's pages cannot leave it: the
+  // load-time check holds every shard's page set to the manifest's.)
   const auto pages = view.pages();
   std::vector<char> page_marked(pages.size(), 0);
   for (const std::uint64_t page : result.pages) {

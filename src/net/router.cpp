@@ -245,6 +245,7 @@ RouterService::RouterService(shard::Manifest manifest,
                              std::vector<WorkerEndpoint> workers,
                              RouterOptions options)
     : manifest_(std::move(manifest)),
+      page_table_(manifest_),
       workers_(std::move(workers)),
       options_(options),
       dead_(new std::atomic<bool>[workers_.size()]) {
@@ -331,7 +332,7 @@ std::size_t RouterService::next_live(std::size_t from) const {
 }
 
 std::size_t RouterService::route(const query::Query& q) const {
-  // Out-of-range nodes and fence-less pages fall back to the hash
+  // Out-of-range nodes and pages no shard holds fall back to the hash
   // route; the chosen worker answers them with the usual typed error.
   const auto by_hash = [&]() -> std::size_t {
     return static_cast<std::size_t>(fnv1a64(query::wire::serialize_query(q)) %
@@ -345,12 +346,11 @@ std::size_t RouterService::route(const query::Query& q) const {
     return by_hash();
   };
   const auto by_page = [&](std::uint64_t page) -> std::size_t {
-    for (std::size_t s = 0;
-         s < manifest_.shards.size() && s < shard_to_worker_.size(); ++s) {
-      const shard::ShardInfo& info = manifest_.shards[s];
-      if (info.min_page != shard::kNoPage && page >= info.min_page &&
-          page <= info.max_page) {
-        return shard_to_worker_[s];
+    if (const auto idx = page_index(manifest_.pages, page)) {
+      const auto holders = page_table_.holders(*idx);
+      if (!holders.empty() &&
+          holders.front().shard < shard_to_worker_.size()) {
+        return shard_to_worker_[holders.front().shard];
       }
     }
     return by_hash();

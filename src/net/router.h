@@ -3,9 +3,9 @@
 // streams back in request order.
 //
 // Routing reads only the store manifest: node-anchored queries go to
-// the worker owning the node's shard, page queries to the worker whose
-// shard page-fences cover the page, global queries to a hash-picked
-// worker. Every worker opens the full store (each under its own
+// the worker owning the node's shard, page queries to the worker owning
+// the first shard that holds the page (the manifest's page table),
+// global queries to a hash-picked worker. Every worker opens the full store (each under its own
 // budget); the shard range is cache affinity, not a hard partition, so
 // any worker can answer any query -- which is what makes failover
 // possible.
@@ -90,6 +90,7 @@ class RouterService final : public rpc::Service {
   [[nodiscard]] std::size_t next_live(std::size_t from) const;
 
   shard::Manifest manifest_;
+  shard::PageTable page_table_;
   std::vector<WorkerEndpoint> workers_;
   RouterOptions options_;
   std::vector<std::uint32_t> shard_to_worker_;

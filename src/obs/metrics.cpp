@@ -138,34 +138,42 @@ MetricsSnapshot Registry::snapshot() const {
 }
 
 std::string to_prometheus(const MetricsSnapshot& snapshot) {
+  // Every piece is appended to `out` on its own: a literal prefixed to
+  // a std::to_string temporary trips gcc 12's -Wrestrict in optimized
+  // builds.
   std::string out;
+  const auto value_line = [&out](auto value) {
+    out += ' ';
+    out += std::to_string(value);
+    out += '\n';
+  };
   for (const SeriesSnapshot& s : snapshot.series) {
     switch (s.kind) {
       case SeriesSnapshot::Kind::kCounter:
         append_series_name(out, s.name, "", "");
-        out += " " + std::to_string(s.counter_value) + "\n";
+        value_line(s.counter_value);
         break;
       case SeriesSnapshot::Kind::kGauge:
         append_series_name(out, s.name, "", "");
-        out += " " + std::to_string(s.gauge_value) + "\n";
+        value_line(s.gauge_value);
         break;
       case SeriesSnapshot::Kind::kHistogram: {
         std::uint64_t cumulative = 0;
+        std::string le;
         for (std::size_t b = 0; b < Histogram::kBuckets; ++b) {
           cumulative += s.histogram.counts[b];
-          const std::string le =
-              b + 1 == Histogram::kBuckets
-                  ? std::string("le=\"+Inf\"")
-                  : "le=\"" +
-                        std::to_string(Histogram::Snapshot::bucket_bound(b)) +
-                        "\"";
+          le = "le=\"";
+          le += b + 1 == Histogram::kBuckets
+                    ? std::string("+Inf")
+                    : std::to_string(Histogram::Snapshot::bucket_bound(b));
+          le += '"';
           append_series_name(out, s.name, "_bucket", le);
-          out += " " + std::to_string(cumulative) + "\n";
+          value_line(cumulative);
         }
         append_series_name(out, s.name, "_sum", "");
-        out += " " + std::to_string(s.histogram.sum) + "\n";
+        value_line(s.histogram.sum);
         append_series_name(out, s.name, "_count", "");
-        out += " " + std::to_string(s.histogram.count) + "\n";
+        value_line(s.histogram.count);
         break;
       }
     }
@@ -175,32 +183,42 @@ std::string to_prometheus(const MetricsSnapshot& snapshot) {
 
 std::string to_json(const MetricsSnapshot& snapshot) {
   std::string counters, gauges, histograms;
+  const auto field = [](std::string& out, const char* key, auto value) {
+    out += key;
+    out += std::to_string(value);
+  };
   for (const SeriesSnapshot& s : snapshot.series) {
     switch (s.kind) {
       case SeriesSnapshot::Kind::kCounter:
         if (!counters.empty()) counters.push_back(',');
         append_json_key(counters, s.name);
-        counters += ":" + std::to_string(s.counter_value);
+        field(counters, ":", s.counter_value);
         break;
       case SeriesSnapshot::Kind::kGauge:
         if (!gauges.empty()) gauges.push_back(',');
         append_json_key(gauges, s.name);
-        gauges += ":" + std::to_string(s.gauge_value);
+        field(gauges, ":", s.gauge_value);
         break;
       case SeriesSnapshot::Kind::kHistogram:
         if (!histograms.empty()) histograms.push_back(',');
         append_json_key(histograms, s.name);
-        histograms += ":{\"count\":" + std::to_string(s.histogram.count) +
-                      ",\"sum\":" + std::to_string(s.histogram.sum) +
-                      ",\"p50\":" + std::to_string(s.histogram.percentile(0.5)) +
-                      ",\"p90\":" + std::to_string(s.histogram.percentile(0.9)) +
-                      ",\"p99\":" + std::to_string(s.histogram.percentile(0.99)) +
-                      "}";
+        field(histograms, ":{\"count\":", s.histogram.count);
+        field(histograms, ",\"sum\":", s.histogram.sum);
+        field(histograms, ",\"p50\":", s.histogram.percentile(0.5));
+        field(histograms, ",\"p90\":", s.histogram.percentile(0.9));
+        field(histograms, ",\"p99\":", s.histogram.percentile(0.99));
+        histograms.push_back('}');
         break;
     }
   }
-  return "{\"counters\":{" + counters + "},\"gauges\":{" + gauges +
-         "},\"histograms\":{" + histograms + "}}";
+  std::string out = "{\"counters\":{";
+  out += counters;
+  out += "},\"gauges\":{";
+  out += gauges;
+  out += "},\"histograms\":{";
+  out += histograms;
+  out += "}}";
+  return out;
 }
 
 }  // namespace inspector::obs

@@ -1,6 +1,9 @@
 #include "shard/engine.h"
 
+#include <array>
 #include <atomic>
+#include <memory>
+#include <mutex>
 #include <optional>
 #include <span>
 #include <string>
@@ -24,25 +27,79 @@ struct StoreNode : NodeRef {
   std::uint32_t local = 0;
 };
 
-StoreNode entry(const LoadedShard& ls, std::uint32_t local) {
+NodeRef ref(const LoadedShard& ls, std::uint32_t local) {
   const ShardData& d = ls.data;
-  return {{d.global_ids[local], d.global_ranks[local], &d.graph.nodes()[local]},
-          &ls,
-          local};
+  return {d.global_ids[local], d.global_ranks[local], &d.graph.nodes()[local]};
 }
 
-/// A sharded store as a provenance view (analysis/kernels.h).
+StoreNode entry(const LoadedShard& ls, std::uint32_t local) {
+  return {ref(ls, local), &ls, local};
+}
+
+/// One page's writers or readers: the holding shards' own rank-ordered
+/// buckets, chained in shard order. Shards are ascending rank ranges,
+/// so the chain is in global rank order -- exactly the bucket of the
+/// unsharded index -- and it is read in place, never copied.
+class Bucket {
+ public:
+  void append(const LoadedShard& ls, std::span<const cpg::NodeId> locals) {
+    if (locals.empty()) return;
+    size_ += locals.size();
+    const Part part{&ls, locals, size_};
+    if (parts_ < kInline) {
+      inline_[parts_] = part;
+    } else {
+      spill_.push_back(part);
+    }
+    ++parts_;
+  }
+
+  [[nodiscard]] std::size_t size() const noexcept { return size_; }
+  [[nodiscard]] NodeRef operator[](std::size_t i) const {
+    std::size_t k = 0;
+    while (part(k).end <= i) ++k;  // the part whose running size passes i
+    const Part& p = part(k);
+    return ref(*p.shard, p.locals[i + p.locals.size() - p.end]);
+  }
+
+ private:
+  struct Part {
+    const LoadedShard* shard = nullptr;
+    std::span<const cpg::NodeId> locals;
+    std::size_t end = 0;  ///< running size through this part
+  };
+  /// A page is rarely held by more shards than this.
+  static constexpr std::size_t kInline = 8;
+
+  [[nodiscard]] const Part& part(std::size_t k) const {
+    return k < kInline ? inline_[k] : spill_[k - kInline];
+  }
+
+  std::array<Part, kInline> inline_{};
+  std::vector<Part> spill_;
+  std::size_t parts_ = 0;
+  std::size_t size_ = 0;
+};
+
+/// A sharded store as a provenance view (analysis/kernels.h), for one
+/// query.
 ///
 /// A scope is a pin set: shards load on first touch and stay alive (and
 /// pointer-stable) until the scope dies, whatever the store's LRU does
 /// underneath. The kernels scope their work per query, frontier node,
-/// page, level or (in the walks below) shard, so residency is bounded
-/// by one unit of work plus the store's budgeted cache; the store
-/// counts evicted-but-pinned shards in Stats::peak_resident_bytes, so a
-/// pass that outgrows its scope shows up in the numbers instead of
-/// hiding. Load failures (including a corrupt compressed payload,
-/// surfaced by the store as a typed Status) throw StatusError;
-/// ShardBackend::execute converts the escape back into its typed Status.
+/// page, level or (in the walks below) shard, so under a budget
+/// residency is bounded by one unit of work plus the store's cache; the
+/// store counts evicted-but-pinned shards in Stats::peak_resident_bytes,
+/// so a pass that outgrows its scope shows up in the numbers instead of
+/// hiding. A store that never evicts needs no such bound: its view pins
+/// each shard once, in a per-query pin table every scope shares, and a
+/// repeated touch is one acquire load -- no store lock, no copy. Load
+/// failures (including a corrupt compressed payload, surfaced by the
+/// store as a typed Status) throw StatusError; ShardBackend::execute
+/// converts the escape back into its typed Status.
+///
+/// A page's bucket reaches only the shards the manifest's page table
+/// names as holders, each at the page's local index.
 ///
 /// Degraded mode: when the serving process opted in, the lenient
 /// lookups -- try_node(), page buckets, the level and whole-store
@@ -54,16 +111,17 @@ class StoreView {
   StoreView(ShardStore& store, bool allow_degraded)
       : store_(store),
         m_(store.manifest()),
-        allow_degraded_(allow_degraded) {}
-
-  /// One page's accessors merged across the shards holding them, in
-  /// global rank order -- exactly the bucket of the unsharded index.
-  using Bucket = std::vector<NodeRef>;
+        table_(store.page_table()),
+        allow_degraded_(allow_degraded),
+        pins_(store.never_evicts()
+                  ? std::make_unique<Pin[]>(m_.shard_count)
+                  : nullptr) {}
 
   class Scope {
    public:
-    explicit Scope(const StoreView& view)
-        : view_(view), held_(view.m_.shard_count) {}
+    explicit Scope(const StoreView& view) : view_(view) {
+      if (!view.pins_) held_.resize(view.m_.shard_count);
+    }
 
     StoreNode node(cpg::NodeId global) {
       const std::uint32_t s = view_.store_.shard_of(global);
@@ -114,19 +172,8 @@ class StoreView {
 
    private:
     const LoadedShard* load(std::uint32_t s, bool lenient) {
-      if (!held_[s]) {
-        auto loaded = view_.store_.load(s);
-        if (!loaded.ok()) {
-          if (lenient && view_.allow_degraded_ &&
-              loaded.status().code() == StatusCode::kUnavailable) {
-            view_.degraded_.store(true, std::memory_order_relaxed);
-            return nullptr;
-          }
-          // lint: allow(no-throw-across-boundary) internal StatusError; the backend boundary catches it and returns the typed Status
-          throw StatusError(loaded.status());
-        }
-        held_[s] = std::move(loaded).value();
-      }
+      if (view_.pins_) return view_.pinned(s, lenient);
+      if (!held_[s]) held_[s] = view_.fetch(s, lenient);
       return held_[s].get();
     }
 
@@ -147,23 +194,14 @@ class StoreView {
     }
 
     Bucket bucket(std::size_t page_index, bool writers) {
-      const std::uint64_t page = view_.m_.pages[page_index];
       Bucket out;
-      for (std::uint32_t s = 0; s < view_.m_.shard_count; ++s) {
-        const ShardInfo& info = view_.m_.shards[s];
-        if (info.min_page == kNoPage || page < info.min_page ||
-            page > info.max_page) {
-          continue;  // fence-pruned without touching the file
-        }
-        const LoadedShard* ls = shard_or_null(s);
+      for (const PageTable::Holder& h : view_.table_.holders(page_index)) {
+        const LoadedShard* ls = shard_or_null(h.shard);
         if (ls == nullptr) continue;
         const cpg::Graph& g = ls->data.graph;
-        for (const cpg::NodeId local :
-             writers ? g.page_writers(page) : g.page_readers(page)) {
-          out.push_back(entry(*ls, local));
-        }
+        out.append(*ls, writers ? g.writers_at(h.local)
+                                : g.readers_at(h.local));
       }
-      // Shards are ascending rank ranges, so the buckets concatenate in order.
       return out;
     }
 
@@ -196,6 +234,7 @@ class StoreView {
     }
 
     const StoreView& view_;
+    /// This scope's pins; unused (empty) when the view has a pin table.
     std::vector<std::shared_ptr<const LoadedShard>> held_;
   };
 
@@ -254,11 +293,55 @@ class StoreView {
   [[nodiscard]] cpg::GraphStats stats() const { return m_.stats; }
 
  private:
+  /// One slot of the per-query pin table.
+  struct Pin {
+    std::atomic<const LoadedShard*> shard{nullptr};
+    std::mutex fill;  ///< serializes the slot's first load; guards `held`
+    std::shared_ptr<const LoadedShard> held;
+  };
+
+  /// One trip to the store: the shard, or nullptr when a lenient lookup
+  /// may skip it (degraded serving over a quarantined shard). Any other
+  /// failure throws StatusError. The one failure path of both pin forms.
+  std::shared_ptr<const LoadedShard> fetch(std::uint32_t s,
+                                           bool lenient) const {
+    auto loaded = store_.load(s);
+    if (loaded.ok()) return std::move(loaded).value();
+    if (lenient && allow_degraded_ &&
+        loaded.status().code() == StatusCode::kUnavailable) {
+      degraded_.store(true, std::memory_order_relaxed);
+      return nullptr;
+    }
+    // lint: allow(no-throw-across-boundary) internal StatusError; the backend boundary catches it and returns the typed Status
+    throw StatusError(loaded.status());
+  }
+
+  /// Shard `s` through the pin table. The slot is re-checked under its
+  /// fill lock, so concurrent first touches (the race scan's pool
+  /// workers) load it once; a skipped shard leaves the slot empty.
+  const LoadedShard* pinned(std::uint32_t s, bool lenient) const {
+    Pin& pin = pins_[s];
+    if (const LoadedShard* ls = pin.shard.load(std::memory_order_acquire)) {
+      return ls;
+    }
+    std::lock_guard lock(pin.fill);
+    if (const LoadedShard* ls = pin.shard.load(std::memory_order_relaxed)) {
+      return ls;
+    }
+    pin.held = fetch(s, lenient);
+    pin.shard.store(pin.held.get(), std::memory_order_release);
+    return pin.held.get();
+  }
+
   ShardStore& store_;
   const Manifest& m_;
+  const PageTable& table_;
   bool allow_degraded_ = false;
   /// Set once a lenient lookup skipped a quarantined shard.
   mutable std::atomic<bool> degraded_{false};
+  /// The per-query pin table of a store that never evicts; null under a
+  /// budget, where each scope pins for itself.
+  std::unique_ptr<Pin[]> pins_;
 };
 
 class ShardBackend final : public query::QueryBackend {

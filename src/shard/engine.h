@@ -9,10 +9,11 @@
 // stream (cursor page boundaries included) is bit-identical to the
 // unsharded engine on the same history at every shard count and every
 // worker count. The view resolves nodes through the manifest's node ->
-// shard map, answers a page's writers and readers by merging the
-// buckets of the shards its page fences admit, crosses shards through
-// the stored edge frontier, and walks levels and whole-store passes
-// shard by shard. Stats answer straight from the manifest.
+// shard map, answers a page's writers and readers by chaining the
+// buckets of the shards the manifest's page table names as holders,
+// crosses shards through the stored edge frontier, and walks levels
+// and whole-store passes shard by shard. Stats answer straight from
+// the manifest.
 #pragma once
 
 #include <memory>

@@ -124,7 +124,81 @@ void narrow_into(const std::vector<std::uint64_t>& v, Vec& out,
   }
 }
 
+/// The shards' page sets as one ascending k-way merge: the distinct
+/// pages, and for each (through `offsets`) the shards holding it, in
+/// shard order, with the page's local index. The step over the k heads
+/// is branch-free -- page sets interleave finely, so a compare branch
+/// would mispredict on most pages -- and each shard's cursor is its own
+/// dependency chain, so the heads advance in parallel.
+void merge_page_sets(const std::vector<ShardInfo>& shards, PageSet& pages,
+                     std::vector<std::uint32_t>& offsets,
+                     std::vector<PageTable::Holder>& holders) {
+  constexpr std::uint64_t kDone = ~std::uint64_t{0};
+  const std::size_t k = shards.size();
+  std::size_t total = 0;
+  for (const ShardInfo& s : shards) total += s.pages.size();
+  // Every entry lands once; the slot past them absorbs the writes of
+  // the heads that miss after the last hit.
+  holders.resize(total + 1);
+  offsets.assign(1, 0);
+  pages.clear();
+  struct Head {
+    std::uint64_t page = kDone;
+    std::uint32_t cursor = 0;
+    std::uint32_t size = 0;
+    const std::uint64_t* set = nullptr;
+  };
+  std::vector<Head> heads(k);
+  for (std::size_t s = 0; s < k; ++s) {
+    const PageSet& set = shards[s].pages;
+    heads[s].size = static_cast<std::uint32_t>(set.size());
+    heads[s].set = set.data();
+    if (!set.empty()) heads[s].page = set.front();
+  }
+  std::size_t n = 0;
+  while (n < total) {
+    std::uint64_t low = kDone;
+    for (const Head& h : heads) low = std::min(low, h.page);
+    for (std::uint32_t s = 0; s < k; ++s) {
+      Head& h = heads[s];
+      // An exhausted head reads kDone too; its cursor tells it apart
+      // from a real page of that id.
+      const std::uint32_t hit = static_cast<std::uint32_t>(h.cursor < h.size) &
+                                static_cast<std::uint32_t>(h.page == low);
+      holders[n] = {s, h.cursor};
+      n += hit;
+      h.cursor += hit;
+      h.page = h.cursor < h.size ? h.set[h.cursor] : kDone;
+    }
+    pages.push_back(low);
+    offsets.push_back(static_cast<std::uint32_t>(n));
+  }
+  holders.resize(total);
+}
+
+/// The sorted union of the shards' page sets: what Manifest::pages
+/// holds.
+PageSet page_universe(const std::vector<ShardInfo>& shards) {
+  PageSet universe;
+  std::vector<std::uint32_t> offsets;
+  std::vector<PageTable::Holder> holders;
+  merge_page_sets(shards, universe, offsets, holders);
+  return universe;
+}
+
 }  // namespace
+
+PageTable::PageTable(const Manifest& m) {
+  PageSet universe;
+  merge_page_sets(m.shards, universe, offsets_, holders_);
+  // Indexed by Manifest::pages, which every manifest the library
+  // returns holds as exactly this union. A hand-built manifest that
+  // disagrees routes no page.
+  if (universe != m.pages) {
+    offsets_.assign(m.pages.size() + 1, 0);
+    holders_.clear();
+  }
+}
 
 std::vector<std::uint8_t> serialize_manifest(const Manifest& m) {
   std::vector<std::uint8_t> out;
@@ -137,7 +211,6 @@ std::vector<std::uint8_t> serialize_manifest(const Manifest& m) {
   w.u64(m.thread_count);
   w.u64(m.level_count);
   write_stats(w, m.stats);
-  w.u64_vec(m.pages);
   w.u8_vec(m.node_shard);
   w.u64(m.shards.size());
   for (const ShardInfo& s : m.shards) {
@@ -147,14 +220,13 @@ std::vector<std::uint8_t> serialize_manifest(const Manifest& m) {
     w.u64(s.node_count);
     w.u64(s.edge_count);
     w.u64(s.frontier_count);
-    w.u64(s.min_page);
-    w.u64(s.max_page);
     w.u32(s.min_level);
     w.u32(s.max_level);
     w.u64(s.byte_size);
     w.u64(s.decoded_bytes);
     w.u8(static_cast<std::uint8_t>(s.codec));
     w.u64(s.file_checksum);
+    w.monotone_u64(s.pages);
   }
   // Trailing self-checksum over everything above: any flipped bit in
   // the routing tables surfaces as kDataLoss at open, not as a
@@ -205,10 +277,9 @@ Result<Manifest> deserialize_manifest(const std::vector<std::uint8_t>& bytes) {
     m.thread_count = r.u64();
     m.level_count = r.u64();
     m.stats = read_stats(r);
-    m.pages = r.u64_vec();
     m.node_shard = r.u8_vec();
-    // 81 = minimum encoded ShardInfo (empty file name).
-    const std::uint64_t shard_count = r.counted(81, "shard info");
+    // 74 = minimum encoded ShardInfo (empty file name and page set).
+    const std::uint64_t shard_count = r.counted(74, "shard info");
     m.shards.reserve(shard_count);
     for (std::uint64_t i = 0; i < shard_count; ++i) {
       ShardInfo s;
@@ -218,8 +289,6 @@ Result<Manifest> deserialize_manifest(const std::vector<std::uint8_t>& bytes) {
       s.node_count = r.u64();
       s.edge_count = r.u64();
       s.frontier_count = r.u64();
-      s.min_page = r.u64();
-      s.max_page = r.u64();
       s.min_level = r.u32();
       s.max_level = r.u32();
       s.byte_size = r.u64();
@@ -232,6 +301,9 @@ Result<Manifest> deserialize_manifest(const std::vector<std::uint8_t>& bytes) {
       }
       s.codec = static_cast<ShardCodec>(codec);
       s.file_checksum = r.u64();
+      // Strictly ascending by construction of the monotone codec; a
+      // count past the file or a run past u64 is a typed error.
+      s.pages = r.monotone_u64();
       m.shards.push_back(std::move(s));
     }
     if (m.shards.size() != m.shard_count) {
@@ -254,6 +326,7 @@ Result<Manifest> deserialize_manifest(const std::vector<std::uint8_t>& bytes) {
                           std::to_string(m.shard_count));
       }
     }
+    m.pages = page_universe(m.shards);
     return m;
   } catch (const std::exception& e) {
     return Status(StatusCode::kInvalidArgument,
@@ -468,6 +541,14 @@ Status check_shard(const Manifest& m, std::uint32_t index,
     return differs("frontier count",
                    data.frontier_in.size() + data.frontier_out.size(),
                    info.frontier_count);
+  }
+  // The page table addresses this shard's buckets by the page's
+  // position in the manifest's set, so the sets must be identical.
+  const auto pages = data.graph.pages();
+  if (!std::equal(pages.begin(), pages.end(), info.pages.begin(),
+                  info.pages.end())) {
+    return Status(StatusCode::kInvalidArgument,
+                  "page set differs from the manifest's");
   }
   for (const cpg::NodeId global : data.global_ids) {
     if (global >= m.total_nodes) return out_of_bounds("a global node id");

@@ -24,11 +24,12 @@
 // logs the same way and reports 6-37x (§VII-D, Fig. 9). Readers
 // decompress transparently; a corrupt payload is a typed error.
 //
-// The manifest carries the routing fences -- per-shard rank ranges,
-// page ranges, and topological-level ranges -- plus the global page
-// universe, a node -> shard map, per-shard encoded/decoded sizes and
-// codec tags, and precomputed whole-graph statistics, so page-local
-// queries touch only owning shards and a stats query touches none.
+// The manifest carries the routing tables -- per-shard rank and
+// topological-level fences and each shard's exact page set (the page
+// universe is their union) -- plus a node -> shard map, per-shard
+// encoded/decoded sizes and codec tags, and precomputed whole-graph
+// statistics, so page-local queries touch only the shards holding the
+// page and a stats query touches none.
 // Both file kinds open with the shared magic+version header
 // (cpg/binary_io.h), and a build reads exactly its own generation of
 // each: a stale, foreign or future file fails with a typed
@@ -38,6 +39,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -50,11 +52,13 @@ namespace inspector::shard {
 
 /// "CPGM" -- the manifest file. Version 1 was the uncompressed PR-4
 /// layout; version 2 added the per-shard codec tag and decoded size;
-/// version 3 adds a whole-file FNV-1a checksum per shard entry (so
+/// version 3 added a whole-file FNV-1a checksum per shard entry (so
 /// raw-codec bodies are integrity-checked, not just LZ ones) and a
-/// trailing checksum over the manifest bytes themselves.
+/// trailing checksum over the manifest bytes themselves; version 4
+/// replaces the stored page universe and the per-shard page fences
+/// with each shard's exact page set.
 inline constexpr std::uint32_t kManifestMagic = 0x4D475043;
-inline constexpr std::uint32_t kManifestFormatVersion = 3;
+inline constexpr std::uint32_t kManifestFormatVersion = 4;
 /// "CPGS" -- one shard file. Version 1 stored the body raw; version 2
 /// frames the body behind a codec tag + decoded size; version 3 packs
 /// the sidecars and frontier as delta+varint sequences
@@ -74,9 +78,6 @@ enum class ShardCodec : std::uint8_t {
   kRaw = 0,  ///< body stored verbatim
   kLz = 1,   ///< body behind snapshot::compress (checksummed LZ block)
 };
-
-/// Sentinel for the page fences of a shard that touched no pages.
-inline constexpr std::uint64_t kNoPage = ~std::uint64_t{0};
 
 /// One recorded edge whose endpoints live in different shards.
 struct FrontierEdge {
@@ -98,8 +99,6 @@ struct ShardInfo {
   std::uint64_t node_count = 0;
   std::uint64_t edge_count = 0;      ///< intra-shard edges
   std::uint64_t frontier_count = 0;  ///< in + out frontier edges
-  std::uint64_t min_page = kNoPage;  ///< page fences (kNoPage when none)
-  std::uint64_t max_page = 0;
   std::uint32_t min_level = 0;  ///< global topological-level fence
   std::uint32_t max_level = 0;
   std::uint64_t byte_size = 0;     ///< encoded file size on disk
@@ -109,6 +108,9 @@ struct ShardInfo {
   /// FNV-1a over the whole encoded file; readers verify it before
   /// decoding.
   std::uint64_t file_checksum = 0;
+  /// Every page the shard's nodes touch, sorted: exactly its graph's
+  /// pages(), so a page's position here is its local page index.
+  PageSet pages;
 
   bool operator==(const ShardInfo&) const = default;
 };
@@ -125,11 +127,38 @@ struct Manifest {
   std::uint64_t thread_count = 0;
   std::uint64_t level_count = 0;  ///< global topological levels
   cpg::GraphStats stats;          ///< whole-graph stats, precomputed
-  PageSet pages;                  ///< global page universe, sorted
+  /// The global page universe, sorted: the union of the shards' page
+  /// sets. Not stored -- derived when the manifest is decoded or built.
+  PageSet pages;
   std::vector<std::uint8_t> node_shard;  ///< global node id -> shard
   std::vector<ShardInfo> shards;
 
   bool operator==(const Manifest&) const = default;
+};
+
+/// Which shards hold each page, from the manifest alone: for a global
+/// page index (a position in Manifest::pages), the holders in shard
+/// order, each with the page's local index in that shard's page set --
+/// the dense index of its graph's page buckets. A page query reaches
+/// exactly these shards, with no fence test and no search.
+class PageTable {
+ public:
+  struct Holder {
+    std::uint32_t shard = 0;
+    std::uint32_t local = 0;  ///< index in the shard's page set
+  };
+
+  explicit PageTable(const Manifest& m);
+
+  [[nodiscard]] std::span<const Holder> holders(
+      std::size_t page_index) const noexcept {
+    return {holders_.data() + offsets_[page_index],
+            holders_.data() + offsets_[page_index + 1]};
+  }
+
+ private:
+  std::vector<std::uint32_t> offsets_;  ///< page index -> first holder
+  std::vector<Holder> holders_;
 };
 
 /// Payload of one shard file, decoded.
@@ -190,11 +219,13 @@ struct ShardData {
 /// references it: the one check both the store's load path and fsck
 /// run. The file must be the one this manifest wrote (codec frame,
 /// shard index, rank fence, node/edge/frontier counts and node routing
-/// agree), every global id, frontier endpoint, topological level and
-/// thread it carries must lie inside the manifest's universe, since
-/// the query layer indexes dense arrays with them, and its global ranks
-/// must lie inside its rank fence in the order of the shard graph's own
-/// ranks, since the store view merges buckets by that. kInvalidArgument
+/// agree), its graph's page set must be exactly the manifest's, since
+/// the page table addresses its buckets by local page index, every
+/// global id, frontier endpoint, topological level and thread it
+/// carries must lie inside the manifest's universe, since the query
+/// layer indexes dense arrays with them, and its global ranks must lie
+/// inside its rank fence in the order of the shard graph's own ranks,
+/// since the store view chains buckets by that. kInvalidArgument
 /// naming the first disagreement; Ok when the shard belongs.
 [[nodiscard]] Status check_shard(const Manifest& m, std::uint32_t index,
                                  const ShardData& data);

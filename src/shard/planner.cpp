@@ -226,13 +226,8 @@ Status materialize_shards(const cpg::Graph& graph, const ShardPlan& plan,
           info.edge_count = data.edge_globals.size();
           info.frontier_count =
               data.frontier_in.size() + data.frontier_out.size();
-          info.min_page = kNoPage;
-          info.max_page = 0;
           const auto local_pages = data.graph.pages();
-          if (!local_pages.empty()) {
-            info.min_page = local_pages.front();
-            info.max_page = local_pages.back();
-          }
+          info.pages.assign(local_pages.begin(), local_pages.end());
           info.min_level = 0;
           info.max_level = 0;
           if (m > 0) {
@@ -257,7 +252,9 @@ Status materialize_shards(const cpg::Graph& graph, const ShardPlan& plan,
 }
 
 /// Manifest fields derived from the whole graph (shared by write and
-/// append; the shard table is filled separately).
+/// append; the shard table is filled separately). The graph's page
+/// universe is the union of its shards' page sets, which is what a
+/// reader derives.
 Manifest manifest_skeleton(const cpg::Graph& graph, const ShardPlan& plan) {
   Manifest manifest;
   manifest.shard_count = plan.shard_count;
@@ -472,6 +469,8 @@ Result<AppendResult> append(const std::string& dir, const cpg::Graph& graph,
                                         .codec);
   Manifest manifest = manifest_skeleton(graph, plan);
   manifest.generation = old_m.generation + 1;
+  // Kept shards keep their page sets too: they hold page ids, not
+  // indices, so a grown universe does not shift them.
   for (std::uint32_t j = 0; j < keep; ++j) {
     manifest.shards[j] = old_m.shards[j];
   }

@@ -152,11 +152,13 @@ void LoadedShard::build_lookup() {
 ShardStore::ShardStore(std::string dir, Manifest manifest,
                        StoreOptions options)
     : dir_(std::move(dir)), manifest_(std::move(manifest)),
-      options_(options) {
+      page_table_(manifest_), options_(options) {
   for (const ShardInfo& info : manifest_.shards) {
     stats_.total_bytes += info.byte_size;
     stats_.total_decoded_bytes += info.decoded_bytes;
   }
+  never_evicts_ = options_.memory_budget_bytes == 0 ||
+                  options_.memory_budget_bytes >= stats_.total_decoded_bytes;
 }
 
 void ShardStore::refresh_pinned_locked() const {

@@ -118,8 +118,9 @@ class ShardStore {
     std::uint64_t quarantined_shards = 0;
   };
 
-  /// Open a store directory: reads + validates the manifest only;
-  /// shards load lazily. The snapshot is the manifest read here: a
+  /// Open a store directory: reads + validates the manifest and builds
+  /// its page table; no shard file is touched -- shards load lazily. The
+  /// snapshot is the manifest read here: a
   /// shard::append() or rewrite landing later swaps the directory to
   /// a new generation and sweeps the old files, so this store's lazy
   /// loads of rewritten shards then fail with typed kNotFound --
@@ -131,6 +132,14 @@ class ShardStore {
     return manifest_;
   }
   [[nodiscard]] const std::string& directory() const noexcept { return dir_; }
+  /// The manifest's page -> (shard, local page) holders.
+  [[nodiscard]] const PageTable& page_table() const noexcept {
+    return page_table_;
+  }
+  /// True when the budget is unlimited or covers the whole decoded
+  /// store: a loaded shard then stays resident until the store dies, so
+  /// a reader may pin each shard once and keep it.
+  [[nodiscard]] bool never_evicts() const noexcept { return never_evicts_; }
 
   /// The shard owning a global node id (caller checks the id range).
   [[nodiscard]] std::uint32_t shard_of(cpg::NodeId global) const {
@@ -154,7 +163,9 @@ class ShardStore {
 
   std::string dir_;
   Manifest manifest_;
+  PageTable page_table_;
   StoreOptions options_;
+  bool never_evicts_ = false;
 
   mutable std::mutex mu_;
   /// Signalled when an in-flight load finishes (either way), waking

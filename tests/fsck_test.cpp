@@ -310,6 +310,24 @@ TEST(Fsck, SwappedGlobalRanksAreRejectedByFsckAndStore) {
       dir, 1, "global ranks do not follow the shard's rank order");
 }
 
+TEST(Fsck, PageAddedToANodeIsRejectedByFsckAndStore) {
+  fixtures::ThreadCountGuard threads;
+  util::set_analysis_threads(1);
+  const std::string dir = make_store("fsck_page_set", 63);
+  rewrite_shard(dir, 1, [](ShardData& data, const Manifest& m) {
+    std::vector<cpg::SubComputation> nodes(data.graph.nodes().begin(),
+                                           data.graph.nodes().end());
+    std::vector<cpg::Edge> edges(data.graph.edges().begin(),
+                                 data.graph.edges().end());
+    ASSERT_FALSE(nodes.empty());
+    // A page past the universe: new to the shard, and still sorted.
+    nodes.front().write_set.push_back(m.pages.empty() ? 1
+                                                      : m.pages.back() + 1);
+    data.graph = cpg::Graph(std::move(nodes), std::move(edges), {});
+  });
+  expect_rejected_by_fsck_and_store(dir, 1, "page set");
+}
+
 TEST(Fsck, V2ManifestIsUnreadableAndRepairDeletesNoShard) {
   fixtures::ThreadCountGuard threads;
   util::set_analysis_threads(1);

@@ -11,6 +11,7 @@
 #include <filesystem>
 #include <future>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <variant>
@@ -27,6 +28,7 @@
 #include "shard/engine.h"
 #include "shard/planner.h"
 #include "shard/store.h"
+#include "util/page_set.h"
 #include "history_fixtures.h"
 
 namespace {
@@ -406,6 +408,51 @@ TEST(NetServe, DeadWorkerYieldsTypedUnavailable) {
   const auto r1 = (*client)->call(q1);
   ASSERT_TRUE(r1.ok()) << r1.status().message();
   EXPECT_EQ(*r1, reference_replies(rig.graph, {q1})[0]);
+  ASSERT_TRUE((*client)->goodbye().ok());
+  front.stop();
+}
+
+// A page query goes to the worker owning the first shard that holds
+// the page. Shard 0's lowest and highest pages bracket pages only later
+// shards hold, so a route by page range would send those to worker 0;
+// with worker 0 down, the holder route still answers them.
+TEST(NetServe, PageQueriesRouteToAWorkerHoldingThePage) {
+  RouterRig rig = make_rig("net_router_page", 9, 2);
+  PageSet first;  // the pages shard 0's nodes touch
+  for (cpg::NodeId n = 0; n < rig.graph->nodes().size(); ++n) {
+    if (rig.manifest.node_shard[n] != 0) continue;
+    const cpg::SubComputation& node = rig.graph->node(n);
+    first.insert(first.end(), node.read_set.begin(), node.read_set.end());
+    first.insert(first.end(), node.write_set.begin(), node.write_set.end());
+  }
+  page_set_normalize(first);
+  ASSERT_GE(first.size(), 2u);
+  std::optional<std::uint64_t> page;
+  for (const std::uint64_t p : rig.manifest.pages) {
+    if (p > first.front() && p < first.back() &&
+        !page_set_contains(first, p)) {
+      page = p;
+      break;
+    }
+  }
+  ASSERT_TRUE(page.has_value()) << "no page inside shard 0's range it lacks";
+
+  net::RouterService router(rig.manifest, rig.endpoints);
+  auto server = net::uds::Server::listen(socket_path("net_router_page.sock"));
+  ASSERT_TRUE(server.ok()) << server.status().message();
+  net::ServeLoop front(std::move(server).value(), router);
+  front.start();
+
+  rig.loops[0]->abort();
+
+  auto client = net::QueryClient::connect(front.path());
+  ASSERT_TRUE(client.ok()) << client.status().message();
+  const std::string q = "{\"id\":1,\"op\":\"page_accessors\",\"page\":" +
+                        std::to_string(*page) + "}";
+  const auto reply = (*client)->call(q);
+  ASSERT_TRUE(reply.ok()) << reply.status().message();
+  EXPECT_NE(reply->find("\"status\":\"ok\""), std::string::npos) << *reply;
+  EXPECT_EQ(*reply, reference_replies(rig.graph, {q})[0]);
   ASSERT_TRUE((*client)->goodbye().ok());
   front.stop();
 }

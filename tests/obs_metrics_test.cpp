@@ -183,4 +183,66 @@ TEST(ObsMetrics, JsonSnapshotGroupsByKind) {
       << json;
 }
 
+
+/// The exact exposition of a fixed registry, text for text, so a
+/// rewrite of the renderers cannot drift a byte.
+Registry& fixed_registry(Registry& registry) {
+  registry.counter("plain_total").add(2);
+  registry.counter("rpc_total{op=\"races\"}").add(11);
+  registry.gauge("level").set(-3);
+  Histogram& h = registry.histogram("latency_us{kind=\"races\"}");
+  h.observe(3);
+  h.observe(900);
+  return registry;
+}
+
+TEST(ObsMetrics, PrometheusTextIsExact) {
+  Registry registry;
+  const std::string text = to_prometheus(fixed_registry(registry).snapshot());
+  EXPECT_EQ(text, R"(latency_us_bucket{kind="races",le="1"} 0
+latency_us_bucket{kind="races",le="2"} 0
+latency_us_bucket{kind="races",le="4"} 1
+latency_us_bucket{kind="races",le="8"} 1
+latency_us_bucket{kind="races",le="16"} 1
+latency_us_bucket{kind="races",le="32"} 1
+latency_us_bucket{kind="races",le="64"} 1
+latency_us_bucket{kind="races",le="128"} 1
+latency_us_bucket{kind="races",le="256"} 1
+latency_us_bucket{kind="races",le="512"} 1
+latency_us_bucket{kind="races",le="1024"} 2
+latency_us_bucket{kind="races",le="2048"} 2
+latency_us_bucket{kind="races",le="4096"} 2
+latency_us_bucket{kind="races",le="8192"} 2
+latency_us_bucket{kind="races",le="16384"} 2
+latency_us_bucket{kind="races",le="32768"} 2
+latency_us_bucket{kind="races",le="65536"} 2
+latency_us_bucket{kind="races",le="131072"} 2
+latency_us_bucket{kind="races",le="262144"} 2
+latency_us_bucket{kind="races",le="524288"} 2
+latency_us_bucket{kind="races",le="1048576"} 2
+latency_us_bucket{kind="races",le="2097152"} 2
+latency_us_bucket{kind="races",le="4194304"} 2
+latency_us_bucket{kind="races",le="8388608"} 2
+latency_us_bucket{kind="races",le="16777216"} 2
+latency_us_bucket{kind="races",le="33554432"} 2
+latency_us_bucket{kind="races",le="67108864"} 2
+latency_us_bucket{kind="races",le="+Inf"} 2
+latency_us_sum{kind="races"} 903
+latency_us_count{kind="races"} 2
+level -3
+plain_total 2
+rpc_total{op="races"} 11
+)");
+}
+
+TEST(ObsMetrics, JsonTextIsExact) {
+  Registry registry;
+  const std::string json = to_json(fixed_registry(registry).snapshot());
+  EXPECT_EQ(json,
+            R"({"counters":{"plain_total":2,"rpc_total{op=\"races\"}":11},)"
+            R"("gauges":{"level":-3},)"
+            R"("histograms":{"latency_us{kind=\"races\"}":)"
+            R"({"count":2,"sum":903,"p50":4,"p90":1024,"p99":1024}}})");
+}
+
 }  // namespace

@@ -1,8 +1,8 @@
 // Format-generation discipline for stores.
 //
 // A build reads exactly its own generation of each file kind. Shard
-// and manifest files stamped with any other version -- the previous
-// generation (2) or a future one -- fail with a typed kInvalidArgument
+// and manifest files stamped with any other version -- an earlier
+// generation or a future one -- fail with a typed kInvalidArgument
 // naming the version seen, never a misparse, and a store serving such
 // a shard file quarantines it as kUnavailable. After a format bump a
 // store is re-exported (`inspector_cli --shard-out`).
@@ -79,7 +79,7 @@ TEST(ShardCompatErrors, OldAndFutureManifestVersionsAreTypedErrors) {
   const auto current = shard::read_file_bytes(path);
   ASSERT_TRUE(current.ok());
   for (const std::uint32_t version :
-       {2u, shard::kManifestFormatVersion + 1}) {
+       {2u, 3u, shard::kManifestFormatVersion + 1}) {
     auto bytes = current.value();
     bytes[4] = static_cast<std::uint8_t>(version);
     ASSERT_TRUE(shard::replace_file_bytes(path, bytes).ok());

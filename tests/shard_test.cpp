@@ -1,12 +1,14 @@
 // Unit tests for the sharded store: format round-trips (raw and
 // LZ-compressed payloads), versioned header errors, corrupt-payload
-// typed statuses, partition invariants, incremental append, and the
-// store's decoded-byte LRU budget with honest pinned accounting.
+// typed statuses, partition invariants, incremental append, the
+// store's decoded-byte LRU budget with honest pinned accounting, the
+// manifest's page table, and the resident store's pin-once contract.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstdint>
 #include <filesystem>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -14,11 +16,14 @@
 #include "cpg/recorder.h"
 #include "cpg/serialize.h"
 #include "history_fixtures.h"
+#include "query/engine.h"
+#include "query/wire.h"
 #include "shard/engine.h"
 #include "shard/format.h"
 #include "shard/planner.h"
 #include "shard/store.h"
 #include "snapshot/compress.h"
+#include "util/parallel.h"
 
 namespace {
 
@@ -87,6 +92,69 @@ TEST(ShardFormat, ManifestRoundTrips) {
   const auto universe = graph.pages();
   EXPECT_TRUE(std::equal(read->pages.begin(), read->pages.end(),
                          universe.begin(), universe.end()));
+}
+
+TEST(ShardFormat, PageTableNamesExactlyTheHoldingShards) {
+  const cpg::Graph graph = fixtures::dense_history(4);
+  const std::string dir = temp_store("page_table");
+  const auto m = shard::write_store(graph, dir, shard::PlanOptions{5});
+  ASSERT_TRUE(m.ok()) << m.status().message();
+  const auto universe = graph.pages();
+  ASSERT_TRUE(std::equal(m->pages.begin(), m->pages.end(), universe.begin(),
+                         universe.end()));
+  const shard::PageTable table(*m);
+  for (std::size_t idx = 0; idx < m->pages.size(); ++idx) {
+    const std::uint64_t page = m->pages[idx];
+    std::vector<std::uint32_t> expected;
+    for (std::uint32_t s = 0; s < m->shard_count; ++s) {
+      if (std::binary_search(m->shards[s].pages.begin(),
+                             m->shards[s].pages.end(), page)) {
+        expected.push_back(s);
+      }
+    }
+    const auto holders = table.holders(idx);
+    ASSERT_EQ(holders.size(), expected.size()) << "page " << page;
+    for (std::size_t k = 0; k < holders.size(); ++k) {
+      EXPECT_EQ(holders[k].shard, expected[k]);
+      EXPECT_EQ(m->shards[holders[k].shard].pages[holders[k].local], page);
+    }
+  }
+}
+
+TEST(ShardFormat, ManifestPageSetsAreTypedErrorsWhenMalformed) {
+  const cpg::Graph graph = fixtures::random_history(5);
+  const std::string dir = temp_store("manifest_page_sets");
+  const auto written = shard::write_store(graph, dir, shard::PlanOptions{2});
+  ASSERT_TRUE(written.ok()) << written.status().message();
+  // The last shard's page set is the last field before the 8-byte
+  // checksum trailer; with the set empty it is the one count byte 0.
+  shard::Manifest m = written.value();
+  m.shards.back().pages.clear();
+  const auto valid = shard::serialize_manifest(m);
+  ASSERT_EQ(valid[valid.size() - 9], 0u);
+  const auto with_page_set = [&](std::vector<std::uint8_t> set) {
+    std::vector<std::uint8_t> bytes(valid.begin(), valid.end() - 9);
+    bytes.insert(bytes.end(), set.begin(), set.end());
+    const std::uint64_t sum = snapshot::fnv1a(bytes);
+    for (int i = 0; i < 8; ++i) {
+      bytes.push_back(static_cast<std::uint8_t>(sum >> (8 * i)));
+    }
+    return shard::deserialize_manifest(bytes);
+  };
+  ASSERT_TRUE(with_page_set({0}).ok());
+  ASSERT_TRUE(with_page_set({2, 5, 0}).ok());  // pages 5 and 6
+  // Two pages that do not ascend: u64 max, then a delta past it.
+  std::vector<std::uint8_t> descending = {2};
+  for (int i = 0; i < 9; ++i) descending.push_back(0xFF);
+  descending.push_back(0x01);
+  descending.push_back(0x00);
+  // A count that runs past the end of the file.
+  for (const auto& set : {descending, std::vector<std::uint8_t>{0x7F, 1}}) {
+    const auto decoded = with_page_set(set);
+    ASSERT_FALSE(decoded.ok());
+    EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument)
+        << decoded.status().message();
+  }
 }
 
 TEST(ShardFormat, ShardFilesRoundTripAndCoverTheGraph) {
@@ -662,6 +730,49 @@ TEST(ShardedEngine, StoreAccessorWorks) {
   // And the engine answers queries (smoke).
   const auto reply = engine.run(query::StatsQuery{});
   ASSERT_TRUE(reply.ok()) << reply.status().message();
+}
+
+// A store that never evicts -- no budget, or one covering the whole
+// decoded store -- pins each shard at most once per query: one store
+// lookup per shard, however many pages, frontier nodes or pool workers
+// touch it. The race scan runs first, on a freshly opened store, at 4
+// analysis threads, so its workers fill the pin table concurrently.
+TEST(ShardedEngine, ResidentStorePinsEachShardOncePerQuery) {
+  fixtures::ThreadCountGuard threads;
+  util::set_analysis_threads(4);
+  const auto graph =
+      std::make_shared<const cpg::Graph>(fixtures::dense_history(3));
+  const std::string dir = temp_store("pin_once");
+  const auto m = shard::write_store(*graph, dir, shard::PlanOptions{4},
+                                    shard::ShardCodec::kLz);
+  ASSERT_TRUE(m.ok()) << m.status().message();
+  std::uint64_t decoded = 0;
+  for (const auto& info : m->shards) decoded += info.decoded_bytes;
+  query::QueryEngine reference(graph);
+  const auto last = static_cast<cpg::NodeId>(graph->nodes().size() - 1);
+  const std::vector<query::Query> queries = {
+      query::RacesQuery{},
+      query::BackwardSliceQuery{last},
+      query::ForwardSliceQuery{0},
+  };
+  for (const std::uint64_t budget : {std::uint64_t{0}, decoded}) {
+    shard::StoreOptions options;
+    options.memory_budget_bytes = budget;
+    auto store = shard::ShardStore::open(dir, options);
+    ASSERT_TRUE(store.ok()) << store.status().message();
+    shard::ShardedQueryEngine engine(*store);
+    for (std::size_t q = 0; q < queries.size(); ++q) {
+      const auto before = (*store)->stats();
+      const auto got = engine.run(queries[q]);
+      const auto after = (*store)->stats();
+      EXPECT_LE(after.hits + after.loads - before.hits - before.loads,
+                m->shard_count)
+          << "query " << q << " at budget " << budget;
+      EXPECT_EQ(query::wire::serialize_reply(1, got),
+                query::wire::serialize_reply(1, reference.run(queries[q])))
+          << "query " << q << " at budget " << budget;
+    }
+  }
 }
 
 }  // namespace
