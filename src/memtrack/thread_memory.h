@@ -5,16 +5,23 @@
 // Lifecycle, mirroring the paper:
 //   begin_subcomputation()   -- mprotect(PROT_NONE) the shared ranges:
 //                               every first touch per page will fault;
-//   read_word()/write_word() -- accesses; the first read of a page takes
-//                               a read fault and snapshots the page (the
-//                               "twin"); the first write takes a write
-//                               fault and marks the private copy dirty;
+//   read_word()/write_word() -- accesses; the first touch of a page
+//                               faults and copies the shared page into a
+//                               private one; the first write takes a
+//                               write fault and snapshots the private
+//                               page (the "twin") before changing it;
 //   commit()                 -- at the next synchronization point, diff
 //                               each dirty page against its twin and
 //                               apply the changed bytes to the shared
 //                               store (last-writer-wins), then drop the
 //                               private mapping so other threads'
 //                               updates become visible (RC model).
+//
+// Reads never change a private page, so a twin taken at the first write
+// equals the page as the first touch copied it. It is never taken from
+// the shared page, which a peer may have committed to since. Page
+// buffers come from a per-thread free list that commit() and
+// begin_subcomputation() refill.
 #pragma once
 
 #include <cstdint>
@@ -101,15 +108,22 @@ class ThreadMemory {
  private:
   struct PrivatePage {
     std::unique_ptr<PageData> data;  ///< thread's working copy
-    std::unique_ptr<PageData> twin;  ///< snapshot taken at first touch
-    bool dirty = false;
+    /// Snapshot taken at the first write; null while the page is only
+    /// read.
+    std::unique_ptr<PageData> twin;
     // First-touch markers: whether this page is already in the
-    // read/write set of the current sub-computation.
+    // read/write set of the current sub-computation. A page is dirty
+    // exactly when it is in the write set.
     bool in_read_set = false;
     bool in_write_set = false;
   };
 
   PrivatePage& fault_in(std::uint64_t page_id);
+  /// A page buffer from the free list, or a fresh one (contents unset).
+  std::unique_ptr<PageData> take_buffer();
+  /// Drop every private page, returning its buffers to the free list,
+  /// and reset the page sets.
+  void drop_private_pages();
 
   /// Append keeping track of sortedness; sorting is deferred to the
   /// accessors so the access hot path never shifts vector tails.
@@ -126,6 +140,7 @@ class ThreadMemory {
 
   SharedMemory* shared_;
   std::unordered_map<std::uint64_t, PrivatePage> pages_;
+  std::vector<std::unique_ptr<PageData>> free_buffers_;
   mutable PageSet read_set_;
   mutable PageSet write_set_;
   mutable bool read_sorted_ = true;

@@ -1,6 +1,8 @@
 #include "ptsim/image.h"
 
+#include <algorithm>
 #include <stdexcept>
+#include <string>
 
 #include "cpg/binary_io.h"
 
@@ -10,41 +12,49 @@ void Image::add_segment(Segment segment) {
   segments_.push_back(std::move(segment));
 }
 
-void Image::add_block(BasicBlock block) {
+namespace {
+
+/// Orders blocks by start address for the binary searches below.
+bool starts_before(const BasicBlock& block, std::uint64_t ip) noexcept {
+  return block.start < ip;
+}
+
+}  // namespace
+
+void Image::add_block(const BasicBlock& block) {
   if (block.size_bytes == 0) {
     throw std::invalid_argument("basic block must have non-zero size");
   }
+  if (blocks_.empty() || blocks_.back().end() <= block.start) {
+    blocks_.push_back(block);
+    return;
+  }
   // Reject overlap with the predecessor and successor by start address.
-  auto next = blocks_.lower_bound(block.start);
-  if (next != blocks_.end() && next->second.start < block.end()) {
+  const auto next = std::lower_bound(blocks_.begin(), blocks_.end(),
+                                     block.start, starts_before);
+  if (next != blocks_.end() && next->start < block.end()) {
     throw std::invalid_argument("basic block overlaps successor");
   }
-  if (next != blocks_.begin()) {
-    auto prev = std::prev(next);
-    if (prev->second.end() > block.start) {
-      throw std::invalid_argument("basic block overlaps predecessor");
-    }
+  if (next != blocks_.begin() && std::prev(next)->end() > block.start) {
+    throw std::invalid_argument("basic block overlaps predecessor");
   }
-  blocks_.emplace(block.start, block);
+  blocks_.insert(next, block);
 }
 
 const BasicBlock* Image::block_at(std::uint64_t ip) const noexcept {
-  auto it = blocks_.find(ip);
-  return it == blocks_.end() ? nullptr : &it->second;
+  const auto it =
+      std::lower_bound(blocks_.begin(), blocks_.end(), ip, starts_before);
+  return it != blocks_.end() && it->start == ip ? &*it : nullptr;
 }
 
 const BasicBlock* Image::block_containing(std::uint64_t ip) const noexcept {
-  auto it = blocks_.upper_bound(ip);
+  // The first block starting after `ip`; its predecessor may hold `ip`.
+  auto it = std::upper_bound(
+      blocks_.begin(), blocks_.end(), ip,
+      [](std::uint64_t a, const BasicBlock& b) { return a < b.start; });
   if (it == blocks_.begin()) return nullptr;
   --it;
-  return ip < it->second.end() ? &it->second : nullptr;
-}
-
-std::vector<BasicBlock> Image::blocks() const {
-  std::vector<BasicBlock> out;
-  out.reserve(blocks_.size());
-  for (const auto& [start, block] : blocks_) out.push_back(block);
-  return out;
+  return ip < it->end() ? &*it : nullptr;
 }
 
 namespace {
@@ -68,9 +78,8 @@ std::vector<std::uint8_t> serialize_image(const Image& image) {
     w.u64(s.base);
     w.u64(s.size);
   }
-  const auto blocks = image.blocks();
-  w.u64(blocks.size());
-  for (const auto& b : blocks) {
+  w.u64(image.blocks().size());
+  for (const auto& b : image.blocks()) {
     w.u64(b.start);
     w.u32(b.size_bytes);
     w.u32(b.instr_count);
@@ -105,6 +114,12 @@ Result<Image> deserialize_image(std::span<const std::uint8_t> bytes) {
       b.term = static_cast<TermKind>(r.u8_enum(kTermKinds, "block kind"));
       b.taken_target = r.u64();
       b.fall_target = r.u64();
+      // serialize_image writes blocks ascending, so each one appends;
+      // taking any other order would make decoding quadratic.
+      if (!image.blocks().empty() && b.start < image.blocks().back().start) {
+        throw std::invalid_argument("block " + std::to_string(i) +
+                                    " starts below its predecessor");
+      }
       image.add_block(b);
     }
     r.expect_end("blocks");

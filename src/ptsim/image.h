@@ -8,7 +8,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <optional>
 #include <span>
 #include <string>
@@ -53,7 +52,8 @@ struct Segment {
   std::uint64_t size = 0;
 };
 
-/// An immutable set of basic blocks indexed by start address.
+/// An immutable set of basic blocks, held flat and ascending by start
+/// address.
 ///
 /// Invariant: block address ranges do not overlap.
 class Image {
@@ -61,9 +61,15 @@ class Image {
   /// Register a loadable segment (mirrors tracking mmap events).
   void add_segment(Segment segment);
 
+  /// Room for `blocks` blocks in all.
+  void reserve(std::size_t blocks) { blocks_.reserve(blocks); }
+
   /// Add a basic block. Throws std::invalid_argument when the block
-  /// overlaps an existing one or has zero size.
-  void add_block(BasicBlock block);
+  /// overlaps an existing one or has zero size. A block that starts at
+  /// or after the last block's end -- the order the image builder and
+  /// deserialize_image produce -- is appended; any other is inserted in
+  /// place.
+  void add_block(const BasicBlock& block);
 
   /// Look up the block starting at `ip`. Control transfers always land
   /// on block starts in a well-formed image.
@@ -81,11 +87,13 @@ class Image {
     return segments_;
   }
 
-  /// All blocks, ascending by start address (for serialization).
-  [[nodiscard]] std::vector<BasicBlock> blocks() const;
+  /// All blocks, ascending by start address.
+  [[nodiscard]] const std::vector<BasicBlock>& blocks() const noexcept {
+    return blocks_;
+  }
 
  private:
-  std::map<std::uint64_t, BasicBlock> blocks_;  // keyed by start address
+  std::vector<BasicBlock> blocks_;  // ascending by start address
   std::vector<Segment> segments_;
 };
 
@@ -93,9 +101,9 @@ class Image {
 /// linked libraries", §V-B -- this is the executable side-car).
 [[nodiscard]] std::vector<std::uint8_t> serialize_image(const Image& image);
 /// Inverse. Malformed input -- truncation, a bad magic, a block kind
-/// outside TermKind, an empty or overlapping block, an implausible
-/// count, trailing bytes -- is kInvalidArgument with a message starting
-/// "image: ".
+/// outside TermKind, an empty or overlapping block, a block starting
+/// below its predecessor, an implausible count, trailing bytes -- is
+/// kInvalidArgument with a message starting "image: ".
 [[nodiscard]] Result<Image> deserialize_image(
     std::span<const std::uint8_t> bytes);
 

@@ -6,21 +6,38 @@
 
 namespace inspector::ptsim {
 
+namespace {
+
+/// The first physical size the backing store takes.
+constexpr std::size_t kInitialBytes = 4096;
+
+}  // namespace
+
 AuxRingBuffer::AuxRingBuffer(std::size_t capacity, RingMode mode)
-    : buf_(capacity), mode_(mode) {
+    : capacity_(capacity), mode_(mode) {
   if (capacity == 0) {
     throw std::invalid_argument("AUX ring buffer capacity must be non-zero");
   }
 }
 
 void AuxRingBuffer::copy_in(std::span<const std::uint8_t> bytes) {
-  std::size_t offset = static_cast<std::size_t>(head_ % buf_.size());
+  // Until the first wrap a position's physical offset is the position
+  // itself, so growing keeps every byte where it is.
+  const std::uint64_t reach = head_ + bytes.size();
+  if (reach > buf_.size() && buf_.size() < capacity_) {
+    std::size_t size = std::max(buf_.size(), kInitialBytes);
+    while (size < reach && size < capacity_) size *= 2;
+    size = std::min(size, capacity_);
+    buf_.reserve(size);
+    buf_.resize(size);
+  }
+  std::size_t offset = static_cast<std::size_t>(head_ % capacity_);
   std::size_t remaining = bytes.size();
   const std::uint8_t* src = bytes.data();
   while (remaining > 0) {
-    const std::size_t chunk = std::min(remaining, buf_.size() - offset);
+    const std::size_t chunk = std::min(remaining, capacity_ - offset);
     std::memcpy(buf_.data() + offset, src, chunk);
-    offset = (offset + chunk) % buf_.size();
+    offset = (offset + chunk) % capacity_;
     src += chunk;
     remaining -= chunk;
   }
@@ -29,20 +46,20 @@ void AuxRingBuffer::copy_in(std::span<const std::uint8_t> bytes) {
 
 void AuxRingBuffer::copy_out(std::uint64_t from,
                              std::span<std::uint8_t> out) const {
-  std::size_t offset = static_cast<std::size_t>(from % buf_.size());
+  std::size_t offset = static_cast<std::size_t>(from % capacity_);
   std::size_t remaining = out.size();
   std::uint8_t* dst = out.data();
   while (remaining > 0) {
-    const std::size_t chunk = std::min(remaining, buf_.size() - offset);
+    const std::size_t chunk = std::min(remaining, capacity_ - offset);
     std::memcpy(dst, buf_.data() + offset, chunk);
-    offset = (offset + chunk) % buf_.size();
+    offset = (offset + chunk) % capacity_;
     dst += chunk;
     remaining -= chunk;
   }
 }
 
 void AuxRingBuffer::write(std::span<const std::uint8_t> bytes) {
-  if (bytes.size() > buf_.size()) {
+  if (bytes.size() > capacity_) {
     // A single packet larger than the AUX area can never fit.
     bytes_lost_ += bytes.size();
     ++overflow_count_;
@@ -50,7 +67,7 @@ void AuxRingBuffer::write(std::span<const std::uint8_t> bytes) {
     return;
   }
   if (mode_ == RingMode::kFullTrace) {
-    const std::size_t free = buf_.size() - readable();
+    const std::size_t free = capacity_ - readable();
     if (bytes.size() > free) {
       bytes_lost_ += bytes.size();
       ++overflow_count_;
@@ -59,7 +76,7 @@ void AuxRingBuffer::write(std::span<const std::uint8_t> bytes) {
     }
   } else {
     // Snapshot mode: advance the tail past the bytes being overwritten.
-    const std::size_t free = buf_.size() - readable();
+    const std::size_t free = capacity_ - readable();
     if (bytes.size() > free) {
       tail_ += bytes.size() - free;
     }

@@ -7,6 +7,12 @@
 //  * kSnapshot -- old data is constantly overwritten so tracing can run
 //    indefinitely; a snapshot grabs the current window (the decoder
 //    re-syncs at the first PSB inside it).
+//
+// The capacity is the logical size of the area. Like the kernel, which
+// commits AUX pages only as the trace first reaches them, the backing
+// store grows (doubling, capped at the capacity) while the write
+// position first reaches new bytes, and is full size from the first
+// wrap on, so a short trace costs only its own bytes.
 #pragma once
 
 #include <cstdint>
@@ -43,7 +49,7 @@ class AuxRingBuffer final : public ByteSink {
   /// reset the flag. The trace source uses this to emit an OVF packet.
   [[nodiscard]] bool take_overflow() noexcept;
 
-  [[nodiscard]] std::size_t capacity() const noexcept { return buf_.size(); }
+  [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t readable() const noexcept {
     return static_cast<std::size_t>(head_ - tail_);
   }
@@ -62,6 +68,9 @@ class AuxRingBuffer final : public ByteSink {
   void copy_in(std::span<const std::uint8_t> bytes);
   void copy_out(std::uint64_t from, std::span<std::uint8_t> out) const;
 
+  std::size_t capacity_;
+  /// Physical bytes: a prefix of the area until the first wrap, all
+  /// `capacity_` bytes after it.
   std::vector<std::uint8_t> buf_;
   RingMode mode_;
   std::uint64_t head_ = 0;  // monotone write position

@@ -10,30 +10,43 @@ namespace {
 
 using memtrack::AddressLayout;
 
+/// What one script's code takes: every op is one kOpBytes instruction,
+/// a conditional branch adds its pad block, and the exit block closes
+/// the script.
+struct ScriptShape {
+  std::uint64_t code_bytes = kOpBytes;  // the exit block
+  std::size_t blocks = 1;
+};
+
+ScriptShape shape_of(const ThreadScript& script) {
+  ScriptShape shape;
+  for (const Op& op : script.ops) {
+    shape.code_bytes += kOpBytes;
+    if (op.code == OpCode::kCondBranch) {
+      shape.code_bytes += kOpBytes;
+      shape.blocks += 2;
+    } else if (op.code == OpCode::kIndirectBranch || is_sync_op(op.code)) {
+      shape.blocks += 1;
+    }
+  }
+  return shape;
+}
+
 struct ScriptBuilder {
-  ptsim::Image& image;
-  std::uint64_t cursor;          // next free code address
-  const std::uint64_t limit;     // end of this script's window
+  std::uint64_t cursor;  // next free code address
   std::vector<OpSite> sites;
 
   std::uint64_t block_start;
-  std::uint32_t block_ops = 0;
   std::uint32_t block_instrs = 0;
 
-  ScriptBuilder(ptsim::Image& img, std::uint64_t base, std::uint64_t lim)
-      : image(img), cursor(base), limit(lim), block_start(base) {}
+  explicit ScriptBuilder(std::uint64_t base)
+      : cursor(base), block_start(base) {}
 
-  void bump(std::uint64_t bytes) {
-    cursor += bytes;
-    if (cursor > limit) {
-      throw std::invalid_argument("script exceeds its code window");
-    }
-  }
+  void bump(std::uint64_t bytes) { cursor += bytes; }
 
   /// Account one straight-line op into the open block.
   void straight_op(std::uint32_t instrs) {
     bump(kOpBytes);
-    ++block_ops;
     block_instrs += instrs;
     sites.push_back(OpSite{});
   }
@@ -52,7 +65,6 @@ struct ScriptBuilder {
 
   void open_next_block() {
     block_start = cursor;
-    block_ops = 0;
     block_instrs = 0;
   }
 };
@@ -63,15 +75,27 @@ BuiltImage build_image(const Program& program) {
   BuiltImage built;
   built.sites.resize(program.scripts.size());
   built.entries.resize(program.scripts.size());
-  built.image.add_segment(
-      {program.name + ".text", AddressLayout::kCodeBase,
-       kScriptStride * program.scripts.size()});
+
+  // Size each script's window from its code, and the image from the
+  // block count, before building anything.
+  std::uint64_t code_end = AddressLayout::kCodeBase;
+  std::size_t blocks = 0;
+  for (std::size_t s = 0; s < program.scripts.size(); ++s) {
+    const ScriptShape shape = shape_of(program.scripts[s]);
+    built.entries[s] = code_end;
+    // At least one window: every script has its exit block.
+    code_end +=
+        (shape.code_bytes + kCodeWindow - 1) / kCodeWindow * kCodeWindow;
+    blocks += shape.blocks;
+  }
+  built.image.add_segment({program.name + ".text", AddressLayout::kCodeBase,
+                           code_end - AddressLayout::kCodeBase});
+  built.image.reserve(blocks);
 
   for (std::size_t s = 0; s < program.scripts.size(); ++s) {
     const ThreadScript& script = program.scripts[s];
-    const std::uint64_t base = AddressLayout::kCodeBase + s * kScriptStride;
-    built.entries[s] = base;
-    ScriptBuilder b(built.image, base, base + kScriptStride);
+    ScriptBuilder b(built.entries[s]);
+    b.sites.reserve(script.ops.size());
 
     for (const Op& op : script.ops) {
       switch (op.code) {

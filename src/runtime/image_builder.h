@@ -3,7 +3,11 @@
 //
 // Layout decisions (documented because the flow decoder round-trip test
 // depends on them):
-//  * script `s` occupies code addresses [kCodeBase + s*kScriptStride, ...)
+//  * each script has its own code window: its code bytes rounded up to
+//    kCodeWindow, and at least kCodeWindow. The windows sit back to back
+//    from kCodeBase, so while every script fits in kCodeWindow, script
+//    `s` starts at kCodeBase + s*kCodeWindow. The .text segment covers
+//    all of them;
 //  * ops accumulate into a block until a block-ending op:
 //      - kCondBranch   -> terminator kCondBranch; the *taken* target is
 //        the next block, the fall-through goes to a synthetic pad block
@@ -44,11 +48,10 @@ struct BuiltImage {
   std::vector<std::uint64_t> entries;
 };
 
-inline constexpr std::uint64_t kScriptStride = 1ull << 23;  // 8 MiB of code
+inline constexpr std::uint64_t kCodeWindow = 1ull << 23;  // 8 MiB of code
 inline constexpr std::uint64_t kOpBytes = 16;  // synthetic instr encoding
 
-/// Build the image for `program`. Throws std::invalid_argument when a
-/// script is too large for the per-script code window.
+/// Build the image for `program`.
 [[nodiscard]] BuiltImage build_image(const Program& program);
 
 }  // namespace inspector::runtime

@@ -2,6 +2,10 @@
 // diffs, last-writer-wins commits, and the RC visibility rules (§V-A).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <random>
+
 #include "memtrack/allocator.h"
 #include "memtrack/shared_memory.h"
 #include "memtrack/thread_memory.h"
@@ -175,6 +179,87 @@ TEST_F(ThreadMemoryTest, PageFaultTotals) {
   tm.write_word(0x2000, 1);
   tm.write_word(0x1000, 2);
   EXPECT_EQ(tm.stats().page_faults(), 3u);  // 1 read + 2 write
+}
+
+TEST_F(ThreadMemoryTest, CommitDiffMatchesAByteByByteReference) {
+  // Random words written over random page contents: the same value
+  // again, or a value differing in 1 to 8 of its bytes. The word-wise
+  // diff must publish exactly the bytes a byte-by-byte compare finds.
+  std::mt19937_64 rng(11);
+  constexpr std::uint64_t kBase = 0x7000;
+  for (int round = 0; round < 40; ++round) {
+    SharedMemory shm;
+    for (std::uint64_t off = 0; off < kPageSize; off += 8) {
+      shm.write_word(kBase + off, rng());
+    }
+    const PageData before = *shm.find_page(page_id_of(kBase));
+    PageData mine = before;
+
+    ThreadMemory tm(shm);
+    tm.begin_subcomputation();
+    if (round % 2 == 0) (void)tm.read_word(kBase);  // read fault first
+    const int writes = 1 + static_cast<int>(rng() % 64);
+    for (int w = 0; w < writes; ++w) {
+      const std::uint64_t off = 8 * (rng() % (kPageSize / 8));
+      std::uint8_t bytes[8];
+      std::memcpy(bytes, mine.data() + off, 8);
+      // Flip k distinct bytes (k = 0 rewrites the value already there).
+      const std::uint64_t k = rng() % 9;
+      std::uint8_t order[8] = {0, 1, 2, 3, 4, 5, 6, 7};
+      std::shuffle(std::begin(order), std::end(order), rng);
+      for (std::uint64_t i = 0; i < k; ++i) {
+        bytes[order[i]] ^= static_cast<std::uint8_t>(1 + rng() % 255);
+      }
+      std::uint64_t value = 0;
+      std::memcpy(&value, bytes, 8);
+      tm.write_word(kBase + off, value);
+      std::memcpy(mine.data() + off, &value, 8);
+    }
+
+    std::uint64_t expected = 0;
+    for (std::uint64_t i = 0; i < kPageSize; ++i) {
+      if (mine[i] != before[i]) ++expected;
+    }
+    const CommitResult result = tm.commit();
+    EXPECT_EQ(result.dirty_pages, 1u);
+    EXPECT_EQ(result.bytes_changed, expected) << "round " << round;
+    EXPECT_EQ(*shm.find_page(page_id_of(kBase)), mine) << "round " << round;
+  }
+}
+
+TEST_F(ThreadMemoryTest, TwinIsThePrivatePageNotTheSharedOne) {
+  // A reads page P; B writes word X of P and commits; A then writes
+  // word Y. A's twin must be P as A first touched it: a twin copied
+  // from the shared page at A's write would make A's stale X look
+  // changed and publish it over B's.
+  ThreadMemory a(shm_);
+  ThreadMemory b(shm_);
+  a.begin_subcomputation();
+  b.begin_subcomputation();
+  (void)a.read_word(0x1000);
+  b.write_word(0x1008, 0xBB);
+  (void)b.commit();
+  a.write_word(0x1010, 0xAA);
+  const CommitResult result = a.commit();
+  EXPECT_EQ(shm_.read_word(0x1008), 0xBBu) << "B's word X was overwritten";
+  EXPECT_EQ(shm_.read_word(0x1010), 0xAAu);
+  EXPECT_EQ(result.bytes_changed, 1u) << "only word Y's one byte changed";
+}
+
+TEST_F(ThreadMemoryTest, ReusedPageBuffersStartFromTheSharedPage) {
+  // Buffers return to the free list at commit; a later fault must see
+  // the shared contents, never a previous page's bytes.
+  ThreadMemory tm(shm_);
+  tm.begin_subcomputation();
+  tm.write_word(0x1000, 0x1111);
+  tm.write_word(0x2000, 0x2222);
+  (void)tm.commit();
+  tm.begin_subcomputation();
+  EXPECT_EQ(tm.read_word(0x3000), 0u);
+  EXPECT_EQ(tm.read_word(0x2008), 0u);
+  EXPECT_EQ(tm.read_word(0x2000), 0x2222u);
+  tm.write_word(0x4000, 0);
+  EXPECT_EQ(tm.commit().bytes_changed, 0u);
 }
 
 // --- allocator ---------------------------------------------------------

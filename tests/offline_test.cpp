@@ -5,15 +5,18 @@
 // paper's perf.data post-processing path, §V-B).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
 #include "core/inspector.h"
 #include "cpg/journal.h"
 #include "cpg/serialize.h"
+#include "memtrack/allocator.h"
 #include "perf/data_file.h"
 #include "ptsim/image.h"
 #include "runtime/image_builder.h"
+#include "workloads/common.h"
 #include "workloads/registry.h"
 
 namespace {
@@ -246,6 +249,83 @@ TEST(ImageSerialize, EmptyAndOverlappingBlocksAreTyped) {
   ASSERT_FALSE(decoded.ok());
   EXPECT_NE(decoded.status().message().find("overlaps"), std::string::npos)
       << decoded.status().message();
+}
+
+TEST(ImageSerialize, BlocksOutOfAddressOrderAreTyped) {
+  // serialize_image writes blocks ascending; a file listing them in
+  // another order is rejected, not sorted on the way in.
+  ptsim::Image image;
+  image.add_block({0x1000, 0x10, 1, ptsim::TermKind::kJump, 0x1010, 0});
+  image.add_block({0x1010, 0x10, 1, ptsim::TermKind::kExit, 0, 0});
+  auto bytes = ptsim::serialize_image(image);
+  const std::size_t second = bytes.size() - 33;
+  std::swap_ranges(bytes.begin() + static_cast<std::ptrdiff_t>(second - 33),
+                   bytes.begin() + static_cast<std::ptrdiff_t>(second),
+                   bytes.begin() + static_cast<std::ptrdiff_t>(second));
+  const auto decoded = ptsim::deserialize_image(bytes);
+  ASSERT_FALSE(decoded.ok());
+  EXPECT_EQ(decoded.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_EQ(decoded.status().message(),
+            "image: block 1 starts below its predecessor");
+}
+
+/// One script of `ops` ops: compute, with a random conditional branch
+/// every 1,000 ops and a locked store every 20,000.
+runtime::ThreadScript long_script(std::uint64_t ops) {
+  workloads::ScriptBuilder script(7);
+  for (std::uint64_t i = 0; i < ops; ++i) {
+    if (i % 1000 == 999) {
+      script.random_branch(0.5);
+    } else if (i % 20'000 == 0) {
+      script.lock(workloads::mutex_id(0))
+          .store(workloads::global_word(i / 20'000), i)
+          .unlock(workloads::mutex_id(0));
+    } else {
+      script.compute(1);
+    }
+  }
+  return script.take();
+}
+
+TEST(ImageBuilder, CodeWindowsAreSizedPerScriptAndBackToBack) {
+  runtime::Program program;
+  program.name = "windows";
+  program.scripts = {long_script(10), long_script(600'000), long_script(10)};
+  const auto built = runtime::build_image(program);
+  const std::uint64_t base = memtrack::AddressLayout::kCodeBase;
+  const std::uint64_t window = runtime::kCodeWindow;
+  // 600,000 ops of 16 bytes outgrow one 8 MiB window and take two.
+  EXPECT_EQ(built.entries,
+            (std::vector<std::uint64_t>{base, base + window,
+                                        base + 3 * window}));
+  ASSERT_EQ(built.image.segments().size(), 1u);
+  EXPECT_EQ(built.image.segments()[0].base, base);
+  EXPECT_EQ(built.image.segments()[0].size, 4 * window);
+  const std::uint64_t ends[] = {base + window, base + 3 * window,
+                                base + 4 * window};
+  std::size_t script = 0;
+  for (const auto& block : built.image.blocks()) {
+    while (block.start >= ends[script]) ++script;
+    EXPECT_LE(block.end(), ends[script]) << std::hex << block.start;
+  }
+}
+
+// A one-thread program whose code outgrows one window: it captures,
+// its PT cross-checks, and it rebuilds offline to the online graph.
+TEST(OfflineRebuild, ScriptLargerThanOneCodeWindow) {
+  runtime::Program program;
+  program.name = "long_script";
+  program.scripts.push_back(long_script(600'000));
+  core::Options options;
+  options.capture_journal = true;
+  const auto run = core::Inspector(options).run(program);
+  ASSERT_GT(run.image->image.segments()[0].size, runtime::kCodeWindow);
+  const auto pt = core::Inspector::verify_pt(run);
+  EXPECT_TRUE(pt.ok) << pt.detail;
+  EXPECT_GE(pt.branches_checked, 600u);
+  const auto offline = core::Inspector::rebuild_offline(run);
+  ASSERT_TRUE(offline.ok()) << offline.status().message();
+  EXPECT_EQ(cpg::serialize(*offline), cpg::serialize(*run.graph));
 }
 
 class OfflineRebuildTest : public ::testing::TestWithParam<std::string> {};

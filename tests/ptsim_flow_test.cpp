@@ -3,8 +3,10 @@
 // exposes through it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <random>
 #include <string>
+#include <vector>
 
 #include "core/inspector.h"
 #include "ptsim/encoder.h"
@@ -55,6 +57,52 @@ TEST(Image, RejectsOverlaps) {
                std::invalid_argument);
   EXPECT_THROW(img.add_block({0x2000, 0, 1, TermKind::kJump, 0, 0}),
                std::invalid_argument);
+}
+
+TEST(Image, ShuffledBlocksComeOutSortedAndLookupsMatchAScan) {
+  std::mt19937_64 rng(5);
+  std::vector<BasicBlock> sorted;
+  std::uint64_t addr = 0x1000;
+  for (int i = 0; i < 300; ++i) {
+    addr += 8 * (rng() % 3);  // gaps of 0, 8 or 16 bytes
+    const auto size = static_cast<std::uint32_t>(1 + rng() % 40);
+    sorted.push_back({addr, size, 1, TermKind::kJump, addr, 0});
+    addr += size;
+  }
+  std::vector<BasicBlock> shuffled = sorted;
+  std::shuffle(shuffled.begin(), shuffled.end(), rng);
+  Image img;
+  for (const BasicBlock& b : shuffled) img.add_block(b);
+
+  ASSERT_EQ(img.blocks().size(), sorted.size());
+  for (std::size_t i = 0; i < sorted.size(); ++i) {
+    EXPECT_EQ(img.blocks()[i].start, sorted[i].start) << i;
+  }
+  for (std::uint64_t ip = 0x0FF0; ip < addr + 16; ++ip) {
+    const BasicBlock* at = nullptr;
+    const BasicBlock* containing = nullptr;
+    for (const BasicBlock& b : img.blocks()) {
+      if (b.start == ip) at = &b;
+      if (b.start <= ip && ip < b.end()) containing = &b;
+    }
+    ASSERT_EQ(img.block_at(ip), at) << std::hex << ip;
+    ASSERT_EQ(img.block_containing(ip), containing) << std::hex << ip;
+  }
+
+  // Overlaps still throw, appended or inserted, and change nothing.
+  const BasicBlock& mid = sorted[sorted.size() / 2];
+  const BasicBlock& last = sorted.back();
+  EXPECT_THROW(img.add_block({mid.start, 1, 1, TermKind::kJump, 0, 0}),
+               std::invalid_argument);
+  EXPECT_THROW(img.add_block({mid.end() - 1, 8, 1, TermKind::kJump, 0, 0}),
+               std::invalid_argument);
+  EXPECT_THROW(img.add_block({mid.start - 1, 2, 1, TermKind::kJump, 0, 0}),
+               std::invalid_argument);
+  EXPECT_THROW(img.add_block({last.end() - 1, 4, 1, TermKind::kJump, 0, 0}),
+               std::invalid_argument);
+  EXPECT_THROW(img.add_block({0x0F00, 0x200, 1, TermKind::kJump, 0, 0}),
+               std::invalid_argument);
+  EXPECT_EQ(img.block_count(), sorted.size());
 }
 
 TEST(Flow, TakenPathSkipsPad) {

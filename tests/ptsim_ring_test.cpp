@@ -1,7 +1,9 @@
 // AUX ring-buffer tests: full-trace vs snapshot semantics (§V-B, §VI).
 #include <gtest/gtest.h>
 
+#include <deque>
 #include <numeric>
+#include <random>
 
 #include "ptsim/decoder.h"
 #include "ptsim/encoder.h"
@@ -101,6 +103,75 @@ TEST(AuxRing, ManySmallWritesAccumulate) {
   }
   EXPECT_EQ(ring.bytes_written(), total);
   EXPECT_EQ(ring.drain().size(), total);
+}
+
+/// The ring's contract with no physical layout at all: a window of at
+/// most `capacity` bytes.
+struct RingModel {
+  std::size_t capacity;
+  RingMode mode;
+  std::deque<std::uint8_t> window;
+  std::uint64_t written = 0;
+  std::uint64_t lost = 0;
+  std::uint64_t overflows = 0;
+  bool pending = false;
+
+  void write(const std::vector<std::uint8_t>& bytes) {
+    const std::size_t free = capacity - window.size();
+    if (bytes.size() > capacity ||
+        (mode == RingMode::kFullTrace && bytes.size() > free)) {
+      lost += bytes.size();
+      ++overflows;
+      pending = true;
+      return;
+    }
+    for (std::size_t i = free; i < bytes.size(); ++i) window.pop_front();
+    window.insert(window.end(), bytes.begin(), bytes.end());
+    written += bytes.size();
+  }
+  [[nodiscard]] std::vector<std::uint8_t> contents() const {
+    return {window.begin(), window.end()};
+  }
+};
+
+// Random writes (sizes up to capacity + 1), drains and snapshots in
+// both modes, against the model: across the backing store's growth
+// steps and its wraps, every drained and snapshotted byte and every
+// counter must match. Capacities straddle the first physical size
+// (4 KiB) so the store grows more than once before its first wrap.
+TEST(AuxRing, MatchesADequeModelAcrossGrowthAndWrap) {
+  for (const RingMode mode : {RingMode::kFullTrace, RingMode::kSnapshot}) {
+    for (const std::size_t capacity : {1u, 7u, 4096u, 5000u, 20011u}) {
+      std::mt19937_64 rng(capacity * 2 + static_cast<unsigned>(mode));
+      AuxRingBuffer ring(capacity, mode);
+      RingModel model{capacity, mode, {}};
+      EXPECT_EQ(ring.capacity(), capacity);
+      for (int step = 0; step < 600; ++step) {
+        const std::uint64_t dice = rng() % 10;
+        if (dice < 7) {
+          // Mostly small writes, sometimes up to one past the capacity.
+          const std::size_t size = dice == 0 ? rng() % (capacity + 2)
+                                             : rng() % (capacity / 8 + 2);
+          std::vector<std::uint8_t> bytes(size);
+          for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+          ring.write(bytes);
+          model.write(bytes);
+        } else if (dice < 9) {
+          ASSERT_EQ(ring.drain(), model.contents()) << "step " << step;
+          model.window.clear();
+        } else {
+          ASSERT_EQ(ring.snapshot(), model.contents()) << "step " << step;
+        }
+        ASSERT_EQ(ring.readable(), model.window.size());
+        ASSERT_EQ(ring.bytes_written(), model.written);
+        ASSERT_EQ(ring.bytes_lost(), model.lost);
+        ASSERT_EQ(ring.overflow_count(), model.overflows);
+        ASSERT_EQ(ring.take_overflow(), model.pending);
+        model.pending = false;
+      }
+      EXPECT_EQ(ring.drain(), model.contents());
+    }
+  }
 }
 
 }  // namespace

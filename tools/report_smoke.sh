@@ -5,6 +5,8 @@
 # asserting that
 #
 #   - the rebuild exits 0 and reports "valid: yes",
+#   - so does the rebuild of word_count at scale 60, whose thread
+#     scripts each outgrow one 8 MiB code window,
 #   - a truncated perf.data exits 1 with a "perf data:" message,
 #   - a journal passed where the image belongs exits 1 with an
 #     "image:" message,
@@ -50,6 +52,20 @@ grep -q "valid: yes" "$OUT" || {
   exit 1
 }
 
+# 2. Scripts larger than one code window capture and rebuild.
+BIG="$TMP_DIR/report_smoke.big"
+"$CLI" run word_count --threads 4 --scale 60 --seed 0 \
+    --perf-data "$BIG.perf" --journal "$BIG.jrn" --image "$BIG.img" > /dev/null
+timeout 120 "$REPORT" "$BIG.perf" "$BIG.jrn" "$BIG.img" > "$OUT" || {
+  echo "FAIL: inspector_report exited $? on word_count at scale 60" >&2
+  exit 1
+}
+grep -q "valid: yes" "$OUT" || {
+  echo "FAIL: rebuilt CPG of word_count at scale 60 is not valid:" >&2
+  cat "$OUT" >&2
+  exit 1
+}
+
 # expect_rejected <label> <kind prefix> <perf> <journal> <image>
 expect_rejected() {
   local status=0
@@ -66,12 +82,12 @@ expect_rejected() {
   }
 }
 
-# 2. A truncated perf.data.
+# 3. A truncated perf.data.
 CUT="$TMP_DIR/report_smoke.cut"
 head -c "$(( $(wc -c < "$PERF") / 2 ))" "$PERF" > "$CUT"
 expect_rejected "truncated perf.data" "perf data" "$CUT" "$JOURNAL" "$IMAGE"
 
-# 3. The journal where the image belongs.
+# 4. The journal where the image belongs.
 expect_rejected "journal as image" "image" "$PERF" "$JOURNAL" "$JOURNAL"
 
 echo "report smoke: OK"
