@@ -49,7 +49,9 @@ int main(int argc, char** argv) {
                "same ratio of total CPU over all threads.\n\n";
 
   std::vector<std::string> headers = {"workload"};
-  for (auto t : thread_counts) headers.push_back("modelled@" + std::to_string(t));
+  for (auto t : thread_counts) {
+    headers.push_back("modelled@" + std::to_string(t));
+  }
   // The companion *work* measurement (total CPU over all threads) the
   // paper's tech report carries.
   for (auto t : thread_counts) headers.push_back("work@" + std::to_string(t));
@@ -97,7 +99,9 @@ int main(int argc, char** argv) {
         wall_extra.push_back(inspector::bench::format_ms(m.native_ms));
       }
       while (extra.size() < headers.size()) extra.push_back("-");
-      while (wall_extra.size() < wall_headers.size()) wall_extra.push_back("-");
+      while (wall_extra.size() < wall_headers.size()) {
+        wall_extra.push_back("-");
+      }
       table.add_row(std::move(extra));  // work columns not re-measured
       wall.add_row(std::move(wall_extra));
     }

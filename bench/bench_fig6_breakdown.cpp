@@ -58,9 +58,9 @@ int main() {
          inspector::bench::format_ms(m.run_ms),
          inspector::bench::format_ms(m.native_ms),
          inspector::bench::format_ms(
-             inspector::bench::run_ms(no_memtrack, program)),
+             inspector::bench::traced_run_ms(no_memtrack, program)),
          inspector::bench::format_ms(
-             inspector::bench::run_ms(no_pt, program))});
+             inspector::bench::traced_run_ms(no_pt, program))});
   }
   std::cout << table
             << "\npaper shape: canneal, reverse_index and kmeans spend the "

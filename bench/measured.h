@@ -33,14 +33,15 @@ struct MeasuredComparison {
 inline MeasuredComparison measured_compare(const core::Inspector& insp,
                                            const runtime::Program& program) {
   MeasuredComparison m;
-  m.native_ms = wall_ms(m.cmp.native, [&] { return insp.run_native(program); });
+  m.native_ms =
+      wall_ms(m.cmp.native, [&] { return insp.run_native(program); });
   m.run_ms = wall_ms(m.cmp.traced, [&] { return insp.run(program); });
   return m;
 }
 
 /// Wall time of one traced run under `options`.
-inline double run_ms(const core::Options& options,
-                     const runtime::Program& program) {
+inline double traced_run_ms(const core::Options& options,
+                            const runtime::Program& program) {
   runtime::ExecutionResult result;
   return wall_ms(result,
                  [&] { return core::Inspector(options).run(program); });

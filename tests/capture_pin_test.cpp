@@ -8,6 +8,7 @@
 
 #include <cstdint>
 #include <iomanip>
+#include <iterator>
 #include <sstream>
 #include <string>
 
