@@ -6,8 +6,9 @@
 // `bench_micro --threshold-check` switches to a self-timing mode that
 // holds the rewritten hot kernels to named floors against their
 // in-tree scalar baselines (detail::*_scalar in util/page_set.h, the
-// clock-compare happens-before) and varint decode to a relative
-// throughput floor against memcpy. One JSON line per check on stdout;
+// clock-compare happens-before) and varint decode, LZ decode and the
+// stripe_hash checksum to relative throughput floors against memcpy
+// (the latter two on a real shard body). One JSON line per check on stdout;
 // any violated floor prints to stderr and exits 1 -- the CI teeth
 // that keep the speed pass from quietly regressing. Debug builds skip
 // the checks (exit 0): unoptimized timings measure the compiler, not
@@ -18,22 +19,29 @@
 #include <chrono>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <random>
+#include <string>
 #include <string_view>
+#include <unistd.h>
 
 #include "util/page_set.h"
 #include "util/varint.h"
 
 #include "analysis/kernels.h"
 #include "bench_json.h"
+#include "core/inspector.h"
 #include "cpg/recorder.h"
 #include "memtrack/thread_memory.h"
 #include "ptsim/decoder.h"
 #include "ptsim/encoder.h"
 #include "ptsim/flow.h"
 #include "ptsim/sink.h"
+#include "shard/format.h"
+#include "shard/planner.h"
 #include "snapshot/compress.h"
 #include "vclock/vector_clock.h"
+#include "workloads/registry.h"
 
 namespace {
 
@@ -398,6 +406,16 @@ bool report_floor(const char* check, double value, double floor,
   return pass;
 }
 
+/// Seconds to memcpy `bytes` (same size, warm buffers): the yardstick
+/// the decode and checksum floors divide by.
+double memcpy_seconds(const std::vector<std::uint8_t>& bytes) {
+  std::vector<std::uint8_t> copy(bytes.size());
+  return seconds_per_call([&] {
+    std::memcpy(copy.data(), bytes.data(), bytes.size());
+    benchmark::DoNotOptimize(copy.data());
+  });
+}
+
 /// Varint decode throughput relative to memcpy over the same encoded
 /// bytes. Decode is inherently byte-serial, so the floor is a
 /// fraction, not parity: it catches a decoder that falls off a cliff
@@ -420,11 +438,7 @@ bool check_varint_decode() {
     if (!util::get_monotone(encoded, pos, out).ok()) std::abort();
     benchmark::DoNotOptimize(out.data());
   });
-  std::vector<std::uint8_t> copy(encoded.size());
-  const double memcpy_s = seconds_per_call([&] {
-    std::memcpy(copy.data(), encoded.data(), encoded.size());
-    benchmark::DoNotOptimize(copy.data());
-  });
+  const double memcpy_s = memcpy_seconds(encoded);
   const double decode_gbs =
       static_cast<double>(encoded.size()) / decode_s / 1e9;
   bench::JsonLine()
@@ -437,6 +451,80 @@ bool check_varint_decode() {
   // or a lost fast path lands an order of magnitude under it.
   return report_floor("varint_decode_vs_memcpy", memcpy_s / decode_s, 0.004,
                       "x memcpy");
+}
+
+/// A real shard file's LZ block and its decoded body: a word_count
+/// capture written as a 4-shard LZ store in a scratch directory, shard
+/// 0 read back. Empty on failure.
+struct ShardBody {
+  std::vector<std::uint8_t> block;
+  std::vector<std::uint8_t> body;
+};
+
+ShardBody real_shard_body() {
+  workloads::WorkloadConfig config;
+  config.threads = 4;
+  config.scale = 2;
+  config.seed = 1;
+  core::Options options;
+  options.schedule_seed = 1;
+  const auto run =
+      core::Inspector(options).run(workloads::make_workload("word_count", config));
+  const auto dir = std::filesystem::temp_directory_path() /
+                   ("bench_micro_shard_" + std::to_string(::getpid()));
+  std::filesystem::remove_all(dir);
+  ShardBody out;
+  const auto manifest = shard::write_store(
+      *run.graph, dir.string(), shard::PlanOptions{4}, shard::ShardCodec::kLz);
+  if (manifest.ok()) {
+    const auto bytes =
+        shard::read_file_bytes((dir / manifest->shards[0].file).string());
+    // The block follows the versioned header (8 bytes) and the codec
+    // frame (tag + decoded size).
+    if (bytes.ok() && bytes->size() > 17) {
+      out.block.assign(bytes->begin() + 17, bytes->end());
+      auto body = snapshot::decompress_checked(out.block);
+      if (body.ok()) out.body = std::move(body).value();
+    }
+  }
+  std::filesystem::remove_all(dir);
+  return out;
+}
+
+/// LZ decode of a real shard block (decoded-bytes checksum included)
+/// against a memcpy of the decoded body: 0.034-0.043x measured
+/// (Release, 4-vCPU VM), where a byte-at-a-time decoder with the same
+/// checksum runs 0.010-0.015x. The floor sits ~2x below the measured
+/// value rather than 3x, so that a return to the byte loop lands under
+/// it.
+bool check_lz_decode(const ShardBody& shard) {
+  if (shard.body.empty()) {
+    std::fprintf(stderr, "bench_micro: no shard body to decode\n");
+    return false;
+  }
+  const double decode_s = seconds_per_call([&] {
+    auto body = snapshot::decompress_checked(shard.block);
+    if (!body.ok()) std::abort();
+    benchmark::DoNotOptimize(body.value().data());
+  });
+  return report_floor("lz_decode_vs_memcpy",
+                      memcpy_seconds(shard.body) / decode_s, 0.02,
+                      "x memcpy");
+}
+
+/// stripe_hash over a real shard body against a memcpy of it:
+/// 0.27-0.31x measured (same machine); the floor sits ~3x below.
+/// Byte-serial FNV-1a, the checksum it replaced, runs 0.017-0.021x.
+bool check_checksum(const ShardBody& shard) {
+  if (shard.body.empty()) {
+    std::fprintf(stderr, "bench_micro: no shard body to hash\n");
+    return false;
+  }
+  const double hash_s = seconds_per_call([&] {
+    benchmark::DoNotOptimize(snapshot::stripe_hash(shard.body));
+  });
+  return report_floor("checksum_vs_memcpy",
+                      memcpy_seconds(shard.body) / hash_s, 0.09, "x memcpy");
 }
 
 /// Both intersection kernels behind call boundaries: they are
@@ -515,6 +603,9 @@ int run_threshold_checks() {
   ok &= check_varint_decode();
   ok &= check_intersection_speedup();
   ok &= check_happens_before_speedup();
+  const ShardBody shard = real_shard_body();
+  ok &= check_lz_decode(shard);
+  ok &= check_checksum(shard);
   return ok ? 0 : 1;
 #endif
 }

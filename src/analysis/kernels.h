@@ -3,8 +3,9 @@
 // Every query kind INSPECTOR answers from its Concurrent Provenance
 // Graph (§IV-A) -- latest writers, data dependencies, the §VIII
 // backward and forward slices, the race scan, the page-flow
-// propagation behind DIFT taint and invalidation, tainted sinks, and
-// the critical path -- is one function template here over a *view*,
+// propagation behind DIFT taint (with its tainted sinks) and
+// invalidation, and the critical path -- is one function template
+// here over a *view*,
 // the narrow read seam a storage form implements. GraphView (below)
 // serves an in-memory cpg::Graph with zero-copy spans; shard/engine.cpp
 // serves a sharded store through pinned shards. The kernels never
@@ -28,7 +29,6 @@
 //                            is its page index
 //   V::for_each_topological(fn(S&, node))   every node, in an order
 //                            that respects every recorded edge
-//   V::for_each_node(fn(node))
 //   S::node(id)              strict lookup (query anchors); a view
 //                            that cannot deliver throws
 //   S::try_node(id)          lenient; nullopt for a node the view
@@ -89,6 +89,9 @@ struct Propagation {
   /// Marked pages: the seeds plus everything marked nodes wrote.
   /// Sorted and duplicate-free, like every page set in the system.
   PageSet pages;
+  /// The marked nodes that end in the requested sink kind (taint's
+  /// tainted sinks), ascending id order; empty when none was asked.
+  std::vector<cpg::NodeId> sinks;
 };
 
 /// One longest chain of dependent sub-computations. It bounds how much
@@ -136,10 +139,6 @@ class GraphView {
   void for_each_topological(Fn&& fn) const {
     GraphView self = *this;
     for (const cpg::NodeId id : graph_->topological_view()) fn(self, node(id));
-  }
-  template <typename Fn>
-  void for_each_node(Fn&& fn) const {
-    for (cpg::NodeId id = 0; id < node_count(); ++id) fn(node(id));
   }
   [[nodiscard]] bool acyclic() const noexcept { return graph_->acyclic(); }
   /// A graph is whole by construction: no answer is ever partial.
@@ -515,6 +514,8 @@ template <typename View>
 /// Seed pages, walk the topological levels in order, mark every node
 /// that reads a marked page (optionally every later node of a thread
 /// that consumed marked data), and mark the pages marked nodes write.
+/// With a `sink_kind`, every marked node that ends in it is recorded
+/// as a sink during the same sweep, so no second pass re-reads nodes.
 ///
 /// A node's mark normally depends only on marks from strictly lower
 /// levels (no recorded path joins two nodes of one level, and a
@@ -528,9 +529,9 @@ template <typename View>
 /// rescanned until a fixpoint: conservative (racy flows may carry
 /// data), monotone, and therefore bit-identical at every worker count.
 template <typename View>
-[[nodiscard]] Propagation propagate_pages(const View& view,
-                                          const PageSet& seed_pages,
-                                          bool thread_carryover) {
+[[nodiscard]] Propagation propagate_pages(
+    const View& view, const PageSet& seed_pages, bool thread_carryover,
+    std::optional<sync::SyncEventKind> sink_kind = std::nullopt) {
   Propagation result;
   result.pages = seed_pages;
   page_set_normalize(result.pages);
@@ -549,6 +550,7 @@ template <typename View>
 
   struct Delta {
     std::vector<cpg::NodeId> nodes;
+    std::vector<cpg::NodeId> sinks;
     std::vector<std::size_t> pages;  ///< page indices
     std::vector<cpg::ThreadId> threads;
   };
@@ -582,6 +584,9 @@ template <typename View>
               }
               if (!marked) continue;
               d.nodes.push_back(pending[k].id);
+              if (sink_kind && node.end.kind == *sink_kind) {
+                d.sinks.push_back(pending[k].id);
+              }
               // Thread bits only matter under carry-over; skipping them
               // otherwise avoids rescans that cannot mark.
               if (thread_carryover) d.threads.push_back(node.thread);
@@ -599,6 +604,8 @@ template <typename View>
         Delta& d = local[w];
         result.nodes.insert(result.nodes.end(), d.nodes.begin(),
                             d.nodes.end());
+        result.sinks.insert(result.sinks.end(), d.sinks.begin(),
+                            d.sinks.end());
         for (const cpg::NodeId id : d.nodes) node_marked[id] = 1;
         for (const cpg::ThreadId t : d.threads) {
           if (char& bit = thread_marked[t]; bit == 0) {
@@ -614,6 +621,7 @@ template <typename View>
           }
         }
         d.nodes.clear();
+        d.sinks.clear();
         d.pages.clear();
         d.threads.clear();
       }
@@ -626,27 +634,9 @@ template <typename View>
     }
   }
   std::sort(result.nodes.begin(), result.nodes.end());
+  std::sort(result.sinks.begin(), result.sinks.end());
   page_set_normalize(result.pages);
   return result;
-}
-
-/// Nodes ending in `sink_kind` whose id is in `marked`, ascending.
-template <typename View>
-[[nodiscard]] std::vector<cpg::NodeId> tainted_sinks(
-    const View& view, std::span<const cpg::NodeId> marked,
-    sync::SyncEventKind sink_kind) {
-  util::Bitset is_marked(view.node_count());
-  for (const cpg::NodeId id : marked) {
-    if (id < view.node_count()) is_marked.set(id);
-  }
-  std::vector<cpg::NodeId> sinks;
-  view.for_each_node([&](const cpg::NodeRef& n) {
-    if (n.node->end.kind == sink_kind && is_marked.test(n.id)) {
-      sinks.push_back(n.id);
-    }
-  });
-  std::sort(sinks.begin(), sinks.end());
-  return sinks;
 }
 
 // --- critical path -------------------------------------------------------

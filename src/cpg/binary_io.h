@@ -14,8 +14,10 @@
 // naming the file kind at their API boundary.
 #pragma once
 
+#include <bit>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <span>
 #include <stdexcept>
 #include <string>
@@ -24,6 +26,26 @@
 #include "util/varint.h"
 
 namespace inspector::cpg::detail {
+
+/// Little-endian loads from bytes the caller has bounds-checked (a
+/// ByteReader::record(), an LZ block's stripes).
+[[nodiscard]] inline std::uint32_t load_u32(const std::uint8_t* p) noexcept {
+  std::uint32_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  return v;
+}
+
+[[nodiscard]] inline std::uint64_t load_u64(const std::uint8_t* p) noexcept {
+  std::uint64_t v = 0;
+  std::memcpy(&v, p, sizeof v);
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  return v;
+}
 
 /// Any structural problem with an encoded buffer: truncation, a bad
 /// magic, an unsupported version, an implausible length field.
@@ -92,13 +114,7 @@ class ByteReader {
   /// A one-byte enum tag: values at or above `count` name no
   /// enumerator, so a decoder can never switch over an unknown kind.
   std::uint8_t u8_enum(std::uint8_t count, const char* what) {
-    const std::uint8_t v = u8();
-    if (v >= count) {
-      throw SerializeError(std::string("unknown ") + what + " " +
-                           std::to_string(v) + " at offset " +
-                           std::to_string(pos_ - 1));
-    }
-    return v;
+    return enum_at(record(1, "u8"), count, what);
   }
   std::uint32_t u32() {
     need(4, "u32");
@@ -115,6 +131,27 @@ class ByteReader {
       v |= static_cast<std::uint64_t>(in_[pos_++]) << (8 * i);
     }
     return v;
+  }
+  /// A fixed-width record of `width` bytes behind one bounds check:
+  /// the returned pointer reads them unchecked (load_u32/load_u64), so
+  /// a decoder of many small records pays one check per record, not
+  /// one per field.
+  const std::uint8_t* record(std::size_t width, const char* what) {
+    need(width, what);
+    const std::uint8_t* p = in_.data() + pos_;
+    pos_ += width;
+    return p;
+  }
+  /// u8_enum() for a tag byte inside a record() (same message, naming
+  /// the byte's offset).
+  std::uint8_t enum_at(const std::uint8_t* p, std::uint8_t count,
+                       const char* what) const {
+    if (*p >= count) {
+      throw SerializeError(std::string("unknown ") + what + " " +
+                           std::to_string(*p) + " at offset " +
+                           std::to_string(p - in_.data()));
+    }
+    return *p;
   }
   std::vector<std::uint64_t> u64_vec() {
     const std::uint64_t n = counted(8, "u64 vector");
@@ -161,6 +198,9 @@ class ByteReader {
   // accumulator overflow surface exactly like every other structural
   // defect.
   std::uint64_t uvarint() {
+    // One-byte fast path: most counts and small fields fit 7 bits, and
+    // a byte below 0x80 is a complete canonical varint.
+    if (pos_ < in_.size() && in_[pos_] < 0x80) return in_[pos_++];
     std::uint64_t v = 0;
     if (Status st = util::get_uvarint(in_, pos_, v); !st.ok()) {
       throw SerializeError(st.message());
@@ -180,6 +220,21 @@ class ByteReader {
       throw SerializeError(st.message());
     }
     return v;
+  }
+  /// The sequence forms straight into the caller's array, whose
+  /// element type may be narrower than u64 (a value past it is an
+  /// error naming `what`): no u64 scratch, no second pass.
+  template <typename Vec>
+  void monotone_into(Vec& out, const char* what) {
+    if (Status st = util::get_monotone(in_, pos_, out); !st.ok()) {
+      throw SerializeError(std::string(what) + ": " + st.message());
+    }
+  }
+  template <typename Vec>
+  void zigzag_into(Vec& out, const char* what) {
+    if (Status st = util::get_zigzag_delta(in_, pos_, out); !st.ok()) {
+      throw SerializeError(std::string(what) + ": " + st.message());
+    }
   }
 
   [[nodiscard]] std::size_t remaining() const noexcept {

@@ -1,8 +1,9 @@
 #include "cpg/graph.h"
 
 #include <algorithm>
+#include <array>
 #include <atomic>
-#include <deque>
+#include <bit>
 #include <numeric>
 #include <ostream>
 #include <stdexcept>
@@ -35,6 +36,58 @@ std::ostream& operator<<(std::ostream& os, const Edge& edge) {
   return os << edge.from << " -[" << kind << "]-> " << edge.to;
 }
 
+namespace {
+
+// Grains: one parallel_for dispatch costs ~60-80 us on the pool, so a
+// chunk must carry at least that much work. Page-set normalization
+// runs ~6 ns a node (15 us serial for a 2.5k-node shard graph against
+// 76-99 us on 4 workers), so node stages split at 16k nodes and the
+// ~1 ns-per-edge endpoint check at 64k edges: a shard-sized graph
+// builds inline, and only whole-graph builds big enough to gain fan
+// out.
+constexpr std::size_t kNodeGrain = 16384;
+constexpr std::size_t kEdgeGrain = 65536;
+
+constexpr std::uint32_t kNoSlot = ~std::uint32_t{0};
+
+/// Fibonacci hashing: the top `64 - shift` bits of page * 2^64 / phi.
+/// The product wraps on purpose, so clang's unsigned-overflow check
+/// (the integer-sanitizer build) is off here.
+#if defined(__clang__)
+[[clang::no_sanitize("unsigned-integer-overflow")]]
+#endif
+std::size_t page_hash(std::uint64_t page, int shift) noexcept {
+  return static_cast<std::size_t>((page * 0x9E3779B97F4A7C15ULL) >> shift);
+}
+
+/// Stable LSD radix sort of `ids` by key_of(id): one counting pass per
+/// byte in which some key differs from the first, so the cost is
+/// linear in the ids with no comparisons, and equal keys keep their
+/// input order (the tie-break).
+template <typename KeyOf>
+void radix_sort(std::span<std::uint32_t> ids, KeyOf key_of) {
+  if (ids.size() < 2) return;
+  const std::uint64_t first = key_of(ids[0]);
+  std::uint64_t varying = 0;
+  for (const std::uint32_t id : ids) varying |= key_of(id) ^ first;
+  std::vector<std::uint32_t> scratch(ids.size());
+  std::span<std::uint32_t> from = ids;
+  std::span<std::uint32_t> to = scratch;
+  for (unsigned shift = 0; shift < 64; shift += 8) {
+    if (((varying >> shift) & 0xFF) == 0) continue;
+    std::array<std::uint32_t, 257> count{};
+    for (const std::uint32_t id : from) ++count[((key_of(id) >> shift) & 0xFF) + 1];
+    std::partial_sum(count.begin(), count.end(), count.begin());
+    for (const std::uint32_t id : from) {
+      to[count[(key_of(id) >> shift) & 0xFF]++] = id;
+    }
+    std::swap(from, to);
+  }
+  if (from.data() != ids.data()) std::copy(from.begin(), from.end(), ids.begin());
+}
+
+}  // namespace
+
 Graph::Graph(std::vector<SubComputation> nodes, std::vector<Edge> edges,
              std::vector<sync::SyncEvent> schedule)
     : nodes_(std::move(nodes)),
@@ -52,13 +105,14 @@ void Graph::build_indices() {
   // is not enforced here; rank-windowed queries assume it and
   // validate() checks it.
   //
-  // Construction runs on the shared analysis pool. Every parallel
-  // stage either writes disjoint index-addressed slots or sorts with a
-  // strict total order, so the built index is bit-identical at every
-  // worker count (the determinism guarantee the analyses inherit).
+  // Every stage is a counting scatter or a radix pass -- no comparison
+  // sort -- and the two per-node stages split over the shared analysis
+  // pool only past a grain, writing disjoint index-addressed slots, so
+  // the built index is bit-identical at every worker count (the
+  // determinism guarantee the analyses inherit).
   const auto pool = util::shared_pool();
   std::atomic<bool> bad_edge{false};
-  pool->parallel_for(0, edges_.size(), 8192,
+  pool->parallel_for(0, edges_.size(), kEdgeGrain,
                      [&](std::size_t b, std::size_t e, unsigned) {
                        for (std::size_t i = b; i < e; ++i) {
                          if (edges_[i].from >= nodes_.size() ||
@@ -70,7 +124,7 @@ void Graph::build_indices() {
   if (bad_edge.load(std::memory_order_relaxed)) {
     throw std::invalid_argument("CPG edge references unknown node");
   }
-  pool->parallel_for(0, nodes_.size(), 64,
+  pool->parallel_for(0, nodes_.size(), kNodeGrain,
                      [&](std::size_t b, std::size_t e, unsigned) {
                        for (std::size_t i = b; i < e; ++i) {
                          page_set_normalize(nodes_[i].read_set);
@@ -78,10 +132,10 @@ void Graph::build_indices() {
                        }
                      });
   build_adjacency();
-  build_thread_index(*pool);
-  build_rank(*pool);
+  build_thread_index();
+  const std::vector<NodeId> order = build_rank(*pool);
   build_topological_order();
-  build_page_index(*pool);
+  build_page_index(order);
 }
 
 void Graph::build_adjacency() {
@@ -108,7 +162,7 @@ void Graph::build_adjacency() {
   }
 }
 
-void Graph::build_thread_index(util::TaskPool& pool) {
+void Graph::build_thread_index() {
   ThreadId max_thread = 0;
   for (const auto& n : nodes_) max_thread = std::max(max_thread, n.thread);
   const std::size_t threads = nodes_.empty() ? 0 : max_thread + 1;
@@ -121,35 +175,33 @@ void Graph::build_thread_index(util::TaskPool& pool) {
   std::vector<std::uint32_t> cursor(thread_offsets_.begin(),
                                     thread_offsets_.end() - 1);
   for (const auto& n : nodes_) thread_nodes_[cursor[n.thread]++] = n.id;
-  // Per-thread CSR segments are independent: one sort task per thread.
-  // The id tie-break keeps the order total (crafted graphs may repeat
-  // an alpha), so the list is the same at every worker count.
-  pool.parallel_for(0, threads, 1,
-                    [this](std::size_t b, std::size_t e, unsigned) {
-                      for (std::size_t t = b; t < e; ++t) {
-                        std::sort(thread_nodes_.begin() + thread_offsets_[t],
-                                  thread_nodes_.begin() + thread_offsets_[t + 1],
-                                  [this](NodeId a, NodeId b) {
-                                    if (nodes_[a].alpha != nodes_[b].alpha) {
-                                      return nodes_[a].alpha < nodes_[b].alpha;
-                                    }
-                                    return a < b;
-                                  });
-                      }
-                    });
+  // The scatter leaves each thread's list in id order, which a
+  // recorded graph's alpha order already is; a crafted graph that
+  // disagrees radix-sorts by alpha, the id order breaking ties.
+  const auto alpha_of = [this](NodeId id) { return nodes_[id].alpha; };
+  for (std::size_t t = 0; t < threads; ++t) {
+    const std::span<NodeId> list(thread_nodes_.data() + thread_offsets_[t],
+                                 thread_nodes_.data() + thread_offsets_[t + 1]);
+    for (std::size_t i = 1; i < list.size(); ++i) {
+      if (alpha_of(list[i - 1]) > alpha_of(list[i])) {
+        radix_sort(list, alpha_of);
+        break;
+      }
+    }
+  }
 }
 
-void Graph::build_rank(util::TaskPool& pool) {
+std::vector<NodeId> Graph::build_rank(util::TaskPool& pool) {
   // Clock weight is monotone under happens-before: a merge only grows
   // components and every sub-computation ticks its own slot, so
   // happens_before(a, b) implies weight(a) < weight(b) whether the
   // relation comes from the clocks or from same-thread program order.
-  // Sorting by (weight, thread, alpha, id) therefore yields a total
+  // Ordering by (weight, thread, alpha, id) therefore yields a total
   // order that embeds the partial order -- including hb pairs that have
   // no recorded edge path, which an edge-based order would miss.
   const std::size_t n = nodes_.size();
   std::vector<std::uint64_t> weight(n, 0);
-  pool.parallel_for(0, n, 1024,
+  pool.parallel_for(0, n, kNodeGrain,
                     [&](std::size_t b, std::size_t e, unsigned) {
                       for (std::size_t i = b; i < e; ++i) {
                         const auto& c = nodes_[i].clock.components();
@@ -157,27 +209,15 @@ void Graph::build_rank(util::TaskPool& pool) {
                                                     std::uint64_t{0});
                       }
                     });
-  std::vector<NodeId> order(n);
-  std::iota(order.begin(), order.end(), 0);
-  // The comparator is a strict total order (final id tie-break), so
-  // the parallel chunk-sort + merge yields exactly the serial result.
-  util::parallel_sort(pool, order, [&](NodeId a, NodeId b) {
-    if (weight[a] != weight[b]) return weight[a] < weight[b];
-    if (nodes_[a].thread != nodes_[b].thread) {
-      return nodes_[a].thread < nodes_[b].thread;
-    }
-    if (nodes_[a].alpha != nodes_[b].alpha) {
-      return nodes_[a].alpha < nodes_[b].alpha;
-    }
-    return a < b;
-  });
+  // The per-thread lists concatenated are in (thread, alpha, id)
+  // order; a stable radix sort by weight puts weight first.
+  std::vector<NodeId> order(thread_nodes_.begin(), thread_nodes_.end());
+  radix_sort(std::span<NodeId>(order), [&](NodeId id) { return weight[id]; });
   rank_.resize(n);
-  pool.parallel_for(0, n, 4096,
-                    [&](std::size_t b, std::size_t e, unsigned) {
-                      for (std::size_t r = b; r < e; ++r) {
-                        rank_[order[r]] = static_cast<std::uint32_t>(r);
-                      }
-                    });
+  for (std::size_t r = 0; r < n; ++r) {
+    rank_[order[r]] = static_cast<std::uint32_t>(r);
+  }
+  return order;
 }
 
 void Graph::build_topological_order() {
@@ -191,16 +231,15 @@ void Graph::build_topological_order() {
   std::vector<std::uint32_t> indegree(n, 0);
   for (const auto& e : edges_) ++indegree[e.to];
   std::vector<std::uint32_t> level(n, 0);
-  std::deque<NodeId> ready;
+  // Each node enters the FIFO once, so a flat array holds it.
+  std::vector<NodeId> ready;
+  ready.reserve(n);
   for (NodeId i = 0; i < n; ++i) {
     if (indegree[i] == 0) ready.push_back(i);
   }
-  std::size_t processed = 0;
   std::uint32_t max_level = 0;
-  while (!ready.empty()) {
-    const NodeId cur = ready.front();
-    ready.pop_front();
-    ++processed;
+  for (std::size_t head = 0; head < ready.size(); ++head) {
+    const NodeId cur = ready[head];
     max_level = std::max(max_level, level[cur]);
     for (std::uint32_t e : out_edges(cur)) {
       const NodeId to = edges_[e].to;
@@ -208,7 +247,7 @@ void Graph::build_topological_order() {
       if (--indegree[to] == 0) ready.push_back(to);
     }
   }
-  has_cycle_ = processed != n;
+  has_cycle_ = ready.size() != n;
   topo_.clear();
   level_offsets_.clear();
   if (has_cycle_) return;
@@ -223,82 +262,98 @@ void Graph::build_topological_order() {
   for (NodeId i = 0; i < n; ++i) topo_[cursor[level[i]]++] = i;
 }
 
-void Graph::build_page_index(util::TaskPool& pool) {
-  // One (page, node) pair per read/write-set entry, bucketed per page
-  // and rank-sorted within the bucket, all in flat arrays. The scatter
-  // writes through per-node offsets (disjoint slots) and the sorts use
-  // a strict total order -- (page, node) pairs are unique and rank is a
-  // permutation -- so the fill parallelizes without changing the index.
-  struct Touch {
-    std::uint64_t page;
-    NodeId node;
-  };
+void Graph::build_page_index(std::span<const NodeId> order) {
+  // One walk over the nodes interns every touched page -- dense slots
+  // in first-touch order from an open-addressing table -- and only the
+  // distinct pages are radix-sorted into the universe. The buckets are
+  // then a counting scatter with the nodes taken in rank order, which
+  // leaves every bucket rank-sorted with no comparison sort.
   const std::size_t n = nodes_.size();
-  std::vector<std::size_t> write_at(n + 1, 0);
-  std::vector<std::size_t> read_at(n + 1, 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    write_at[i + 1] = nodes_[i].write_set.size();
-    read_at[i + 1] = nodes_[i].read_set.size();
-  }
-  std::partial_sum(write_at.begin(), write_at.end(), write_at.begin());
-  std::partial_sum(read_at.begin(), read_at.end(), read_at.begin());
-  std::vector<Touch> writes(write_at[n]);
-  std::vector<Touch> reads(read_at[n]);
-  pool.parallel_for(0, n, 128,
-                    [&](std::size_t b, std::size_t e, unsigned) {
-                      for (std::size_t i = b; i < e; ++i) {
-                        std::size_t w = write_at[i];
-                        for (std::uint64_t page : nodes_[i].write_set) {
-                          writes[w++] = {page, nodes_[i].id};
-                        }
-                        std::size_t r = read_at[i];
-                        for (std::uint64_t page : nodes_[i].read_set) {
-                          reads[r++] = {page, nodes_[i].id};
-                        }
-                      }
-                    });
-  const auto by_page_rank = [this](const Touch& a, const Touch& b) {
-    if (a.page != b.page) return a.page < b.page;
-    return rank_[a.node] < rank_[b.node];
+  // Linear probing over a table kept at most half full: it doubles
+  // (reinserting the distinct pages) as they arrive, since pages recur
+  // across many nodes and the distinct count is unknown up front.
+  std::vector<std::uint64_t> distinct;  // slot -> page
+  std::vector<std::uint64_t> keys;
+  std::vector<std::uint32_t> slots;
+  int shift = 0;
+  const auto probe = [&](std::uint64_t page) {
+    std::size_t i = page_hash(page, shift);
+    while (slots[i] != kNoSlot && keys[i] != page) {
+      i = (i + 1) & (slots.size() - 1);
+    }
+    return i;
   };
-  util::parallel_sort(pool, writes, by_page_rank);
-  util::parallel_sort(pool, reads, by_page_rank);
+  const auto grow = [&](std::size_t capacity) {
+    keys.resize(capacity);
+    slots.assign(capacity, kNoSlot);
+    shift = 64 - std::countr_zero(capacity);
+    for (std::uint32_t slot = 0; slot < distinct.size(); ++slot) {
+      const std::size_t i = probe(distinct[slot]);
+      keys[i] = distinct[slot];
+      slots[i] = slot;
+    }
+  };
+  grow(256);
+  const auto intern = [&](std::uint64_t page) {
+    const std::size_t i = probe(page);
+    if (slots[i] != kNoSlot) return slots[i];
+    const auto slot = static_cast<std::uint32_t>(distinct.size());
+    keys[i] = page;
+    slots[i] = slot;
+    distinct.push_back(page);
+    if (2 * distinct.size() > slots.size()) grow(2 * slots.size());
+    return slot;
+  };
 
-  // Both touch arrays are page-sorted, so the page universe is a linear
-  // merge of their distinct pages ...
-  pages_.clear();
-  {
-    std::size_t iw = 0;
-    std::size_t ir = 0;
-    while (iw < writes.size() || ir < reads.size()) {
-      std::uint64_t page;
-      if (ir == reads.size() ||
-          (iw < writes.size() && writes[iw].page <= reads[ir].page)) {
-        page = writes[iw].page;
-      } else {
-        page = reads[ir].page;
-      }
-      if (pages_.empty() || pages_.back() != page) pages_.push_back(page);
-      while (iw < writes.size() && writes[iw].page == page) ++iw;
-      while (ir < reads.size() && reads[ir].page == page) ++ir;
+  // Each node's touches, flat and in id order: `at[start[id]..start[id
+  // + 1])` holds the slots of its pages.
+  struct Touches {
+    std::vector<std::uint32_t> start;
+    std::vector<std::uint32_t> at;
+  };
+  Touches writes{std::vector<std::uint32_t>(n + 1), {}};
+  Touches reads{std::vector<std::uint32_t>(n + 1), {}};
+  for (std::size_t id = 0; id < n; ++id) {
+    writes.start[id] = static_cast<std::uint32_t>(writes.at.size());
+    for (const std::uint64_t page : nodes_[id].write_set) {
+      writes.at.push_back(intern(page));
+    }
+    reads.start[id] = static_cast<std::uint32_t>(reads.at.size());
+    for (const std::uint64_t page : nodes_[id].read_set) {
+      reads.at.push_back(intern(page));
     }
   }
+  writes.start[n] = static_cast<std::uint32_t>(writes.at.size());
+  reads.start[n] = static_cast<std::uint32_t>(reads.at.size());
 
-  // ... the bucket payloads are simply the node columns (already grouped
-  // by page and rank-sorted within each group), and the offsets fall out
-  // of one cursor walk per array.
-  const auto fill = [this](const std::vector<Touch>& touches,
-                           std::vector<std::uint32_t>& offsets,
-                           std::vector<NodeId>& out) {
+  std::vector<std::uint32_t> by_page(distinct.size());
+  std::iota(by_page.begin(), by_page.end(), 0);
+  radix_sort(std::span<std::uint32_t>(by_page),
+             [&](std::uint32_t slot) { return distinct[slot]; });
+  pages_.resize(distinct.size());
+  std::vector<std::uint32_t> index_of(distinct.size());
+  for (std::size_t i = 0; i < by_page.size(); ++i) {
+    pages_[i] = distinct[by_page[i]];
+    index_of[by_page[i]] = static_cast<std::uint32_t>(i);
+  }
+
+  // Offsets from per-page counts, then the scatter in rank order.
+  const auto fill = [&](Touches& touches, std::vector<std::uint32_t>& offsets,
+                        std::vector<NodeId>& out) {
     offsets.assign(pages_.size() + 1, 0);
-    out.resize(touches.size());
-    std::size_t page_idx = 0;
-    for (std::size_t k = 0; k < touches.size(); ++k) {
-      while (pages_[page_idx] != touches[k].page) ++page_idx;
-      ++offsets[page_idx + 1];
-      out[k] = touches[k].node;
+    for (std::uint32_t& p : touches.at) {
+      p = index_of[p];
+      ++offsets[p + 1];
     }
     std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+    out.resize(touches.at.size());
+    std::vector<std::uint32_t> cursor(offsets.begin(), offsets.end() - 1);
+    for (const NodeId id : order) {
+      for (std::uint32_t k = touches.start[id]; k < touches.start[id + 1];
+           ++k) {
+        out[cursor[touches.at[k]]++] = id;
+      }
+    }
   };
   fill(writes, writer_offsets_, writers_);
   fill(reads, reader_offsets_, readers_);

@@ -140,10 +140,11 @@ class Graph {
  private:
   void build_indices();
   void build_adjacency();
-  void build_thread_index(util::TaskPool& pool);
-  void build_rank(util::TaskPool& pool);
+  void build_thread_index();
+  /// Fills rank_ and returns the nodes in rank order.
+  std::vector<NodeId> build_rank(util::TaskPool& pool);
   void build_topological_order();
-  void build_page_index(util::TaskPool& pool);
+  void build_page_index(std::span<const NodeId> order);
 
   std::vector<SubComputation> nodes_;
   std::vector<Edge> edges_;

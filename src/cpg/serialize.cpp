@@ -59,18 +59,20 @@ std::vector<std::uint8_t> serialize(const Graph& graph) {
   return out;
 }
 
-Result<Graph> deserialize_checked(std::span<const std::uint8_t> bytes) {
+Result<GraphParts> decode_graph_parts(std::span<const std::uint8_t> bytes) {
   try {
     ByteReader r(bytes);
     detail::check_header(r, kCpgMagic, kCpgFormatVersion, "CPG");
+    GraphParts parts;
     // Minimum encoded node: 24 bytes.
     const std::uint64_t node_count = r.counted(24, "node");
-    std::vector<SubComputation> nodes;
-    nodes.reserve(node_count);
+    parts.nodes.resize(node_count);
     for (std::uint64_t i = 0; i < node_count; ++i) {
-      SubComputation n;
-      n.id = r.u32();
-      n.thread = r.u32();
+      SubComputation& n = parts.nodes[i];
+      // Fixed-width fields come in records, one bounds check each.
+      const std::uint8_t* head = r.record(8, "node header");
+      n.id = detail::load_u32(head);
+      n.thread = detail::load_u32(head + 4);
       // Node ids are dense in index order -- Graph indexes nodes_ by
       // id, so a corrupt id must die here, not as an out-of-bounds
       // read in the index build. Thread ids are only plausibility-
@@ -89,62 +91,77 @@ Result<Graph> deserialize_checked(std::span<const std::uint8_t> bytes) {
                                      std::to_string(n.thread));
       }
       n.alpha = r.uvarint();
+      // Sized once, then filled slot by slot.
       const std::uint64_t clock_size = r.counted_varint(1, "clock");
+      n.clock = vclock::VectorClock(clock_size);
       for (std::uint64_t j = 0; j < clock_size; ++j) {
         n.clock.set(j, r.uvarint());
       }
       n.read_set = r.monotone_u64();
       n.write_set = r.monotone_u64();
+      // counted_varint() bounds the count by the bytes left, so the
+      // whole run of 21-byte thunk records is one check.
       const std::uint64_t thunk_count = r.counted_varint(21, "thunk");
-      n.thunks.reserve(thunk_count);
-      for (std::uint64_t j = 0; j < thunk_count; ++j) {
-        Thunk t;
-        t.beta = r.u32();
-        t.branch.ip = r.u64();
-        t.branch.target = r.u64();
-        const std::uint8_t flags = r.u8();
-        t.branch.taken = (flags & 1) != 0;
-        t.branch.indirect = (flags & 2) != 0;
-        n.thunks.push_back(t);
+      const std::uint8_t* t = r.record(thunk_count * 21, "thunk records");
+      n.thunks.resize(thunk_count);
+      for (Thunk& thunk : n.thunks) {
+        thunk.beta = detail::load_u32(t);
+        thunk.branch.ip = detail::load_u64(t + 4);
+        thunk.branch.target = detail::load_u64(t + 12);
+        thunk.branch.taken = (t[20] & 1) != 0;
+        thunk.branch.indirect = (t[20] & 2) != 0;
+        t += 21;
       }
-      // lint: allow(format-version-discipline) the encoded bytes are unchanged; the decoder now rejects kind bytes that no writer emits for a valid graph
+      const std::uint8_t* end = r.record(9, "end reason");
       n.end.kind = static_cast<sync::SyncEventKind>(
-          r.u8_enum(sync::kSyncEventKinds, "end-reason kind"));
-      n.end.object = r.u64();
+          r.enum_at(end, sync::kSyncEventKinds, "end-reason kind"));
+      n.end.object = detail::load_u64(end + 1);
       n.start_seq = r.uvarint();
       n.end_seq = r.uvarint();
-      nodes.push_back(std::move(n));
     }
     const std::uint64_t edge_count = r.counted(17, "edge");
-    std::vector<Edge> edges;
-    edges.reserve(edge_count);
-    for (std::uint64_t i = 0; i < edge_count; ++i) {
-      Edge e;
-      e.from = r.u32();
-      e.to = r.u32();
-      e.kind = static_cast<EdgeKind>(r.u8_enum(kEdgeKinds, "edge kind"));
-      e.object = r.u64();
-      edges.push_back(e);
+    parts.edges.resize(edge_count);
+    for (Edge& e : parts.edges) {
+      const std::uint8_t* p = r.record(17, "edge");
+      e.from = detail::load_u32(p);
+      e.to = detail::load_u32(p + 4);
+      e.kind = static_cast<EdgeKind>(r.enum_at(p + 8, kEdgeKinds, "edge kind"));
+      e.object = detail::load_u64(p + 9);
     }
     const std::uint64_t sched_count = r.counted(21, "schedule event");
-    std::vector<sync::SyncEvent> schedule;
-    schedule.reserve(sched_count);
-    for (std::uint64_t i = 0; i < sched_count; ++i) {
-      sync::SyncEvent s;
-      s.seq = r.u64();
-      s.thread = r.u32();
-      s.object = r.u64();
+    parts.schedule.resize(sched_count);
+    for (sync::SyncEvent& s : parts.schedule) {
+      const std::uint8_t* p = r.record(21, "schedule event");
+      s.seq = detail::load_u64(p);
+      s.thread = detail::load_u32(p + 8);
+      s.object = detail::load_u64(p + 12);
       s.kind = static_cast<sync::SyncEventKind>(
-          r.u8_enum(sync::kSyncEventKinds, "schedule event kind"));
-      schedule.push_back(s);
+          r.enum_at(p + 20, sync::kSyncEventKinds, "schedule event kind"));
     }
-    // Graph construction validates edge endpoints and may throw; fold
-    // that into the same typed error path as the decode itself.
-    return Graph(std::move(nodes), std::move(edges), std::move(schedule));
+    return parts;
   } catch (const std::exception& e) {
     return Status(StatusCode::kInvalidArgument,
                   std::string("CPG deserialize: ") + e.what());
   }
+}
+
+Result<Graph> build_graph(GraphParts parts) {
+  try {
+    // Graph construction validates edge endpoints and may throw; fold
+    // that into the same typed error path as the decode itself.
+    return Graph(std::move(parts.nodes), std::move(parts.edges),
+                 std::move(parts.schedule));
+  } catch (const std::exception& e) {
+    return Status(StatusCode::kInvalidArgument,
+                  std::string("CPG deserialize: ") + e.what());
+  }
+}
+
+Result<Graph> deserialize_checked(std::span<const std::uint8_t> bytes) {
+  // lint: allow(format-version-discipline) the encoded bytes are unchanged; the records decode through decode_graph_parts, one bounds check per fixed-width record
+  auto parts = decode_graph_parts(bytes);
+  if (!parts.ok()) return parts.status();
+  return build_graph(std::move(parts).value());
 }
 
 std::string to_text(const Graph& graph) {

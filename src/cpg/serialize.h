@@ -28,6 +28,26 @@ inline constexpr std::uint32_t kCpgFormatVersion = 3;
 /// format version, node count, nodes, edge count, edges, schedule.
 [[nodiscard]] std::vector<std::uint8_t> serialize(const Graph& graph);
 
+/// A CPG file's records decoded, before the graph's query index is
+/// built: what deserialize_checked() hands to the Graph constructor.
+/// The sharded store decodes through this so a load can time the
+/// decode and the index build apart.
+struct GraphParts {
+  std::vector<SubComputation> nodes;
+  std::vector<Edge> edges;
+  std::vector<sync::SyncEvent> schedule;
+};
+
+/// deserialize_checked() without the index build: the same checks and
+/// messages for everything the bytes themselves can get wrong.
+[[nodiscard]] Result<GraphParts> decode_graph_parts(
+    std::span<const std::uint8_t> bytes);
+
+/// The rest of deserialize_checked(): the Graph over decoded parts,
+/// its index built. Endpoints the constructor rejects come back as the
+/// same kInvalidArgument.
+[[nodiscard]] Result<Graph> build_graph(GraphParts parts);
+
 /// Inverse of serialize(). A malformed, truncated, or wrong-version
 /// buffer comes back as kInvalidArgument with a precise message; this
 /// is the one decode path (tools, the sharded store and the snapshot

@@ -113,10 +113,10 @@ template <typename View>
           },
           [&](const TaintQuery& s) -> Result<QueryResult> {
             if (!view.acyclic()) return cyclic_error("taint");
-            auto flow = kernels::propagate_pages(view, s.seed_pages,
-                                                 s.track_register_carryover);
+            auto flow = kernels::propagate_pages(
+                view, s.seed_pages, s.track_register_carryover, s.sink_kind);
             FlowResult out;
-            out.sinks = kernels::tainted_sinks(view, flow.nodes, s.sink_kind);
+            out.sinks = std::move(flow.sinks);
             out.nodes = std::move(flow.nodes);
             out.pages = std::move(flow.pages);
             return QueryResult(std::move(out));

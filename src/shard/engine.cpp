@@ -275,16 +275,6 @@ class StoreView {
     });
   }
 
-  template <typename Fn>
-  void for_each_node(Fn&& fn) const {
-    for_each_shard([&](Scope&, const LoadedShard& ls) {
-      for (std::uint32_t local = 0; local < ls.data.global_ids.size();
-           ++local) {
-        fn(entry(ls, local));
-      }
-    });
-  }
-
   /// The planner refuses cyclic graphs, so a store always has levels.
   [[nodiscard]] bool acyclic() const noexcept { return true; }
   [[nodiscard]] bool degraded() const noexcept {

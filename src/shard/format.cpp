@@ -107,23 +107,6 @@ std::vector<std::uint64_t> widen(const Vec& v) {
   return std::vector<std::uint64_t>(v.begin(), v.end());
 }
 
-/// Narrow a decoded u64 sequence into a u32 sidecar, rejecting values
-/// that cannot have come from the writer.
-template <typename Vec>
-void narrow_into(const std::vector<std::uint64_t>& v, Vec& out,
-                 const char* what) {
-  out.clear();
-  out.reserve(v.size());
-  for (std::uint64_t x : v) {
-    if (x > 0xFFFFFFFFu) {
-      // lint: allow(no-throw-across-boundary) SerializeError is internal; the deserialize_*_checked wrappers catch it into a typed Status
-      throw cpg::detail::SerializeError(std::string(what) +
-                                        " value does not fit 32 bits");
-    }
-    out.push_back(static_cast<std::uint32_t>(x));
-  }
-}
-
 /// The shards' page sets as one ascending k-way merge: the distinct
 /// pages, and for each (through `offsets`) the shards holding it, in
 /// shard order, with the page's local index. The step over the k heads
@@ -231,7 +214,7 @@ std::vector<std::uint8_t> serialize_manifest(const Manifest& m) {
   // Trailing self-checksum over everything above: any flipped bit in
   // the routing tables surfaces as kDataLoss at open, not as a
   // misrouted query.
-  w.u64(snapshot::fnv1a(out));
+  w.u64(snapshot::stripe_hash(out));
   return out;
 }
 
@@ -253,7 +236,7 @@ Result<Manifest> deserialize_manifest(const std::vector<std::uint8_t>& bytes) {
                     bytes[bytes.size() - 8 + static_cast<std::size_t>(i)])
                 << (8 * i);
     }
-    const std::uint64_t actual = snapshot::fnv1a(
+    const std::uint64_t actual = snapshot::stripe_hash(
         std::span<const std::uint8_t>(bytes.data(), bytes.size() - 8));
     if (stored != actual) {
       return Status(StatusCode::kDataLoss,
@@ -358,7 +341,8 @@ void write_shard_body(ByteWriter& w, const ShardData& s) {
   w.u8_vec(cpg::serialize(s.graph));
 }
 
-Result<ShardData> deserialize_shard_body(std::span<const std::uint8_t> body);
+Result<ShardData> deserialize_shard_body(std::span<const std::uint8_t> body,
+                                         LoadCost* cost);
 
 /// The codec frame behind the versioned header. Throws SerializeError
 /// on truncation (callers sit inside a try like every other decode
@@ -426,7 +410,8 @@ namespace {
 /// keeps the frame for check_shard (the one site that knows how each
 /// codec stores the body).
 Result<ShardData> decode_shard_payload(const ShardFrame& frame,
-                                       std::span<const std::uint8_t> payload) {
+                                       std::span<const std::uint8_t> payload,
+                                       LoadCost* cost) {
   const auto framed = [&](Result<ShardData> data) {
     if (data.ok()) {
       data.value().codec = frame.codec;
@@ -434,6 +419,7 @@ Result<ShardData> decode_shard_payload(const ShardFrame& frame,
     }
     return data;
   };
+  if (cost != nullptr) cost->decoded_bytes = frame.decoded_size;
   if (frame.codec == ShardCodec::kRaw) {
     if (payload.size() != frame.decoded_size) {
       return Status(StatusCode::kInvalidArgument,
@@ -442,9 +428,11 @@ Result<ShardData> decode_shard_payload(const ShardFrame& frame,
                         " bytes but the frame declares " +
                         std::to_string(frame.decoded_size));
     }
-    return framed(deserialize_shard_body(payload));
+    return framed(deserialize_shard_body(payload, cost));
   }
+  LoadCost::Laps laps;
   auto body = snapshot::decompress_checked(payload);
+  if (cost != nullptr) cost->decompress_us += laps.lap();
   if (!body.ok()) {
     // Preserve the integrity-vs-structure distinction: a checksum
     // mismatch inside the block stays kDataLoss.
@@ -461,17 +449,18 @@ Result<ShardData> decode_shard_payload(const ShardFrame& frame,
                       " bytes but the frame declares " +
                       std::to_string(frame.decoded_size));
   }
-  return framed(deserialize_shard_body(body.value()));
+  return framed(deserialize_shard_body(body.value(), cost));
 }
 
 }  // namespace
 
-Result<ShardData> deserialize_shard(const std::vector<std::uint8_t>& bytes) {
+Result<ShardData> deserialize_shard(const std::vector<std::uint8_t>& bytes,
+                                    LoadCost* cost) {
   try {
     ByteReader r(bytes);
     const auto frame = parse_shard_frame(r);
     if (!frame.ok()) return frame.status();
-    return decode_shard_payload(*frame, r.rest());
+    return decode_shard_payload(*frame, r.rest(), cost);
   } catch (const std::exception& e) {
     return Status(StatusCode::kInvalidArgument,
                   std::string("CPG shard: ") + e.what());
@@ -577,26 +566,33 @@ Status check_shard(const Manifest& m, std::uint32_t index,
 
 namespace {
 
-Result<ShardData> deserialize_shard_body(std::span<const std::uint8_t> body) {
+Result<ShardData> deserialize_shard_body(std::span<const std::uint8_t> body,
+                                         LoadCost* cost) {
   try {
+    LoadCost::Laps laps;
     ByteReader r(body);
     ShardData s;
     s.shard_index = r.u32();
     s.shard_count = r.u32();
     s.rank_lo = r.u32();
     s.rank_hi = r.u32();
-    narrow_into(r.monotone_u64(), s.global_ids, "global id");
-    narrow_into(r.zigzag_u64(), s.global_ranks, "global rank");
-    narrow_into(r.zigzag_u64(), s.global_levels, "global level");
-    const auto edge_globals = r.monotone_u64();
-    s.edge_globals.assign(edge_globals.begin(), edge_globals.end());
+    // Sidecars decode straight into their arrays (a value past 32 bits
+    // cannot have come from the writer and is an error).
+    r.monotone_into(s.global_ids, "global id");
+    r.zigzag_into(s.global_ranks, "global rank");
+    r.zigzag_into(s.global_levels, "global level");
+    r.monotone_into(s.edge_globals, "edge index");
     s.frontier_in = read_frontier(r);
     s.frontier_out = read_frontier(r);
     // In-place view: the embedded graph is the dominant payload, and
     // every budget-driven cache miss decodes one -- no second copy.
-    auto graph = cpg::deserialize_checked(r.u8_view());
+    auto parts = cpg::decode_graph_parts(r.u8_view());
+    if (!parts.ok()) return parts.status();
+    if (cost != nullptr) cost->decode_us += laps.lap();
+    auto graph = cpg::build_graph(std::move(parts).value());
     if (!graph.ok()) return graph.status();
     s.graph = std::move(graph).value();
+    if (cost != nullptr) cost->index_us += laps.lap();
     const std::size_t n = s.graph.nodes().size();
     if (s.global_ids.size() != n || s.global_ranks.size() != n ||
         s.global_levels.size() != n) {
@@ -799,9 +795,15 @@ Result<Manifest> ShardReader::read_manifest(const std::string& dir) {
 }
 
 Result<ShardData> ShardReader::read_shard(const std::string& dir,
-                                          const ShardInfo& info) {
+                                          const ShardInfo& info,
+                                          LoadCost* cost) {
+  LoadCost::Laps laps;
   auto bytes = read_file_bytes(dir + "/" + info.file);
   if (!bytes.ok()) return bytes.status();
+  if (cost != nullptr) {
+    cost->encoded_bytes = bytes->size();
+    cost->read_us += laps.lap();
+  }
   if (bytes->size() != info.byte_size) {
     return Status(StatusCode::kInvalidArgument,
                   dir + "/" + info.file +
@@ -812,13 +814,14 @@ Result<ShardData> ShardReader::read_shard(const std::string& dir,
   }
   // Whole-file integrity: the one check that covers raw-codec bodies,
   // whose frames carry no checksum of their own.
-  if (snapshot::fnv1a(bytes.value()) != info.file_checksum) {
+  if (snapshot::stripe_hash(bytes.value()) != info.file_checksum) {
     return Status(StatusCode::kDataLoss,
                   dir + "/" + info.file +
                       ": file checksum does not match the manifest (the "
                       "shard bytes are damaged)");
   }
-  return deserialize_shard(bytes.value());
+  if (cost != nullptr) cost->verify_us += laps.lap();
+  return deserialize_shard(bytes.value(), cost);
 }
 
 }  // namespace inspector::shard

@@ -38,6 +38,7 @@
 // --shard-out`).
 #pragma once
 
+#include <chrono>
 #include <cstdint>
 #include <span>
 #include <string>
@@ -56,17 +57,19 @@ namespace inspector::shard {
 /// raw-codec bodies are integrity-checked, not just LZ ones) and a
 /// trailing checksum over the manifest bytes themselves; version 4
 /// replaces the stored page universe and the per-shard page fences
-/// with each shard's exact page set.
+/// with each shard's exact page set; version 5 computes both checksums
+/// with the word-wise snapshot::stripe_hash instead of FNV-1a.
 inline constexpr std::uint32_t kManifestMagic = 0x4D475043;
-inline constexpr std::uint32_t kManifestFormatVersion = 4;
+inline constexpr std::uint32_t kManifestFormatVersion = 5;
 /// "CPGS" -- one shard file. Version 1 stored the body raw; version 2
 /// frames the body behind a codec tag + decoded size; version 3 packs
 /// the sidecars and frontier as delta+varint sequences
 /// (util/varint.h) before the codec frame, so the file shrinks twice:
 /// once from the packing itself and again because the LZ codec sees a
-/// lower-entropy stream.
+/// lower-entropy stream; version 4 is an LZ block whose decoded-bytes
+/// checksum is snapshot::stripe_hash instead of FNV-1a.
 inline constexpr std::uint32_t kShardMagic = 0x53475043;
-inline constexpr std::uint32_t kShardFormatVersion = 3;
+inline constexpr std::uint32_t kShardFormatVersion = 4;
 
 inline constexpr const char* kManifestFileName = "MANIFEST.bin";
 
@@ -105,8 +108,8 @@ struct ShardInfo {
   std::uint64_t decoded_bytes = 0;  ///< body size once decoded (the
                                     ///< store's memory-budget unit)
   ShardCodec codec = ShardCodec::kRaw;
-  /// FNV-1a over the whole encoded file; readers verify it before
-  /// decoding.
+  /// snapshot::stripe_hash over the whole encoded file; readers verify
+  /// it before decoding.
   std::uint64_t file_checksum = 0;
   /// Every page the shard's nodes touch, sorted: exactly its graph's
   /// pages(), so a page's position here is its local page index.
@@ -191,6 +194,36 @@ struct ShardData {
   std::uint64_t decoded_bytes = 0;
 };
 
+/// Where one shard load's time went, with its sizes: what the store
+/// annotates its shard_load span with. Each phase in microseconds.
+struct LoadCost {
+  std::uint64_t encoded_bytes = 0;
+  std::uint64_t decoded_bytes = 0;
+  std::uint64_t read_us = 0;        ///< file read
+  std::uint64_t verify_us = 0;      ///< whole-file checksum, manifest check
+  std::uint64_t decompress_us = 0;  ///< LZ decode + decoded-bytes checksum
+  std::uint64_t decode_us = 0;      ///< sidecars, frontier, node records
+  std::uint64_t index_us = 0;       ///< graph index + the store's lookups
+
+  /// The phase clock: each lap() is the microseconds since the
+  /// previous lap (or since construction).
+  class Laps {
+   public:
+    std::uint64_t lap() {
+      const auto now = std::chrono::steady_clock::now();
+      const auto us =
+          std::chrono::duration_cast<std::chrono::microseconds>(now - last_)
+              .count();
+      last_ = now;
+      return static_cast<std::uint64_t>(us);
+    }
+
+   private:
+    std::chrono::steady_clock::time_point last_ =
+        std::chrono::steady_clock::now();
+  };
+};
+
 // --- encoding ---------------------------------------------------------
 
 /// Encode the manifest, closed by a checksum over its own bytes.
@@ -211,9 +244,10 @@ struct ShardData {
 /// Decode + validate one shard file (transparently decompressing a
 /// kLz body). A corrupt compressed payload -- truncated, bad offsets,
 /// checksum mismatch -- comes back as kInvalidArgument, never as an
-/// exception.
+/// exception. `cost`, when given, receives the decompress, decode and
+/// index-build times and the decoded size.
 [[nodiscard]] Result<ShardData> deserialize_shard(
-    const std::vector<std::uint8_t>& bytes);
+    const std::vector<std::uint8_t>& bytes, LoadCost* cost = nullptr);
 
 /// A decoded shard against entry `index` of the manifest that
 /// references it: the one check both the store's load path and fsck
@@ -260,9 +294,12 @@ class ShardReader {
   [[nodiscard]] static Result<Manifest> read_manifest(const std::string& dir);
   /// Read and decode one shard file, after checking its size and
   /// whole-file checksum against `info`. check_shard() then ties the
-  /// payload to the rest of the manifest.
+  /// payload to the rest of the manifest. `cost`, when given, receives
+  /// this attempt's sizes and adds its phase times (read, verify and
+  /// the deserialize_shard() phases).
   [[nodiscard]] static Result<ShardData> read_shard(const std::string& dir,
-                                                    const ShardInfo& info);
+                                                    const ShardInfo& info,
+                                                    LoadCost* cost = nullptr);
 };
 
 }  // namespace inspector::shard

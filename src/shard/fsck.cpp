@@ -154,7 +154,7 @@ Result<FsckReport> fsck(const std::string& dir, const FsckOptions& options) {
               std::to_string(info.byte_size));
       continue;
     }
-    if (snapshot::fnv1a(bytes.value()) != info.file_checksum) {
+    if (snapshot::stripe_hash(bytes.value()) != info.file_checksum) {
       add(FsckIssue::Kind::kChecksumMismatch, info.file,
           "whole-file checksum does not match the manifest (the shard "
           "bytes are damaged)");

@@ -240,7 +240,7 @@ Status materialize_shards(const cpg::Graph& graph, const ShardPlan& plan,
           const std::vector<std::uint8_t> bytes =
               serialize_shard(data, codec, &info.decoded_bytes);
           info.byte_size = bytes.size();
-          info.file_checksum = snapshot::fnv1a(bytes);
+          info.file_checksum = snapshot::stripe_hash(bytes);
           if (Status st = write_file_bytes(dir + "/" + info.file, bytes);
               !st.ok()) {
             std::lock_guard lock(failure_mu);

@@ -269,12 +269,17 @@ Result<std::shared_ptr<const LoadedShard>> ShardStore::load(
   // on different shards proceed in parallel instead of queuing behind
   // one decode. Transient failures (kUnavailable from the read layer)
   // retry with backoff; everything else is permanent.
+  // Where the load's time goes, annotated on the span; only measured
+  // when the span is recording.
+  LoadCost cost;
+  LoadCost* const costed = span.active() ? &cost : nullptr;
   const auto read_with_retry = [&]() -> Result<ShardData> {
     const RetryPolicy& policy = options_.retry_policy;
     const std::uint32_t attempts = std::max<std::uint32_t>(
         policy.max_attempts, 1);
     for (std::uint32_t attempt = 1;; ++attempt) {
-      auto data = ShardReader::read_shard(dir_, manifest_.shards[shard]);
+      auto data =
+          ShardReader::read_shard(dir_, manifest_.shards[shard], costed);
       if (data.ok() || attempt >= attempts ||
           data.status().code() != StatusCode::kUnavailable) {
         return data;
@@ -290,13 +295,25 @@ Result<std::shared_ptr<const LoadedShard>> ShardStore::load(
   // The file is internally consistent (deserialize_shard checked); now
   // it must also be the file this manifest wrote, not a stray from
   // another store generation sharing the directory.
+  LoadCost::Laps laps;
   if (Status s = check_shard(manifest_, shard, data.value()); !s.ok()) {
     return fail(s);
   }
+  cost.verify_us += laps.lap();
   auto loaded = std::make_shared<LoadedShard>();
   loaded->data = std::move(data).value();
   loaded->decoded_bytes = manifest_.shards[shard].decoded_bytes;
   loaded->build_lookup();
+  cost.index_us += laps.lap();
+  if (costed != nullptr) {
+    span.annotate("encoded_bytes", cost.encoded_bytes);
+    span.annotate("decoded_bytes", cost.decoded_bytes);
+    span.annotate("read_us", cost.read_us);
+    span.annotate("verify_us", cost.verify_us);
+    span.annotate("decompress_us", cost.decompress_us);
+    span.annotate("decode_us", cost.decode_us);
+    span.annotate("index_us", cost.index_us);
+  }
   // Back under the lock only for the cache mutation itself; the guard
   // clears the in-flight mark (and wakes waiters) under this same
   // lock hold once the shard is resident.

@@ -8,7 +8,7 @@
 // repeat; the codec reproduces that behaviour on our encoded streams.
 //
 // A block is self-contained: a 16-byte header carries the decoded size
-// and an FNV-1a checksum of the decoded bytes, so any corruption --
+// and a stripe_hash() checksum of the decoded bytes, so any corruption --
 // structural (truncated lengths, out-of-window offsets, trailing
 // garbage) or content (a bit flip inside a literal run) -- surfaces as
 // a typed error from decompress_checked(), never as silently wrong
@@ -24,12 +24,24 @@
 
 namespace inspector::snapshot {
 
-/// Bytes of block header: decoded size (u64 LE) + FNV-1a checksum of
+/// Bytes of block header: decoded size (u64 LE) + stripe_hash() of
 /// the decoded bytes (u64 LE).
 inline constexpr std::size_t kBlockHeaderBytes = 16;
 
-/// FNV-1a-64 over `bytes`: the content-integrity hash used by the LZ
-/// block header and by the shard manifest's whole-file checksums.
+/// The on-disk integrity checksum: the LZ block header's decoded-bytes
+/// checksum and the shard manifest's whole-file and self checksums.
+/// Four independent 64-bit lanes consume 32-byte stripes a word at a
+/// time, the lanes and the tail words fold into one value, and a final
+/// mix avalanches it. Every per-word step is a bijection of its word
+/// (and of the state it updates), so for a fixed length any change
+/// confined to one 8-byte word -- every single-bit flip -- changes the
+/// result. Memory speed, where a byte-serial hash would dominate a
+/// shard load.
+[[nodiscard]] std::uint64_t stripe_hash(
+    std::span<const std::uint8_t> bytes) noexcept;
+
+/// FNV-1a-64 over `bytes`: a byte-serial fingerprint (capture_pin_test
+/// pins capture files by it); no file format stores it.
 [[nodiscard]] std::uint64_t fnv1a(std::span<const std::uint8_t> bytes) noexcept;
 
 /// Compress `input` into a self-contained block (decoded size and
@@ -37,7 +49,10 @@ inline constexpr std::size_t kBlockHeaderBytes = 16;
 [[nodiscard]] std::vector<std::uint8_t> compress(
     std::span<const std::uint8_t> input);
 
-/// Decompress a block produced by compress(). Every way the block can
+/// Decompress a block produced by compress() into a buffer sized once
+/// from the header. Literal runs copy 16 bytes and matches 8 bytes at a
+/// time wherever the buffer has room for the overshoot (a match whose
+/// offset is below 8 copies byte by byte). Every way the block can
 /// be malformed -- truncated header or body, a length extension running
 /// past the end, a match offset reaching before the window start,
 /// trailing garbage after the final sequence, a decoded size mismatch

@@ -1,9 +1,8 @@
 // A small fork-join worker pool for the analysis runtime.
 //
 // Analyses (index construction, the page-major race scan, taint /
-// incremental propagation) decompose into independent chunks -- pages,
-// CSR segments, topological levels -- whose results merge
-// deterministically. TaskPool runs those chunks on persistent worker
+// incremental propagation) decompose into independent chunks -- nodes,
+// pages, topological levels -- whose results merge deterministically. TaskPool runs those chunks on persistent worker
 // threads; `parallel_for` hands out fixed-grain chunks through an
 // atomic cursor, the caller participates as worker 0, and a
 // single-worker pool degenerates to a plain inline loop with zero
@@ -122,55 +121,5 @@ void set_analysis_threads(unsigned workers);
 /// wrap-around cases std::stoul would accept.
 [[nodiscard]] std::optional<unsigned> parse_analysis_threads(
     const std::string& value);
-
-/// Deterministic parallel sort: `comp` must be a strict total order
-/// (break ties explicitly), which makes the output identical to
-/// std::sort at every worker count. Chunk sorts run in parallel, then
-/// log2(chunks) rounds of pairwise in-place merges.
-template <typename T, typename Comp>
-void parallel_sort(TaskPool& pool, std::vector<T>& v, Comp comp) {
-  constexpr std::size_t kSerialCutoff = 4096;
-  if (pool.worker_count() <= 1 || v.size() <= kSerialCutoff) {
-    std::sort(v.begin(), v.end(), comp);
-    return;
-  }
-  // Power-of-two chunk count near the worker count, so the merge tree
-  // is balanced and every round exactly halves the number of runs. The
-  // size cap must be rounded back DOWN to a power of two: a stray
-  // seventh run would never be merged by the pairwise rounds.
-  std::size_t chunks = 1;
-  while (chunks < pool.worker_count()) chunks *= 2;
-  chunks = std::min(chunks, v.size() / (kSerialCutoff / 4));
-  std::size_t pow2 = 1;
-  while (pow2 * 2 <= chunks) pow2 *= 2;
-  chunks = pow2;
-  if (chunks <= 1) {
-    std::sort(v.begin(), v.end(), comp);
-    return;
-  }
-  std::vector<std::size_t> bounds(chunks + 1);
-  for (std::size_t i = 0; i <= chunks; ++i) {
-    bounds[i] = v.size() * i / chunks;
-  }
-  pool.parallel_for(0, chunks, 1,
-                    [&](std::size_t b, std::size_t e, unsigned) {
-                      for (std::size_t i = b; i < e; ++i) {
-                        std::sort(v.begin() + bounds[i],
-                                  v.begin() + bounds[i + 1], comp);
-                      }
-                    });
-  for (std::size_t width = 1; width < chunks; width *= 2) {
-    const std::size_t pairs = chunks / (2 * width);
-    pool.parallel_for(
-        0, pairs, 1, [&](std::size_t b, std::size_t e, unsigned) {
-          for (std::size_t p = b; p < e; ++p) {
-            const std::size_t lo = 2 * width * p;
-            std::inplace_merge(v.begin() + bounds[lo],
-                               v.begin() + bounds[lo + width],
-                               v.begin() + bounds[lo + 2 * width], comp);
-          }
-        });
-  }
-}
 
 }  // namespace inspector::util

@@ -15,6 +15,7 @@
 #pragma once
 
 #include <cstdint>
+#include <limits>
 #include <span>
 #include <string>
 #include <vector>
@@ -122,15 +123,36 @@ inline void put_uvarint(std::vector<std::uint8_t>& out, std::uint64_t v) {
   return Status::Ok();
 }
 
-/// Decode a monotone sequence into `out` (replacing its contents).
-/// The count is checked against the bytes actually available (every
-/// element needs at least one byte), so a corrupt count can never
-/// drive a huge reserve(); an accumulator that would pass u64 max is
-/// a typed error, so the strictly-ascending invariant holds for every
-/// sequence this returns.
+/// Store a decoded sequence value into an element of `out`'s type:
+/// Ok when it fits, else kInvalidArgument naming the value and index
+/// (a u32 sidecar decodes straight into its array and rejects values
+/// no writer of it can have produced).
+template <typename Vec>
+[[nodiscard]] inline Status store_element(Vec& out, std::uint64_t i,
+                                          std::uint64_t value) {
+  using T = typename Vec::value_type;
+  if constexpr (sizeof(T) < sizeof(std::uint64_t)) {
+    if (value > std::numeric_limits<T>::max()) {
+      return {StatusCode::kInvalidArgument,
+              "sequence value " + std::to_string(value) + " at index " +
+                  std::to_string(i) + " does not fit " +
+                  std::to_string(8 * sizeof(T)) + " bits"};
+    }
+  }
+  out[i] = static_cast<T>(value);
+  return Status::Ok();
+}
+
+/// Decode a monotone sequence into `out` (replacing its contents), a
+/// vector of u64 or of a narrower unsigned type (values past it are
+/// typed errors). The count is checked against the bytes actually
+/// available (every element needs at least one byte), so a corrupt
+/// count can never drive a huge reserve(); an accumulator that would
+/// pass u64 max is a typed error, so the strictly-ascending invariant
+/// holds for every sequence this returns.
+template <typename Vec>
 [[nodiscard]] inline Status get_monotone(std::span<const std::uint8_t> in,
-                                         std::size_t& pos,
-                                         std::vector<std::uint64_t>& out) {
+                                         std::size_t& pos, Vec& out) {
   std::uint64_t n = 0;
   if (Status st = get_uvarint(in, pos, n); !st.ok()) return st;
   if (n > in.size() - pos) {
@@ -167,7 +189,10 @@ inline void put_uvarint(std::vector<std::uint8_t>& out, std::uint64_t v) {
       }
       value = prev + d + 1;
     }
-    out[i] = value;
+    if (Status st = store_element(out, i, value); !st.ok()) {
+      out.resize(i);
+      return st;
+    }
     prev = value;
   }
   return Status::Ok();
@@ -187,11 +212,12 @@ inline void put_zigzag_delta(std::vector<std::uint8_t>& out,
 }
 
 /// Decode a zigzag-delta sequence into `out` (replacing its
-/// contents). Deltas accumulate mod 2^64, mirroring the encoder, so
-/// every byte-valid stream round-trips exactly.
-[[nodiscard]] inline Status get_zigzag_delta(
-    std::span<const std::uint8_t> in, std::size_t& pos,
-    std::vector<std::uint64_t>& out) {
+/// contents; u64 or narrower elements, as get_monotone). Deltas
+/// accumulate mod 2^64, mirroring the encoder, so every byte-valid
+/// stream round-trips exactly.
+template <typename Vec>
+[[nodiscard]] inline Status get_zigzag_delta(std::span<const std::uint8_t> in,
+                                             std::size_t& pos, Vec& out) {
   std::uint64_t n = 0;
   if (Status st = get_uvarint(in, pos, n); !st.ok()) return st;
   if (n > in.size() - pos) {
@@ -213,7 +239,10 @@ inline void put_zigzag_delta(std::vector<std::uint8_t>& out,
       return st;
     }
     prev += static_cast<std::uint64_t>(zigzag_decode(z));
-    out[i] = prev;
+    if (Status st = store_element(out, i, prev); !st.ok()) {
+      out.resize(i);
+      return st;
+    }
   }
   return Status::Ok();
 }

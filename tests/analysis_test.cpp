@@ -114,12 +114,11 @@ TEST_F(AnalysisFixture, TaintedSinksFindExitNodes) {
   const auto& g = *result.graph;
   const PageSet seeds = {
       memtrack::page_id_of(memtrack::AddressLayout::kInputBase)};
-  const auto taint = kernels::propagate_pages(GraphView(g), seeds, true);
-  const auto sinks = kernels::tainted_sinks(GraphView(g), taint.nodes,
-                                            sync::SyncEventKind::kThreadExit);
+  const auto taint = kernels::propagate_pages(
+      GraphView(g), seeds, true, sync::SyncEventKind::kThreadExit);
   // A's and B's exits are tainted sinks; C's is not.
   std::unordered_set<cpg::ThreadId> sink_threads;
-  for (auto id : sinks) sink_threads.insert(g.node(id).thread);
+  for (auto id : taint.sinks) sink_threads.insert(g.node(id).thread);
   EXPECT_TRUE(sink_threads.contains(1));
   EXPECT_TRUE(sink_threads.contains(2));
   EXPECT_FALSE(sink_threads.contains(3));

@@ -1,24 +1,36 @@
 // LZ block-codec tests: round trips on adversarial and realistic
 // inputs, malformed-input handling through the typed
 // decompress_checked() path (truncations, out-of-window offsets,
-// trailing garbage, a full bit-flip sweep), plus the fig-9 claim that
-// PT logs compress very well.
+// trailing garbage, a full bit-flip sweep), the fast decoder against
+// a byte-loop reference on real shard bodies and crafted blocks, the
+// stripe_hash checksum's known answers and bit-flip sensitivity, plus
+// the fig-9 claim that PT logs compress very well.
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <filesystem>
 #include <random>
+#include <string>
 
+#include "core/inspector.h"
+#include "history_fixtures.h"
 #include "ptsim/encoder.h"
 #include "ptsim/sink.h"
+#include "shard/format.h"
+#include "shard/planner.h"
 #include "snapshot/compress.h"
+#include "workloads/registry.h"
 
 namespace {
 
+using inspector::Result;
+using inspector::Status;
 using inspector::StatusCode;
 using inspector::snapshot::compress;
 using inspector::snapshot::compression_ratio;
 using inspector::snapshot::decompress_checked;
 using inspector::snapshot::kBlockHeaderBytes;
+using inspector::snapshot::stripe_hash;
 
 /// Decode through the typed path; a failed decode fails the test.
 std::vector<std::uint8_t> unpack(const std::vector<std::uint8_t>& block) {
@@ -294,5 +306,389 @@ TEST_P(CompressFuzzTest, MixedContentRoundTrips) {
 
 INSTANTIATE_TEST_SUITE_P(Seeds, CompressFuzzTest,
                          ::testing::Values(1, 2, 3, 4, 5, 6, 7, 8));
+
+// --- the decoder against a byte-loop reference ------------------------
+
+/// The byte-at-a-time decoder the wild-copy one replaced: every output
+/// byte is one push_back, every match byte copied singly. The fast
+/// decoder must agree with it on every block -- the same bytes on
+/// success, the same StatusCode and message on failure.
+Result<std::vector<std::uint8_t>> reference_decompress(
+    std::span<const std::uint8_t> block) {
+  const auto corrupt = [](const std::string& what) {
+    return Status(StatusCode::kInvalidArgument, "lz: " + what);
+  };
+  if (block.size() < kBlockHeaderBytes) return corrupt("truncated header");
+  std::uint64_t expected = 0;
+  std::uint64_t checksum = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    expected |= static_cast<std::uint64_t>(block[i]) << (8 * i);
+    checksum |= static_cast<std::uint64_t>(block[i + 8]) << (8 * i);
+  }
+  const std::size_t payload = block.size() - kBlockHeaderBytes;
+  if (expected > 255 * static_cast<std::uint64_t>(payload) + 14) {
+    return corrupt("implausible decoded size " + std::to_string(expected) +
+                   " for a " + std::to_string(payload) + "-byte payload");
+  }
+  std::vector<std::uint8_t> out;
+  out.reserve(expected);
+  std::size_t pos = kBlockHeaderBytes;
+  bool truncated = false;
+  const auto read_byte = [&]() -> std::uint8_t {
+    if (pos >= block.size()) {
+      truncated = true;
+      return 0;
+    }
+    return block[pos++];
+  };
+  const auto read_length = [&](std::size_t start) {
+    std::size_t len = start;
+    if (start == 15) {
+      std::uint8_t b = 0;
+      do {
+        b = read_byte();
+        len += b;
+      } while (b == 255 && !truncated);
+    }
+    return len;
+  };
+  while (out.size() < expected) {
+    const std::uint8_t token = read_byte();
+    const std::size_t lit_len = read_length(token >> 4);
+    if (truncated) return corrupt("truncated block");
+    if (pos + lit_len > block.size()) return corrupt("truncated literals");
+    for (std::size_t i = 0; i < lit_len; ++i) out.push_back(block[pos++]);
+    if (out.size() >= expected) {
+      if ((token & 0x0F) != 0) {
+        return corrupt("final sequence declares a match");
+      }
+      break;
+    }
+    const std::size_t lo = read_byte();
+    const std::size_t hi = read_byte();
+    if (truncated) return corrupt("truncated match offset");
+    const std::size_t offset = lo | (hi << 8);
+    if (offset == 0 || offset > out.size()) {
+      return corrupt("match offset " + std::to_string(offset) +
+                     " reaches before the window start (window " +
+                     std::to_string(out.size()) + ")");
+    }
+    const std::size_t match_len = read_length(token & 0x0F) + 4;
+    if (truncated) return corrupt("truncated match length");
+    if (out.size() + match_len > expected) {
+      return corrupt("match overruns the decoded size");
+    }
+    const std::size_t src = out.size() - offset;
+    for (std::size_t i = 0; i < match_len; ++i) out.push_back(out[src + i]);
+  }
+  if (out.size() != expected) return corrupt("size mismatch after decompress");
+  if (pos != block.size()) {
+    return corrupt(std::to_string(block.size() - pos) +
+                   " byte(s) of trailing garbage after the final sequence");
+  }
+  if (stripe_hash(out) != checksum) {
+    return Status(StatusCode::kDataLoss,
+                  "lz: decoded-bytes checksum mismatch");
+  }
+  return out;
+}
+
+/// Both decoders on one block: identical bytes, or identical errors.
+void expect_same_decode(std::span<const std::uint8_t> block,
+                        const std::string& what) {
+  const auto fast = decompress_checked(block);
+  const auto slow = reference_decompress(block);
+  ASSERT_EQ(fast.ok(), slow.ok())
+      << what << ": " << (fast.ok() ? slow : fast).status().message();
+  if (fast.ok()) {
+    ASSERT_EQ(fast.value(), slow.value()) << what;
+  } else {
+    ASSERT_EQ(fast.status().code(), slow.status().code()) << what;
+    ASSERT_EQ(fast.status().message(), slow.status().message()) << what;
+  }
+}
+
+/// Every prefix cut in the first 512 bytes and every 257th after.
+void expect_same_on_cuts(const std::vector<std::uint8_t>& block,
+                         const std::string& what) {
+  for (std::size_t cut = 0; cut < block.size();
+       cut += cut < 512 ? 1 : 257) {
+    expect_same_decode(std::span(block.data(), cut),
+                       what + " cut at " + std::to_string(cut));
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+}
+
+/// Every byte position replaced by each of `values(original)`.
+template <typename Values>
+void expect_same_on_substitutions(std::vector<std::uint8_t> block,
+                                  const std::vector<std::size_t>& positions,
+                                  Values values, const std::string& what) {
+  for (const std::size_t at : positions) {
+    const std::uint8_t original = block[at];
+    for (const std::uint8_t v : values(original)) {
+      if (v == original) continue;
+      block[at] = v;
+      expect_same_decode(block, what + " byte " + std::to_string(at) +
+                                    " := " + std::to_string(v));
+      if (::testing::Test::HasFatalFailure()) return;
+    }
+    block[at] = original;
+  }
+}
+
+std::vector<std::uint8_t> all_byte_values(std::uint8_t) {
+  std::vector<std::uint8_t> v(256);
+  for (std::size_t i = 0; i < v.size(); ++i) v[i] = static_cast<std::uint8_t>(i);
+  return v;
+}
+
+std::vector<std::size_t> every_position(std::size_t size) {
+  std::vector<std::size_t> v(size);
+  for (std::size_t i = 0; i < size; ++i) v[i] = i;
+  return v;
+}
+
+/// The LZ blocks of a store's shard files: the payload after the
+/// versioned header (8 bytes) and the codec frame (tag + decoded size).
+std::vector<std::vector<std::uint8_t>> shard_blocks(
+    const inspector::cpg::Graph& graph, std::uint32_t shards,
+    const std::string& name) {
+  using namespace inspector;
+  const std::string dir = ::testing::TempDir() + "compress_" + name;
+  std::filesystem::remove_all(dir);
+  const auto manifest =
+      shard::write_store(graph, dir, shard::PlanOptions{shards},
+                         shard::ShardCodec::kLz);
+  EXPECT_TRUE(manifest.ok()) << manifest.status().message();
+  std::vector<std::vector<std::uint8_t>> blocks;
+  if (!manifest.ok()) return blocks;
+  for (const shard::ShardInfo& info : manifest->shards) {
+    const auto bytes = shard::read_file_bytes(dir + "/" + info.file);
+    EXPECT_TRUE(bytes.ok());
+    if (!bytes.ok()) continue;
+    blocks.emplace_back(bytes->begin() + 17, bytes->end());
+  }
+  std::filesystem::remove_all(dir);
+  return blocks;
+}
+
+TEST(CompressDifferential, FixtureShardBodiesMatchTheReference) {
+  inspector::fixtures::ThreadCountGuard guard;
+  const auto blocks = shard_blocks(inspector::fixtures::random_history(12), 3,
+                                   "fixture");
+  ASSERT_EQ(blocks.size(), 3u);
+  // Every shard decodes alike and survives every cut; the first (~310
+  // bytes) also takes every single-byte substitution.
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const std::string what = "fixture shard " + std::to_string(b);
+    expect_same_decode(blocks[b], what);
+    expect_same_on_cuts(blocks[b], what);
+    if (HasFatalFailure()) return;
+  }
+  expect_same_on_substitutions(blocks[0], every_position(blocks[0].size()),
+                               all_byte_values, "fixture shard 0");
+}
+
+TEST(CompressDifferential, WorkloadShardBodiesMatchTheReference) {
+  using namespace inspector;
+  workloads::WorkloadConfig config;
+  config.threads = 4;
+  config.scale = 0.05;
+  config.seed = 1;
+  core::Options options;
+  options.schedule_seed = 1;
+  const auto run =
+      core::Inspector(options).run(workloads::make_workload("word_count", config));
+  const auto blocks = shard_blocks(*run.graph, 2, "word_count");
+  ASSERT_EQ(blocks.size(), 2u);
+  for (std::size_t b = 0; b < blocks.size(); ++b) {
+    const std::string what = "word_count shard " + std::to_string(b);
+    expect_same_decode(blocks[b], what);
+    expect_same_on_cuts(blocks[b], what);
+    // The header and first sequences byte by byte, then every 257th
+    // byte, each hit with the values that perturb a token, a length
+    // run or an offset in every direction.
+    std::vector<std::size_t> positions;
+    for (std::size_t at = 0; at < blocks[b].size();
+         at += at < 128 ? 1 : 257) {
+      positions.push_back(at);
+    }
+    expect_same_on_substitutions(
+        blocks[b], positions,
+        [](std::uint8_t x) {
+          return std::vector<std::uint8_t>{
+              0x00, 0x0F, 0xF0, 0xFF, static_cast<std::uint8_t>(x ^ 0x01),
+              static_cast<std::uint8_t>(x ^ 0x80),
+              static_cast<std::uint8_t>(x + 1),
+              static_cast<std::uint8_t>(x - 1)};
+        },
+        what);
+    if (HasFatalFailure()) return;
+  }
+}
+
+/// An LZ block assembled sequence by sequence, its decoded bytes kept
+/// alongside, so a test can place matches and literal runs exactly.
+class BlockBuilder {
+ public:
+  void sequence(const std::vector<std::uint8_t>& literals, std::size_t offset,
+                std::size_t match_len) {
+    literal_run(literals, match_len - 4);
+    body_.push_back(static_cast<std::uint8_t>(offset));
+    body_.push_back(static_cast<std::uint8_t>(offset >> 8));
+    extension(match_len - 4);
+    const std::size_t src = decoded_.size() - offset;
+    for (std::size_t i = 0; i < match_len; ++i) {
+      decoded_.push_back(decoded_[src + i]);
+    }
+  }
+  void final_literals(const std::vector<std::uint8_t>& literals) {
+    literal_run(literals, 0);
+  }
+  [[nodiscard]] std::size_t decoded_size() const { return decoded_.size(); }
+  [[nodiscard]] const std::vector<std::uint8_t>& decoded() const {
+    return decoded_;
+  }
+  [[nodiscard]] std::vector<std::uint8_t> block() const {
+    std::vector<std::uint8_t> out;
+    const std::uint64_t checksum = stripe_hash(decoded_);
+    for (int i = 0; i < 8; ++i) {
+      out.push_back(static_cast<std::uint8_t>(decoded_.size() >> (8 * i)));
+    }
+    for (int i = 0; i < 8; ++i) {
+      out.push_back(static_cast<std::uint8_t>(checksum >> (8 * i)));
+    }
+    out.insert(out.end(), body_.begin(), body_.end());
+    return out;
+  }
+
+ private:
+  // Token (literal and match nibbles, 15 = extended), the literal
+  // run's extension, then the literals.
+  void literal_run(const std::vector<std::uint8_t>& literals,
+                   std::size_t match_extra) {
+    body_.push_back(static_cast<std::uint8_t>(
+        (std::min<std::size_t>(literals.size(), 15) << 4) |
+        std::min<std::size_t>(match_extra, 15)));
+    extension(literals.size());
+    body_.insert(body_.end(), literals.begin(), literals.end());
+    decoded_.insert(decoded_.end(), literals.begin(), literals.end());
+  }
+  void extension(std::size_t len) {
+    if (len < 15) return;
+    for (len -= 15; len >= 255; len -= 255) body_.push_back(255);
+    body_.push_back(static_cast<std::uint8_t>(len));
+  }
+
+  std::vector<std::uint8_t> body_;
+  std::vector<std::uint8_t> decoded_;
+};
+
+TEST(CompressDifferential, CraftedBlocksMatchTheReference) {
+  // Overlapping matches at every offset the byte loop handles and past
+  // it (1-16), literal runs around the 16-byte copy width and matches
+  // around the 8-byte one, a length past one extension run, and blocks
+  // that end on a match as well as on a literal run.
+  std::mt19937_64 rng(2024);
+  const auto literals = [&](std::size_t n) {
+    std::vector<std::uint8_t> v(n);
+    for (auto& b : v) b = static_cast<std::uint8_t>(rng());
+    return v;
+  };
+  constexpr std::size_t kLiteralRuns[] = {0, 1, 2, 7, 8, 9, 14, 15,
+                                          16, 17, 18, 31, 32, 33};
+  constexpr std::size_t kMatchLengths[] = {4, 5, 7, 8, 9, 15, 16, 17,
+                                           18, 19, 24, 25, 40, 300};
+  std::size_t next_offset = 0;  // cycles 1..16 across the blocks
+  for (int b = 0; b < 4; ++b) {
+    BlockBuilder builder;
+    const int sequences = 8 + static_cast<int>(rng() % 4);
+    for (int i = 0; i < sequences; ++i) {
+      std::size_t lit = kLiteralRuns[rng() % std::size(kLiteralRuns)];
+      if (builder.decoded_size() == 0 && lit == 0) lit = 1;
+      const std::size_t len = kMatchLengths[rng() % std::size(kMatchLengths)];
+      const auto run = literals(lit);
+      const std::size_t window = builder.decoded_size() + lit;
+      const std::size_t offset =
+          std::min<std::size_t>(window, 1 + next_offset++ % 16);
+      builder.sequence(run, offset, len);
+    }
+    if (b % 2 == 0) {
+      builder.final_literals(
+          literals(1 + kLiteralRuns[rng() % std::size(kLiteralRuns)]));
+    }
+    const auto block = builder.block();
+    const std::string what = "crafted block " + std::to_string(b);
+    const auto decoded = decompress_checked(block);
+    ASSERT_TRUE(decoded.ok()) << what << ": " << decoded.status().message();
+    ASSERT_EQ(decoded.value(), builder.decoded()) << what;
+    expect_same_on_cuts(block, what);
+    expect_same_on_substitutions(block, every_position(block.size()),
+                                 all_byte_values, what);
+    if (HasFatalFailure()) return;
+  }
+}
+
+// --- the checksum -----------------------------------------------------
+
+std::vector<std::uint8_t> kat_input(std::size_t n) {
+  std::vector<std::uint8_t> v(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    v[i] = static_cast<std::uint8_t>(i * 131 + 7);
+  }
+  return v;
+}
+
+TEST(StripeHash, KnownAnswers) {
+  // Pinned: the value is on disk in every manifest and LZ block, so a
+  // change here is a format change. Bytes are (i * 131 + 7) mod 256.
+  const std::pair<std::size_t, std::uint64_t> kAnswers[] = {
+      {0, 0xF0CB58107A7055CAULL},  {1, 0x5FEBBF4433574C41ULL},
+      {7, 0xE5E8524FE04628AFULL},  {8, 0xB37708856F45E48CULL},
+      {31, 0x5125B7D56FD06472ULL}, {32, 0x41ADBD46FFCAC1C5ULL},
+      {33, 0x562913C73006A7B4ULL}, {64, 0xF5DD6304A877DA4FULL},
+      {65, 0x26B1BF8CAC28A98EULL},
+  };
+  for (const auto& [length, value] : kAnswers) {
+    EXPECT_EQ(stripe_hash(kat_input(length)), value) << "length " << length;
+  }
+}
+
+TEST(StripeHash, KnownAnswerForAShardBody) {
+  // The decoded body of a one-shard LZ store over a fixed history; its
+  // block header stores the same value.
+  inspector::fixtures::ThreadCountGuard guard;
+  const auto blocks =
+      shard_blocks(inspector::fixtures::random_history(5), 1, "kat");
+  ASSERT_EQ(blocks.size(), 1u);
+  const auto body = decompress_checked(blocks[0]);
+  ASSERT_TRUE(body.ok()) << body.status().message();
+  std::uint64_t stored = 0;
+  for (std::size_t i = 0; i < 8; ++i) {
+    stored |= static_cast<std::uint64_t>(blocks[0][8 + i]) << (8 * i);
+  }
+  EXPECT_EQ(stripe_hash(body.value()), stored);
+  EXPECT_EQ(body->size(), 1962u);
+  EXPECT_EQ(stored, 0xAB30777DACD6441FULL);
+}
+
+TEST(StripeHash, EverySingleBitFlipChangesTheValue) {
+  // Each per-word step is a bijection, so a change inside one word --
+  // any single flipped bit -- must change the hash, at every length
+  // and alignment around the stripe and word widths.
+  std::mt19937_64 rng(77);
+  for (std::size_t n = 0; n <= 130; ++n) {
+    std::vector<std::uint8_t> bytes(n);
+    for (auto& b : bytes) b = static_cast<std::uint8_t>(rng());
+    const std::uint64_t clean = stripe_hash(bytes);
+    for (std::size_t bit = 0; bit < 8 * n; ++bit) {
+      bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+      ASSERT_NE(stripe_hash(bytes), clean)
+          << "length " << n << ", bit " << bit << " flipped silently";
+      bytes[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
+    }
+  }
+}
 
 }  // namespace

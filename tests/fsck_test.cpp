@@ -164,7 +164,7 @@ void recommit_with_fresh_checksums(const std::string& dir) {
     auto bytes = read_file_bytes(dir + "/" + info.file);
     ASSERT_TRUE(bytes.ok());
     info.byte_size = bytes->size();
-    info.file_checksum = snapshot::fnv1a(*bytes);
+    info.file_checksum = snapshot::stripe_hash(*bytes);
   }
   ASSERT_TRUE(replace_file_bytes(dir + "/" + kManifestFileName,
                                  serialize_manifest(*manifest))
@@ -231,7 +231,7 @@ void rewrite_shard(const std::string& dir, std::uint32_t index,
   const auto bytes = serialize_shard(*data, info.codec, &info.decoded_bytes);
   ASSERT_TRUE(write_file_bytes(dir + "/" + info.file, bytes).ok());
   info.byte_size = bytes.size();
-  info.file_checksum = snapshot::fnv1a(bytes);
+  info.file_checksum = snapshot::stripe_hash(bytes);
   ASSERT_TRUE(replace_file_bytes(dir + "/" + kManifestFileName,
                                  serialize_manifest(*manifest))
                   .ok());
@@ -401,7 +401,7 @@ TEST_P(FsckShardSweep, EveryBitFlipIsCaughtByDecodeOrManifestChecksum) {
   const auto packed = read_file_bytes(dir + "/" + info.file);
   ASSERT_TRUE(packed.ok());
   ASSERT_TRUE(deserialize_shard(*packed).ok());
-  ASSERT_EQ(snapshot::fnv1a(*packed), info.file_checksum);
+  ASSERT_EQ(snapshot::stripe_hash(*packed), info.file_checksum);
 
   // The raw codec's body has no internal checksum, so some flips
   // decode to a structurally valid shard -- the manifest's whole-file
@@ -412,7 +412,7 @@ TEST_P(FsckShardSweep, EveryBitFlipIsCaughtByDecodeOrManifestChecksum) {
     auto corrupt = *packed;
     corrupt[bit / 8] ^= static_cast<std::uint8_t>(1u << (bit % 8));
     const bool checksum_catches =
-        snapshot::fnv1a(corrupt) != info.file_checksum;
+        snapshot::stripe_hash(corrupt) != info.file_checksum;
     const auto decoded = deserialize_shard(corrupt);
     if (!decoded.ok()) {
       ++caught_by_decode;

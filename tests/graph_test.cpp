@@ -4,8 +4,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <span>
 #include <stdexcept>
+#include <tuple>
 #include <vector>
 
 #include "analysis/kernels.h"
@@ -169,6 +171,85 @@ TEST(Graph, ThreadNodesOrderedByAlpha) {
   EXPECT_TRUE(g.thread_nodes(9).empty());
   EXPECT_EQ(g.find(0, 1), std::optional<NodeId>{2});
   EXPECT_EQ(g.find(0, 5), std::nullopt);
+}
+
+TEST(Graph, IndexMatchesComparisonSortReferences) {
+  // The index is built with radix passes and counting scatters; check
+  // it against comparison sorts on crafted graphs that take every
+  // path: threads whose alpha order is not their id order, clock
+  // weights that tie (so thread, alpha and id break them), page ids
+  // spread over many bytes, and unsorted page sets.
+  std::mt19937_64 rng(31);
+  for (int round = 0; round < 20; ++round) {
+    const std::size_t n = 1 + rng() % 300;
+    const std::uint32_t threads = 1 + static_cast<std::uint32_t>(rng() % 6);
+    std::vector<std::uint64_t> page_pool(1 + rng() % 40);
+    for (auto& p : page_pool) p = rng() >> (rng() % 40);
+    std::vector<SubComputation> nodes(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      SubComputation& v = nodes[i];
+      v.id = static_cast<NodeId>(i);
+      v.thread = static_cast<ThreadId>(rng() % threads);
+      v.alpha = round % 2 == 0 ? i : rng() % 50;
+      for (std::uint32_t t = 0; t < threads; ++t) v.clock.set(t, rng() % 4);
+      for (int k = static_cast<int>(rng() % 5); k > 0; --k) {
+        v.read_set.push_back(page_pool[rng() % page_pool.size()]);
+      }
+      for (int k = static_cast<int>(rng() % 4); k > 0; --k) {
+        v.write_set.push_back(page_pool[rng() % page_pool.size()]);
+      }
+    }
+    const std::vector<SubComputation> copy = nodes;
+    const Graph g(std::move(nodes), {}, {});
+
+    std::vector<std::uint64_t> weight(n, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      for (const std::uint64_t c : copy[i].clock.components()) weight[i] += c;
+    }
+    std::vector<NodeId> order(n);
+    for (std::size_t i = 0; i < n; ++i) order[i] = static_cast<NodeId>(i);
+    std::sort(order.begin(), order.end(), [&](NodeId a, NodeId b) {
+      return std::tuple(weight[a], copy[a].thread, copy[a].alpha, a) <
+             std::tuple(weight[b], copy[b].thread, copy[b].alpha, b);
+    });
+    for (std::size_t r = 0; r < n; ++r) {
+      ASSERT_EQ(g.rank(order[r]), r) << "round " << round;
+    }
+    for (std::uint32_t t = 0; t < threads; ++t) {
+      std::vector<NodeId> expected;
+      for (std::size_t i = 0; i < n; ++i) {
+        if (copy[i].thread == t) expected.push_back(static_cast<NodeId>(i));
+      }
+      std::stable_sort(expected.begin(), expected.end(),
+                       [&](NodeId a, NodeId b) {
+                         return copy[a].alpha < copy[b].alpha;
+                       });
+      ASSERT_EQ(ids(g.thread_nodes(t)), expected) << "round " << round;
+    }
+    std::vector<std::uint64_t> universe;
+    for (const auto& v : copy) {
+      universe.insert(universe.end(), v.read_set.begin(), v.read_set.end());
+      universe.insert(universe.end(), v.write_set.begin(), v.write_set.end());
+    }
+    std::sort(universe.begin(), universe.end());
+    universe.erase(std::unique(universe.begin(), universe.end()),
+                   universe.end());
+    ASSERT_EQ(std::vector<std::uint64_t>(g.pages().begin(), g.pages().end()),
+              universe);
+    for (const std::uint64_t page : universe) {
+      std::vector<NodeId> writers;
+      std::vector<NodeId> readers;
+      for (const NodeId id : order) {
+        const auto has = [page](const std::vector<std::uint64_t>& set) {
+          return std::find(set.begin(), set.end(), page) != set.end();
+        };
+        if (has(copy[id].write_set)) writers.push_back(id);
+        if (has(copy[id].read_set)) readers.push_back(id);
+      }
+      ASSERT_EQ(ids(g.page_writers(page)), writers) << "page " << page;
+      ASSERT_EQ(ids(g.page_readers(page)), readers) << "page " << page;
+    }
+  }
 }
 
 TEST(Graph, StatsAggregate) {

@@ -95,10 +95,10 @@ inline cpg::Graph barrier_history(std::uint64_t seed, std::uint32_t rounds) {
   return std::move(rec).finalize();
 }
 
-/// A history big and page-dense enough to push the index build past
-/// every serial cutoff (parallel_sort engages above ~4k touch pairs),
-/// so cross-worker comparisons exercise the genuinely parallel code
-/// paths, not their inline fallbacks.
+/// A history big and page-dense enough to push the analyses past
+/// their serial cutoffs (multi-chunk race scans and propagation
+/// rounds), so cross-worker comparisons exercise the genuinely
+/// parallel code paths, not their inline fallbacks.
 inline cpg::Graph dense_history(std::uint64_t seed) {
   std::mt19937_64 rng(seed);
   constexpr std::uint64_t kDensePages = 96;

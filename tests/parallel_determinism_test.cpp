@@ -70,11 +70,11 @@ AnalysisFingerprint fingerprint(const Graph& g) {
   // Taint and invalidation both run the carry-over flow; the pure page
   // flow is the other propagation mode.
   const PageSet seeds = {0, 3, 7};
-  const auto taint = kernels::propagate_pages(view, seeds, true);
+  const auto taint = kernels::propagate_pages(
+      view, seeds, true, sync::SyncEventKind::kThreadExit);
   fp.tainted_nodes = taint.nodes;
   fp.tainted_pages = taint.pages;  // PageSet: already sorted
-  fp.sinks = kernels::tainted_sinks(view, taint.nodes,
-                                    sync::SyncEventKind::kThreadExit);
+  fp.sinks = taint.sinks;
 
   const auto page_flow = kernels::propagate_pages(view, seeds, false);
   fp.page_flow_nodes = page_flow.nodes;
@@ -114,9 +114,9 @@ TEST_P(ParallelDeterminism, IdenticalAcrossWorkerCounts) {
 INSTANTIATE_TEST_SUITE_P(RandomHistories, ParallelDeterminism,
                          ::testing::Range<std::uint64_t>(0, 16));
 
-// The same comparison on histories big enough that the parallel sorts,
-// scatter fills, and multi-chunk scans actually engage (the small
-// histories above stay under the serial cutoffs).
+// The same comparison on histories big enough that the multi-chunk
+// scans and propagation rounds actually engage (the small histories
+// above stay under the serial cutoffs).
 TEST(ParallelDeterminismDense, IdenticalAcrossWorkerCounts) {
   ThreadCountGuard guard;
   for (const std::uint64_t seed : {1ULL, 5ULL}) {
@@ -130,6 +130,61 @@ TEST(ParallelDeterminismDense, IdenticalAcrossWorkerCounts) {
           << "analysis outputs diverged at " << workers
           << " workers on dense seed " << seed;
     }
+  }
+}
+
+// The index build splits its per-node stages over the pool only past
+// a 16k-node grain; a graph over it, with unsorted page sets and
+// duplicate pages for normalization to fix, builds the same index at
+// every worker count.
+TEST(ParallelDeterminismDense, IndexBuildPastTheGrainIsIdentical) {
+  ThreadCountGuard guard;
+  std::mt19937_64 rng(3);
+  std::vector<SubComputation> nodes(40'000);
+  std::vector<std::uint64_t> alphas(8, 0);
+  for (std::size_t i = 0; i < nodes.size(); ++i) {
+    SubComputation& n = nodes[i];
+    n.id = static_cast<NodeId>(i);
+    n.thread = static_cast<ThreadId>(rng() % 8);
+    n.alpha = alphas[n.thread]++;
+    n.clock.set(n.thread, n.alpha + 1);
+    n.clock.set(rng() % 8, rng() % (i + 1));
+    for (int k = static_cast<int>(rng() % 6); k > 0; --k) {
+      n.read_set.push_back(rng() % 5000);
+    }
+    for (int k = static_cast<int>(rng() % 4); k > 0; --k) {
+      n.write_set.push_back(rng() % 5000);
+    }
+  }
+  const auto index_of = [](const Graph& g) {
+    AnalysisFingerprint fp;
+    for (const auto& n : g.nodes()) fp.ranks.push_back(g.rank(n.id));
+    const auto pages = g.pages();
+    fp.pages.assign(pages.begin(), pages.end());
+    for (std::size_t p = 0; p < pages.size(); ++p) {
+      const auto w = g.writers_at(p);
+      const auto r = g.readers_at(p);
+      fp.writers.emplace_back(w.begin(), w.end());
+      fp.readers.emplace_back(r.begin(), r.end());
+    }
+    for (std::size_t t = 0; t < g.thread_count(); ++t) {
+      const auto list = g.thread_nodes(static_cast<ThreadId>(t));
+      fp.levels.emplace_back(list.begin(), list.end());
+    }
+    return fp;
+  };
+  util::set_analysis_threads(1);
+  const Graph serial(nodes, {}, {});
+  const AnalysisFingerprint reference = index_of(serial);
+  for (const auto& n : serial.nodes()) {
+    ASSERT_TRUE(std::is_sorted(n.read_set.begin(), n.read_set.end()));
+    ASSERT_TRUE(std::adjacent_find(n.read_set.begin(), n.read_set.end()) ==
+                n.read_set.end());
+  }
+  for (unsigned workers : {2u, 8u}) {
+    util::set_analysis_threads(workers);
+    EXPECT_TRUE(index_of(Graph(nodes, {}, {})) == reference)
+        << "index diverged at " << workers << " workers";
   }
 }
 

@@ -1,7 +1,6 @@
 // Tests for the analysis worker pool (util/parallel.h): chunk
-// coverage, the serial fast path, nesting, exception propagation,
-// deterministic parallel_sort, and the thread-count configuration the
-// analyses and CLI knobs build on.
+// coverage, the serial fast path, nesting, exception propagation, and
+// the thread-count configuration the analyses and CLI knobs build on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -86,42 +85,6 @@ TEST(TaskPool, ExceptionsPropagateToCaller) {
     ok.fetch_add(1);
   });
   EXPECT_EQ(ok.load(), 100);
-}
-
-TEST(TaskPool, ParallelSortMatchesSerialSort) {
-  std::mt19937_64 rng(42);
-  std::vector<std::uint64_t> data(100'000);
-  for (auto& v : data) v = rng() % 1000;  // many duplicates
-  // Total order: (value, original position via stable pairing) -- here
-  // plain uint64 values with duplicates, so compare values only; the
-  // contract requires a strict total order over *distinct* elements,
-  // and equal integers are indistinguishable, so std::sort agreement
-  // still holds element-wise.
-  auto expected = data;
-  std::sort(expected.begin(), expected.end());
-  for (unsigned workers : {1u, 2u, 4u, 8u}) {
-    util::TaskPool pool(workers);
-    auto v = data;
-    util::parallel_sort(pool, v, std::less<>{});
-    EXPECT_EQ(v, expected) << workers << " workers";
-  }
-}
-
-TEST(TaskPool, ParallelSortHandlesCappedChunkCounts) {
-  // Regression: sizes just above the serial cutoff cap the chunk count
-  // below the worker count (e.g. 8000/1024 = 7 chunks at 8 workers);
-  // the cap must stay a power of two or the pairwise merge tree leaves
-  // the last run unmerged.
-  util::TaskPool pool(8);
-  std::mt19937_64 rng(7);
-  for (std::size_t size : {4097u, 5000u, 7000u, 8000u, 9000u, 12000u}) {
-    std::vector<std::uint64_t> v(size);
-    for (auto& x : v) x = rng();
-    auto expected = v;
-    std::sort(expected.begin(), expected.end());
-    util::parallel_sort(pool, v, std::less<>{});
-    EXPECT_EQ(v, expected) << "size " << size;
-  }
 }
 
 TEST(TaskPool, WorkerLocalAccumulatesWithoutLoss) {

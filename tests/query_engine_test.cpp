@@ -412,12 +412,11 @@ TEST(QueryEngineParity, TaintMatchesDirectAnalysis) {
   const auto& flow = std::get<FlowResult>(reply->result);
 
   const analysis::GraphView view(*snapshot);
-  const auto direct = analysis::kernels::propagate_pages(view, seeds, true);
+  const auto direct = analysis::kernels::propagate_pages(
+      view, seeds, true, sync::SyncEventKind::kThreadExit);
   EXPECT_EQ(flow.nodes, direct.nodes);
   EXPECT_EQ(flow.pages, direct.pages);
-  EXPECT_EQ(flow.sinks,
-            analysis::kernels::tainted_sinks(view, direct.nodes,
-                                             sync::SyncEventKind::kThreadExit));
+  EXPECT_EQ(flow.sinks, direct.sinks);
 }
 
 }  // namespace

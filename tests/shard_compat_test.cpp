@@ -35,8 +35,10 @@ TEST(ShardCompatErrors, OldAndFutureShardVersionsAreTypedErrors) {
   const auto current = shard::read_file_bytes(dir + "/" + info.file);
   ASSERT_TRUE(current.ok());
 
-  // The previous generation and the next one.
-  for (const std::uint32_t version : {2u, shard::kShardFormatVersion + 1}) {
+  // Earlier generations (3 checksummed LZ bodies with FNV-1a) and the
+  // next one.
+  for (const std::uint32_t version :
+       {2u, 3u, shard::kShardFormatVersion + 1}) {
     auto bytes = current.value();
     // The header is magic u32 + version u32, little-endian.
     bytes[4] = static_cast<std::uint8_t>(version);
@@ -78,8 +80,9 @@ TEST(ShardCompatErrors, OldAndFutureManifestVersionsAreTypedErrors) {
   const std::string path = dir + "/" + shard::kManifestFileName;
   const auto current = shard::read_file_bytes(path);
   ASSERT_TRUE(current.ok());
+  // Earlier generations (4 checksummed with FNV-1a) and the next one.
   for (const std::uint32_t version :
-       {2u, 3u, shard::kManifestFormatVersion + 1}) {
+       {2u, 3u, 4u, shard::kManifestFormatVersion + 1}) {
     auto bytes = current.value();
     bytes[4] = static_cast<std::uint8_t>(version);
     ASSERT_TRUE(shard::replace_file_bytes(path, bytes).ok());

@@ -135,7 +135,7 @@ TEST(ShardFormat, ManifestPageSetsAreTypedErrorsWhenMalformed) {
   const auto with_page_set = [&](std::vector<std::uint8_t> set) {
     std::vector<std::uint8_t> bytes(valid.begin(), valid.end() - 9);
     bytes.insert(bytes.end(), set.begin(), set.end());
-    const std::uint64_t sum = snapshot::fnv1a(bytes);
+    const std::uint64_t sum = snapshot::stripe_hash(bytes);
     for (int i = 0; i < 8; ++i) {
       bytes.push_back(static_cast<std::uint8_t>(sum >> (8 * i)));
     }

@@ -273,6 +273,43 @@ TEST(ZigzagDelta, WrappingDeltasRoundTrip) {
   EXPECT_EQ(back, v);
 }
 
+TEST(NarrowSequences, U32ArraysDecodeInPlaceAndRejectWideValues) {
+  // u32 sidecars decode straight into their arrays: values that fit
+  // come back exactly, wrapping zigzag deltas included, and a value
+  // past 32 bits -- which no writer of a u32 array produces -- is a
+  // typed error naming it, with the array cut back to what decoded.
+  constexpr std::uint64_t kMax32 = std::numeric_limits<std::uint32_t>::max();
+  const std::vector<std::uint64_t> fits = {0, 7, 8, kMax32 - 1, kMax32};
+  const std::vector<std::uint64_t> wide = {1, 2, kMax32 + 1, kMax32 + 2};
+  for (const bool monotone : {true, false}) {
+    const auto encode = [&](const std::vector<std::uint64_t>& v) {
+      std::vector<std::uint8_t> bytes;
+      if (monotone) {
+        EXPECT_TRUE(put_monotone(bytes, v).ok());
+      } else {
+        put_zigzag_delta(bytes, v);
+      }
+      return bytes;
+    };
+    const auto decode = [&](const std::vector<std::uint8_t>& bytes,
+                            std::vector<std::uint32_t>& out) {
+      std::size_t pos = 0;
+      return monotone ? get_monotone(bytes, pos, out)
+                      : get_zigzag_delta(bytes, pos, out);
+    };
+    std::vector<std::uint32_t> out;
+    ASSERT_TRUE(decode(encode(fits), out).ok());
+    EXPECT_EQ(std::vector<std::uint64_t>(out.begin(), out.end()), fits);
+    const Status st = decode(encode(wide), out);
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(st.message().find("4294967296 at index 2 does not fit 32 bits"),
+              std::string::npos)
+        << st.message();
+    EXPECT_EQ(out, (std::vector<std::uint32_t>{1, 2}));
+  }
+}
+
 TEST(BitFlip, SweepNeverDecodesToTheOriginal) {
   // No checksum here, so the guarantee is canonicality, not
   // detection: a flipped stream either fails typed or decodes to a
