@@ -407,7 +407,7 @@ bool report_floor(const char* check, double value, double floor,
 }
 
 /// Seconds to memcpy `bytes` (same size, warm buffers): the yardstick
-/// the decode and checksum floors divide by.
+/// the varint and checksum floors divide by.
 double memcpy_seconds(const std::vector<std::uint8_t>& bytes) {
   std::vector<std::uint8_t> copy(bytes.size());
   return seconds_per_call([&] {
@@ -491,25 +491,31 @@ ShardBody real_shard_body() {
   return out;
 }
 
-/// LZ decode of a real shard block (decoded-bytes checksum included)
-/// against a memcpy of the decoded body: 0.034-0.043x measured
-/// (Release, 4-vCPU VM), where a byte-at-a-time decoder with the same
-/// checksum runs 0.010-0.015x. The floor sits ~2x below the measured
-/// value rather than 3x, so that a return to the byte loop lands under
-/// it.
+/// LZ decode of a real shard block against the byte-at-a-time decoder
+/// it replaced (snapshot::detail::decompress_bytewise), both verifying
+/// the same decoded-bytes checksum on the same warm block, so the
+/// machine's cache sizes cancel out of the ratio: 2.15-3.5x measured
+/// (Release, 4-vCPU VM). A ratio over the byte loop cannot sit 3x
+/// under its reading and still reject the byte loop (1.0x), so the
+/// floor sits near the geometric middle of the two: ~1.5x under the
+/// lowest reading and 1.4x over a return to byte-at-a-time decoding.
 bool check_lz_decode(const ShardBody& shard) {
   if (shard.body.empty()) {
     std::fprintf(stderr, "bench_micro: no shard body to decode\n");
     return false;
   }
-  const double decode_s = seconds_per_call([&] {
+  const double fast_s = seconds_per_call([&] {
     auto body = snapshot::decompress_checked(shard.block);
     if (!body.ok()) std::abort();
     benchmark::DoNotOptimize(body.value().data());
   });
-  return report_floor("lz_decode_vs_memcpy",
-                      memcpy_seconds(shard.body) / decode_s, 0.02,
-                      "x memcpy");
+  const double byte_s = seconds_per_call([&] {
+    auto body = snapshot::detail::decompress_bytewise(shard.block);
+    if (!body.ok()) std::abort();
+    benchmark::DoNotOptimize(body.value().data());
+  });
+  return report_floor("lz_decode_speedup", byte_s / fast_s, 1.4,
+                      "x byte loop");
 }
 
 /// stripe_hash over a real shard body against a memcpy of it:

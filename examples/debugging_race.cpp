@@ -99,7 +99,8 @@ bool explain(const runtime::ExecutionResult& result, std::uint64_t y_addr) {
   std::cout << "  writers of y's page, with order:\n";
   for (auto w : std::get<query::PageAccessorsResult>(accessors->result)
                     .writers) {
-    std::cout << "    " << g.node(w) << "\n";
+    std::cout << "    " << g.node(w) << " thunks=" << g.thunks(w).size()
+              << "\n";
   }
   // Which writer does main's final read actually see?
   for (const auto& e : std::get<query::EdgeListResult>(latest->result).edges) {

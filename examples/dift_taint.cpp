@@ -63,6 +63,7 @@ int main() {
   // checker of §VIII would block the tainted ones -- the query's sinks.
   for (const cpg::NodeId id : taint.sinks) {
     std::cout << "POLICY: output at " << g.node(id)
+              << " thunks=" << g.thunks(id).size()
               << " carries input-derived data -> would require review\n";
   }
   if (taint.sinks.empty()) {

@@ -68,7 +68,9 @@ int main(int argc, char** argv) {
 
   std::cout << "\nfirst nodes:\n";
   for (std::size_t i = 0; i < graph.nodes().size() && i < 6; ++i) {
-    std::cout << "  " << graph.nodes()[i] << "\n";
+    const auto& node = graph.nodes()[i];
+    std::cout << "  " << node << " thunks=" << graph.thunks(node.id).size()
+              << "\n";
   }
   return verification.ok ? 0 : 1;
 }

@@ -128,8 +128,9 @@ PtVerification Inspector::verify_pt(const runtime::ExecutionResult& result) {
     // Recorded thunks of this thread, in execution order.
     std::vector<cpg::BranchRecord> recorded;
     for (cpg::NodeId id : graph.thread_nodes(pid)) {
-      for (const cpg::Thunk& t : graph.node(id).thunks) {
-        recorded.push_back(t.branch);
+      const cpg::ThunkSpan thunks = graph.thunks(id);
+      for (std::size_t b = 0; b < thunks.size(); ++b) {
+        recorded.push_back(thunks[b].branch);
       }
     }
     const std::vector<cpg::BranchRecord>& decoded = flow->branches;

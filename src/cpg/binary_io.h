@@ -47,6 +47,21 @@ namespace inspector::cpg::detail {
   return v;
 }
 
+/// Little-endian stores into bytes the caller has sized.
+inline void store_u32(std::uint8_t* p, std::uint32_t v) noexcept {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
+  }
+  std::memcpy(p, &v, sizeof v);
+}
+
+inline void store_u64(std::uint8_t* p, std::uint64_t v) noexcept {
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
+  }
+  std::memcpy(p, &v, sizeof v);
+}
+
 /// Any structural problem with an encoded buffer: truncation, a bad
 /// magic, an unsupported version, an implausible length field.
 class SerializeError : public std::runtime_error {

@@ -39,8 +39,10 @@ struct GraphStats {
 class Graph {
  public:
   Graph() = default;
+  /// `thunks`, when not empty, has one row per node (a column of any
+  /// other shape throws std::invalid_argument).
   Graph(std::vector<SubComputation> nodes, std::vector<Edge> edges,
-        std::vector<sync::SyncEvent> schedule);
+        std::vector<sync::SyncEvent> schedule, ThunkColumn thunks = {});
 
   [[nodiscard]] const std::vector<SubComputation>& nodes() const noexcept {
     return nodes_;
@@ -56,6 +58,14 @@ class Graph {
   /// The recorded synchronization schedule (§IV-A II).
   [[nodiscard]] const std::vector<sync::SyncEvent>& schedule() const noexcept {
     return schedule_;
+  }
+  /// Thunks of node `id`, in beta order (empty for an unknown id).
+  [[nodiscard]] ThunkSpan thunks(NodeId id) const noexcept {
+    return thunks_.of(id);
+  }
+  /// Every node's thunks, packed.
+  [[nodiscard]] const ThunkColumn& thunk_column() const noexcept {
+    return thunks_;
   }
 
   /// Nodes of thread `tid`, in execution (alpha) order.
@@ -149,6 +159,7 @@ class Graph {
   std::vector<SubComputation> nodes_;
   std::vector<Edge> edges_;
   std::vector<sync::SyncEvent> schedule_;
+  ThunkColumn thunks_;
 
   // Per-thread node lists, alpha-sorted, in one flat CSR array.
   std::vector<std::uint32_t> thread_offsets_;  ///< thread_count()+1 entries

@@ -3,11 +3,14 @@
 // A sub-computation L_t[alpha] is the code thread t executed between two
 // pthreads synchronization calls; it subdivides into thunks L_t[alpha].D[beta]
 // at branch boundaries. Each node carries its vector clock (position in
-// the happens-before partial order) and page-granular read/write sets.
+// the happens-before partial order) and page-granular read/write sets;
+// the graph keeps every node's thunks in one packed column (ThunkColumn).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <iosfwd>
+#include <span>
 #include <vector>
 
 #include "sync/sync_event.h"
@@ -40,13 +43,63 @@ struct Thunk {
   bool operator==(const Thunk&) const = default;
 };
 
+/// Bytes of one packed thunk: the CPG format's thunk record -- beta
+/// (u32), branch ip and target (u64 each), flags (u8: bit 0 taken,
+/// bit 1 indirect), little-endian.
+inline constexpr std::size_t kThunkRecordBytes = 21;
+
+/// One node's thunks as a view of packed records; each decodes to a
+/// Thunk on access. Valid while the column it views is alive and
+/// unchanged.
+class ThunkSpan {
+ public:
+  ThunkSpan() = default;
+  ThunkSpan(const std::uint8_t* records, std::size_t count) noexcept
+      : records_(records), count_(count) {}
+
+  [[nodiscard]] std::size_t size() const noexcept { return count_; }
+  [[nodiscard]] bool empty() const noexcept { return count_ == 0; }
+  /// The i-th thunk (unchecked, like std::span).
+  [[nodiscard]] Thunk operator[](std::size_t i) const noexcept;
+  /// The packed records, kThunkRecordBytes each.
+  [[nodiscard]] std::span<const std::uint8_t> bytes() const noexcept {
+    return {records_, count_ * kThunkRecordBytes};
+  }
+
+  /// The same thunks in the same order.
+  [[nodiscard]] bool operator==(const ThunkSpan& other) const noexcept;
+
+ private:
+  const std::uint8_t* records_ = nullptr;
+  std::size_t count_ = 0;
+};
+
+/// Every node's thunks in one packed array, in node-id order: node v's
+/// records run from ends[v - 1] (0 for v = 0) up to ends[v]. One
+/// allocation for a whole graph instead of a vector per node, at 21
+/// bytes a thunk rather than sizeof(Thunk). The recorder and the CPG
+/// decoder append node by node; Graph owns the result. Empty `ends`
+/// means no node has thunks.
+struct ThunkColumn {
+  std::vector<std::uint32_t> ends;
+  std::vector<std::uint8_t> records;
+
+  /// Append one thunk to the node being built.
+  void push(const Thunk& thunk);
+  /// Close the node being built (with however many thunks it got).
+  void end_node();
+  /// Thunks of node `v`; empty when the column has no row for it.
+  [[nodiscard]] ThunkSpan of(std::size_t v) const noexcept;
+};
+
 /// Why a sub-computation ended (which synchronization call).
 struct EndReason {
   sync::SyncEventKind kind = sync::SyncEventKind::kThreadExit;
   sync::ObjectId object = 0;
 };
 
-/// A vertex of the CPG.
+/// A vertex of the CPG. Its thunks live in the graph's ThunkColumn
+/// (Graph::thunks()).
 struct SubComputation {
   NodeId id = kInvalidNode;
   ThreadId thread = 0;
@@ -55,7 +108,6 @@ struct SubComputation {
 
   PageSet read_set;   ///< sorted, duplicate-free page ids
   PageSet write_set;  ///< sorted, duplicate-free page ids
-  std::vector<Thunk> thunks;
 
   EndReason end;
   std::uint64_t start_seq = 0;  ///< global sequence numbers bracketing the

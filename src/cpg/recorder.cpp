@@ -124,7 +124,8 @@ void Recorder::end_subcomputation(ThreadId tid, PageSet read_set,
   node.clock = ts.clock;
   node.read_set = std::move(read_set);
   node.write_set = std::move(write_set);
-  node.thunks = std::move(ts.thunks);
+  for (const Thunk& t : ts.thunks) thunks_.push(t);
+  thunks_.end_node();
   node.end = reason;
   node.start_seq = ts.start_seq;
   node.end_seq = ++seq_;
@@ -184,12 +185,14 @@ Graph Recorder::finalize() && {
                              std::to_string(tid));
     }
   }
-  return Graph(std::move(nodes_), std::move(edges_), std::move(schedule_));
+  return Graph(std::move(nodes_), std::move(edges_), std::move(schedule_),
+               std::move(thunks_));
 }
 
 Graph Recorder::snapshot_prefix(std::uint64_t cut_seq) const {
   // Nodes fully recorded at or before the cut.
   std::vector<SubComputation> nodes;
+  ThunkColumn thunks;
   std::vector<NodeId> remap(nodes_.size(), kInvalidNode);
   for (const auto& n : nodes_) {
     if (n.end_seq <= cut_seq) {
@@ -197,6 +200,10 @@ Graph Recorder::snapshot_prefix(std::uint64_t cut_seq) const {
       SubComputation copy = n;
       copy.id = remap[n.id];
       nodes.push_back(std::move(copy));
+      const auto records = thunks_.of(n.id).bytes();
+      thunks.records.insert(thunks.records.end(), records.begin(),
+                            records.end());
+      thunks.end_node();
     }
   }
   std::vector<Edge> edges;
@@ -209,7 +216,8 @@ Graph Recorder::snapshot_prefix(std::uint64_t cut_seq) const {
   for (const auto& s : schedule_) {
     if (s.seq <= cut_seq) schedule.push_back(s);
   }
-  return Graph(std::move(nodes), std::move(edges), std::move(schedule));
+  return Graph(std::move(nodes), std::move(edges), std::move(schedule),
+               std::move(thunks));
 }
 
 }  // namespace inspector::cpg

@@ -140,6 +140,7 @@ class Recorder {
   };
 
   std::vector<SubComputation> nodes_;
+  ThunkColumn thunks_;  ///< a row per completed node, in id order
   std::vector<Edge> edges_;
   std::vector<sync::SyncEvent> schedule_;
   std::unordered_map<ThreadId, ThreadState> threads_;

@@ -29,14 +29,11 @@ std::vector<std::uint8_t> serialize(const Graph& graph) {
     for (std::uint64_t c : clock) w.uvarint(c);
     w.monotone_u64(n.read_set);
     w.monotone_u64(n.write_set);
-    w.uvarint(n.thunks.size());
-    for (const auto& t : n.thunks) {
-      w.u32(t.beta);
-      w.u64(t.branch.ip);
-      w.u64(t.branch.target);
-      w.u8(static_cast<std::uint8_t>((t.branch.taken ? 1 : 0) |
-                                     (t.branch.indirect ? 2 : 0)));
-    }
+    // The column already holds the thunks as the format's records.
+    // lint: allow(format-version-discipline) the encoded bytes are unchanged; the thunk column stores the format's 21-byte records, flags 0-3
+    const std::span<const std::uint8_t> thunks = graph.thunks(n.id).bytes();
+    w.uvarint(thunks.size() / kThunkRecordBytes);
+    out.insert(out.end(), thunks.begin(), thunks.end());
     w.u8(static_cast<std::uint8_t>(n.end.kind));
     w.u64(n.end.object);
     w.uvarint(n.start_seq);
@@ -59,7 +56,8 @@ std::vector<std::uint8_t> serialize(const Graph& graph) {
   return out;
 }
 
-Result<GraphParts> decode_graph_parts(std::span<const std::uint8_t> bytes) {
+// lint: allow(format-version-discipline) the encoded bytes are unchanged; the records decode one bounds check per fixed-width record
+Result<GraphParts> deserialize_graph_parts(std::span<const std::uint8_t> bytes) {
   try {
     ByteReader r(bytes);
     detail::check_header(r, kCpgMagic, kCpgFormatVersion, "CPG");
@@ -67,6 +65,11 @@ Result<GraphParts> decode_graph_parts(std::span<const std::uint8_t> bytes) {
     // Minimum encoded node: 24 bytes.
     const std::uint64_t node_count = r.counted(24, "node");
     parts.nodes.resize(node_count);
+    parts.thunks.ends.reserve(node_count);
+    // Every node takes 24 bytes besides its thunk records, so the rest
+    // bounds them and one reservation holds them all (pages it never
+    // writes stay untouched).
+    parts.thunks.records.reserve(r.remaining() - 24 * node_count);
     for (std::uint64_t i = 0; i < node_count; ++i) {
       SubComputation& n = parts.nodes[i];
       // Fixed-width fields come in records, one bounds check each.
@@ -97,21 +100,24 @@ Result<GraphParts> decode_graph_parts(std::span<const std::uint8_t> bytes) {
       for (std::uint64_t j = 0; j < clock_size; ++j) {
         n.clock.set(j, r.uvarint());
       }
-      n.read_set = r.monotone_u64();
-      n.write_set = r.monotone_u64();
+      r.monotone_into(n.read_set, "read set");
+      r.monotone_into(n.write_set, "write set");
       // counted_varint() bounds the count by the bytes left, so the
-      // whole run of 21-byte thunk records is one check.
-      const std::uint64_t thunk_count = r.counted_varint(21, "thunk");
-      const std::uint8_t* t = r.record(thunk_count * 21, "thunk records");
-      n.thunks.resize(thunk_count);
-      for (Thunk& thunk : n.thunks) {
-        thunk.beta = detail::load_u32(t);
-        thunk.branch.ip = detail::load_u64(t + 4);
-        thunk.branch.target = detail::load_u64(t + 12);
-        thunk.branch.taken = (t[20] & 1) != 0;
-        thunk.branch.indirect = (t[20] & 2) != 0;
-        t += 21;
+      // whole run of thunk records is one check, and it lands in the
+      // column as it is stored -- but for the flag bits no reader
+      // looks at, cleared as decoding them field by field would.
+      const std::uint64_t thunk_count =
+          r.counted_varint(kThunkRecordBytes, "thunk");
+      const std::size_t run = thunk_count * kThunkRecordBytes;
+      const std::uint8_t* t = r.record(run, "thunk records");
+      std::vector<std::uint8_t>& records = parts.thunks.records;
+      const std::size_t first = records.size();
+      records.insert(records.end(), t, t + run);
+      for (std::size_t f = first + kThunkRecordBytes - 1; f < records.size();
+           f += kThunkRecordBytes) {
+        records[f] &= 3;
       }
+      parts.thunks.end_node();
       const std::uint8_t* end = r.record(9, "end reason");
       n.end.kind = static_cast<sync::SyncEventKind>(
           r.enum_at(end, sync::kSyncEventKinds, "end-reason kind"));
@@ -145,12 +151,12 @@ Result<GraphParts> decode_graph_parts(std::span<const std::uint8_t> bytes) {
   }
 }
 
-Result<Graph> build_graph(GraphParts parts) {
+Result<Graph> deserialize_build_graph(GraphParts parts) {
   try {
     // Graph construction validates edge endpoints and may throw; fold
     // that into the same typed error path as the decode itself.
     return Graph(std::move(parts.nodes), std::move(parts.edges),
-                 std::move(parts.schedule));
+                 std::move(parts.schedule), std::move(parts.thunks));
   } catch (const std::exception& e) {
     return Status(StatusCode::kInvalidArgument,
                   std::string("CPG deserialize: ") + e.what());
@@ -158,10 +164,9 @@ Result<Graph> build_graph(GraphParts parts) {
 }
 
 Result<Graph> deserialize_checked(std::span<const std::uint8_t> bytes) {
-  // lint: allow(format-version-discipline) the encoded bytes are unchanged; the records decode through decode_graph_parts, one bounds check per fixed-width record
-  auto parts = decode_graph_parts(bytes);
+  auto parts = deserialize_graph_parts(bytes);
   if (!parts.ok()) return parts.status();
-  return build_graph(std::move(parts).value());
+  return deserialize_build_graph(std::move(parts).value());
 }
 
 std::string to_text(const Graph& graph) {
@@ -170,7 +175,7 @@ std::string to_text(const Graph& graph) {
      << graph.edges().size() << " recorded edges, "
      << graph.thread_count() << " threads\n";
   for (const auto& n : graph.nodes()) {
-    os << n << '\n';
+    os << n << " thunks=" << graph.thunks(n.id).size() << '\n';
   }
   for (const auto& e : graph.edges()) {
     os << e << '\n';

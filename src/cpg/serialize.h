@@ -36,17 +36,18 @@ struct GraphParts {
   std::vector<SubComputation> nodes;
   std::vector<Edge> edges;
   std::vector<sync::SyncEvent> schedule;
+  ThunkColumn thunks;
 };
 
 /// deserialize_checked() without the index build: the same checks and
 /// messages for everything the bytes themselves can get wrong.
-[[nodiscard]] Result<GraphParts> decode_graph_parts(
+[[nodiscard]] Result<GraphParts> deserialize_graph_parts(
     std::span<const std::uint8_t> bytes);
 
 /// The rest of deserialize_checked(): the Graph over decoded parts,
 /// its index built. Endpoints the constructor rejects come back as the
 /// same kInvalidArgument.
-[[nodiscard]] Result<Graph> build_graph(GraphParts parts);
+[[nodiscard]] Result<Graph> deserialize_build_graph(GraphParts parts);
 
 /// Inverse of serialize(). A malformed, truncated, or wrong-version
 /// buffer comes back as kInvalidArgument with a precise message; this

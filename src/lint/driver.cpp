@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <map>
 #include <set>
 #include <sstream>
@@ -52,6 +53,28 @@ std::string_view source_line(const LexedFile& file, std::uint32_t line) {
     }
   }
   return std::string_view();
+}
+
+/// The format-version findings over a diff, less those whose own file
+/// carries a justified `lint: allow(format-version-discipline)` on the
+/// finding's line (the first touched line of the file's serialize
+/// functions). An annotation's own faults were already reported when
+/// the file was scanned, so only the version findings come back.
+std::vector<Finding> version_findings(
+    const std::vector<DiffTouch>& diff,
+    const std::function<const LexedFile*(const std::string&)>& lookup) {
+  std::vector<Finding> out;
+  for (Finding& f : check_format_version(diff, lookup)) {
+    const LexedFile* lexed = lookup(f.path);
+    bool kept = lexed == nullptr;
+    if (lexed != nullptr) {
+      for (const Finding& k : apply_suppressions(*lexed, {f})) {
+        kept = kept || k.rule == f.rule;
+      }
+    }
+    if (kept) out.push_back(std::move(f));
+  }
+  return out;
 }
 
 }  // namespace
@@ -152,8 +175,7 @@ RunResult run_tree(const RunOptions& options) {
           lexed_by_path.emplace(path, lex(path, std::move(content)));
       return &inserted.first->second;
     };
-    std::vector<Finding> version_findings = check_format_version(diff, lookup);
-    for (Finding& f : version_findings) {
+    for (Finding& f : version_findings(diff, lookup)) {
       const auto lexed_it = lexed_by_path.find(f.path);
       result.finding_keys.push_back(
           lexed_it == lexed_by_path.end()
@@ -327,7 +349,7 @@ int check_fixtures(const std::string& fixtures_dir, std::ostream& log) {
       return found == pretend.end() ? nullptr : &found->second;
     };
     const std::vector<Finding> findings =
-        check_format_version(parse_unified_diff(content), lookup);
+        version_findings(parse_unified_diff(content), lookup);
     if (findings.size() != expected) {
       ++failures;
       log << "lint fixtures: " << path.filename().string() << " expected "

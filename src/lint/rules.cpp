@@ -834,11 +834,18 @@ std::vector<Finding> check_format_version(
       consider(line, std::string_view());
     if (first_hit == 0) continue;
 
-    // Does any ± line in the whole diff touch one of the area's
-    // version constants?
+    // Does a ± code line in one of the versioned files touch one of the
+    // area's version constants? A mention in prose -- a README line, a
+    // comment -- is not a bump.
     bool bumped = false;
     for (const DiffTouch& other : diff) {
+      bool versioned = false;
+      for (const VersionedArea& a : versioned_areas()) {
+        versioned = versioned || a.file == other.path;
+      }
+      if (!versioned) continue;
       for (const std::string& text : other.changed_texts) {
+        if (comment_only_line(text)) continue;
         for (const std::string_view constant : area->constants) {
           bumped = bumped || text.find(constant) != std::string::npos;
         }

@@ -586,10 +586,11 @@ Result<ShardData> deserialize_shard_body(std::span<const std::uint8_t> body,
     s.frontier_out = read_frontier(r);
     // In-place view: the embedded graph is the dominant payload, and
     // every budget-driven cache miss decodes one -- no second copy.
-    auto parts = cpg::decode_graph_parts(r.u8_view());
+    // lint: allow(format-version-discipline) the shard bytes are unchanged; the CPG decoder's two stages only took names the rule covers
+    auto parts = cpg::deserialize_graph_parts(r.u8_view());
     if (!parts.ok()) return parts.status();
     if (cost != nullptr) cost->decode_us += laps.lap();
-    auto graph = cpg::build_graph(std::move(parts).value());
+    auto graph = cpg::deserialize_build_graph(std::move(parts).value());
     if (!graph.ok()) return graph.status();
     s.graph = std::move(graph).value();
     if (cost != nullptr) cost->index_us += laps.lap();

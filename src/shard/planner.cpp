@@ -177,6 +177,7 @@ Status materialize_shards(const cpg::Graph& graph, const ShardPlan& plan,
           data.global_levels.resize(m);
           std::vector<cpg::SubComputation> nodes;
           nodes.reserve(m);
+          cpg::ThunkColumn thunks;
           for (std::size_t i = 0; i < m; ++i) {
             const cpg::NodeId gid = data.global_ids[i];
             data.global_ranks[i] = graph.rank(gid);
@@ -184,6 +185,10 @@ Status materialize_shards(const cpg::Graph& graph, const ShardPlan& plan,
             cpg::SubComputation node = graph.node(gid);
             node.id = static_cast<cpg::NodeId>(i);
             nodes.push_back(std::move(node));
+            const auto records = graph.thunks(gid).bytes();
+            thunks.records.insert(thunks.records.end(), records.begin(),
+                                  records.end());
+            thunks.end_node();
           }
           const auto local_of = [&](cpg::NodeId gid) {
             return static_cast<cpg::NodeId>(
@@ -215,7 +220,7 @@ Status materialize_shards(const cpg::Graph& graph, const ShardPlan& plan,
           data.frontier_in = frontier_of(buckets.fin[s]);
           data.frontier_out = frontier_of(buckets.fout[s]);
           data.graph = cpg::Graph(std::move(nodes), std::move(local_edges),
-                                  {});
+                                  {}, std::move(thunks));
 
           ShardInfo& info = infos[s];
           info.file = shard_file_name(static_cast<std::uint32_t>(s),
@@ -550,7 +555,19 @@ Result<cpg::Graph> rank_prefix(const cpg::Graph& graph,
     std::vector<cpg::Edge> prefix(edges.begin(),
                                   edges.begin() +
                                       static_cast<std::ptrdiff_t>(prefix_edges));
-    return cpg::Graph(std::move(nodes), std::move(prefix), {});
+    // The first c rows of the column, and the records they end at.
+    const cpg::ThunkColumn& all = graph.thunk_column();
+    cpg::ThunkColumn thunks;
+    if (!all.ends.empty()) {
+      thunks.ends.assign(all.ends.begin(),
+                         all.ends.begin() + static_cast<std::ptrdiff_t>(c));
+      thunks.records.assign(
+          all.records.begin(),
+          all.records.begin() + static_cast<std::ptrdiff_t>(
+                                    thunks.ends.back() * cpg::kThunkRecordBytes));
+    }
+    return cpg::Graph(std::move(nodes), std::move(prefix), {},
+                      std::move(thunks));
   }
   return Status(StatusCode::kFailedPrecondition,
                 "rank_prefix: no clean cut at or below " +

@@ -62,6 +62,16 @@ inline constexpr std::size_t kBlockHeaderBytes = 16;
 [[nodiscard]] Result<std::vector<std::uint8_t>> decompress_checked(
     std::span<const std::uint8_t> block);
 
+namespace detail {
+/// The byte-at-a-time decoder decompress_checked() replaced: every
+/// output byte one push_back, every match byte copied singly, with the
+/// same checks, StatusCodes and messages. Kept as the reference the
+/// differential tests compare against and bench_micro's decode floor
+/// measures the speedup over; nothing else decodes through it.
+[[nodiscard]] Result<std::vector<std::uint8_t>> decompress_bytewise(
+    std::span<const std::uint8_t> block);
+}  // namespace detail
+
 /// ratio = uncompressed / compressed (the paper's "Ratio" column).
 /// The zero-denominator case is explicit: nothing-to-nothing is 1.0
 /// (no change), and a nonzero payload "compressed" to zero bytes is

@@ -273,6 +273,55 @@ TEST(Graph, ConstructorRejectsUnknownEdgeEndpoints) {
                std::invalid_argument);
 }
 
+TEST(Graph, ThunkColumnRowsDecodePerNode) {
+  ThunkColumn thunks;
+  thunks.push(Thunk{0, {0x1000, 0x1040, true, false}});
+  thunks.push(Thunk{1, {0x1050, 0x2000, false, true}});
+  thunks.end_node();  // node 0: two thunks
+  thunks.end_node();  // node 1: none
+  thunks.push(Thunk{0, {0xFFFFFFFFFFFFFFF0ULL, 7, true, true}});
+  thunks.end_node();  // node 2: one
+  ASSERT_EQ(thunks.records.size(), 3 * kThunkRecordBytes);
+  const Graph g(figure1_graph().nodes(), figure1_graph().edges(), {},
+                std::move(thunks));
+  const ThunkSpan first = g.thunks(0);
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_EQ(first[0], (Thunk{0, {0x1000, 0x1040, true, false}}));
+  EXPECT_EQ(first[1], (Thunk{1, {0x1050, 0x2000, false, true}}));
+  EXPECT_TRUE(g.thunks(1).empty());
+  ASSERT_EQ(g.thunks(2).size(), 1u);
+  EXPECT_EQ(g.thunks(2)[0], (Thunk{0, {0xFFFFFFFFFFFFFFF0ULL, 7, true, true}}));
+  EXPECT_TRUE(g.thunks(3).empty());  // no such node
+  EXPECT_EQ(g.stats().thunks, 3u);
+  EXPECT_EQ(g.thunks(0), g.thunks(0));
+  EXPECT_FALSE(g.thunks(0) == g.thunks(2));
+  // Without a column no node has thunks.
+  EXPECT_TRUE(figure1_graph().thunks(0).empty());
+  EXPECT_EQ(figure1_graph().stats().thunks, 0u);
+}
+
+TEST(Graph, ConstructorRejectsMisshapenThunkColumns) {
+  const Graph good = figure1_graph();
+  const auto build = [&](ThunkColumn column) {
+    return Graph(good.nodes(), good.edges(), {}, std::move(column));
+  };
+  ThunkColumn short_rows;  // two rows for three nodes
+  short_rows.end_node();
+  short_rows.end_node();
+  EXPECT_THROW(build(short_rows), std::invalid_argument);
+  ThunkColumn spare_bytes;  // records past the last row's end
+  for (int i = 0; i < 3; ++i) spare_bytes.end_node();
+  spare_bytes.push(Thunk{});
+  EXPECT_THROW(build(spare_bytes), std::invalid_argument);
+  ThunkColumn falling;  // ends must not decrease
+  falling.ends = {1, 0, 1};
+  falling.records.resize(kThunkRecordBytes);
+  EXPECT_THROW(build(falling), std::invalid_argument);
+  ThunkColumn rowless;  // records without rows
+  rowless.push(Thunk{});
+  EXPECT_THROW(build(rowless), std::invalid_argument);
+}
+
 TEST(Graph, EmptyGraphIsValid) {
   Graph g;
   std::string reason;

@@ -318,6 +318,23 @@ TEST(LintDiff, VersionBumpAnywhereInDiffSatisfiesTheRule) {
       "+constexpr int kCpgFormatVersion = 2;\n";
   EXPECT_TRUE(
       check_format_version(parse_unified_diff(with_bump), lookup).empty());
+
+  // Prose naming the constant -- a document line, a comment in the
+  // versioned header -- is not a bump.
+  const std::string with_mentions = touch_serialize +
+      "--- a/README.md\n"
+      "+++ b/README.md\n"
+      "@@ -1,1 +1,1 @@\n"
+      "-kCpgFormatVersion is 1.\n"
+      "+kCpgFormatVersion stays 1.\n"
+      "--- a/src/cpg/serialize.h\n"
+      "+++ b/src/cpg/serialize.h\n"
+      "@@ -1,1 +1,1 @@\n"
+      "-// kCpgFormatVersion: bump on any change.\n"
+      "+// kCpgFormatVersion: bump on any layout change.\n";
+  EXPECT_EQ(
+      check_format_version(parse_unified_diff(with_mentions), lookup).size(),
+      1u);
 }
 
 // --- baseline machinery via run_tree ---------------------------------
@@ -367,6 +384,42 @@ TEST_F(LintTreeTest, BaselineAbsorbsAndReportsStale) {
   EXPECT_EQ(result.baselined, 1u);
   ASSERT_EQ(result.stale_baseline.size(), 1u);
   EXPECT_NE(result.stale_baseline[0].find("gone.cpp"), std::string::npos);
+}
+
+TEST_F(LintTreeTest, VersionAllowCoversOnlyTheFirstTouchedLine) {
+  std::filesystem::create_directories(root_ / "src" / "cpg");
+  write("src/cpg/serialize.cpp",
+        "// lint: allow(format-version-discipline) same bytes, new reader\n"
+        "int deserialize_parts(int n) {\n"
+        "  n += 1;\n"
+        "  return n;\n"
+        "}\n");
+  RunOptions options;
+  options.repo_root = root_.string();
+  // The first touched line of the function is the annotated one.
+  options.diff_text =
+      "--- a/src/cpg/serialize.cpp\n"
+      "+++ b/src/cpg/serialize.cpp\n"
+      "@@ -1,4 +1,5 @@\n"
+      "+// lint: allow(format-version-discipline) same bytes, new reader\n"
+      "-int deserialize(int n) {\n"
+      "+int deserialize_parts(int n) {\n"
+      "   n += 1;\n";
+  EXPECT_TRUE(run_tree(options).findings.empty());
+
+  // A later diff whose first touched line is elsewhere is not covered.
+  options.diff_text =
+      "--- a/src/cpg/serialize.cpp\n"
+      "+++ b/src/cpg/serialize.cpp\n"
+      "@@ -2,3 +2,3 @@\n"
+      " int deserialize_parts(int n) {\n"
+      "-  n += 2;\n"
+      "+  n += 1;\n"
+      "   return n;\n";
+  const RunResult result = run_tree(options);
+  ASSERT_EQ(result.findings.size(), 1u);
+  EXPECT_EQ(result.findings[0].rule, kRuleFormatVersion);
+  EXPECT_EQ(result.findings[0].line, 3u);
 }
 
 TEST_F(LintTreeTest, BaselineSurvivesReindentation) {

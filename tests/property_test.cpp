@@ -63,8 +63,9 @@ TEST_P(PipelineProperty, AlphasAreContiguousPerThread) {
 TEST_P(PipelineProperty, ThunkBetasAreContiguous) {
   const auto result = run();
   for (const auto& node : result.graph->nodes()) {
-    for (std::size_t b = 0; b < node.thunks.size(); ++b) {
-      EXPECT_EQ(node.thunks[b].beta, b);
+    const auto thunks = result.graph->thunks(node.id);
+    for (std::size_t b = 0; b < thunks.size(); ++b) {
+      EXPECT_EQ(thunks[b].beta, b);
     }
   }
 }

@@ -179,15 +179,15 @@ TEST(Recorder, ThunksRecordBranchPath) {
   rec.thread_exiting(0, PageSet{}, PageSet{});
   const Graph g = std::move(rec).finalize();
 
-  const auto& first = g.node(*g.find(0, 0));
-  ASSERT_EQ(first.thunks.size(), 3u);
-  EXPECT_EQ(first.thunks[0].beta, 0u);
-  EXPECT_EQ(first.thunks[1].beta, 1u);
-  EXPECT_EQ(first.thunks[2].beta, 2u);
-  EXPECT_TRUE(first.thunks[2].branch.indirect);
-  const auto& second = g.node(*g.find(0, 1));
-  ASSERT_EQ(second.thunks.size(), 1u);
-  EXPECT_EQ(second.thunks[0].branch.ip, 0x2000u);
+  const auto first = g.thunks(*g.find(0, 0));
+  ASSERT_EQ(first.size(), 3u);
+  EXPECT_EQ(first[0].beta, 0u);
+  EXPECT_EQ(first[1].beta, 1u);
+  EXPECT_EQ(first[2].beta, 2u);
+  EXPECT_TRUE(first[2].branch.indirect);
+  const auto second = g.thunks(*g.find(0, 1));
+  ASSERT_EQ(second.size(), 1u);
+  EXPECT_EQ(second[0].branch.ip, 0x2000u);
 }
 
 TEST(Recorder, ScheduleEventsAreSequenced) {
