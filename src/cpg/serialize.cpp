@@ -30,7 +30,6 @@ std::vector<std::uint8_t> serialize(const Graph& graph) {
     w.monotone_u64(n.read_set);
     w.monotone_u64(n.write_set);
     // The column already holds the thunks as the format's records.
-    // lint: allow(format-version-discipline) the encoded bytes are unchanged; the thunk column stores the format's 21-byte records, flags 0-3
     const std::span<const std::uint8_t> thunks = graph.thunks(n.id).bytes();
     w.uvarint(thunks.size() / kThunkRecordBytes);
     out.insert(out.end(), thunks.begin(), thunks.end());
@@ -56,7 +55,6 @@ std::vector<std::uint8_t> serialize(const Graph& graph) {
   return out;
 }
 
-// lint: allow(format-version-discipline) the encoded bytes are unchanged; the records decode one bounds check per fixed-width record
 Result<GraphParts> deserialize_graph_parts(std::span<const std::uint8_t> bytes) {
   try {
     ByteReader r(bytes);

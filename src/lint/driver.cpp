@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <filesystem>
 #include <fstream>
-#include <functional>
-#include <map>
 #include <set>
 #include <sstream>
 
@@ -53,28 +51,6 @@ std::string_view source_line(const LexedFile& file, std::uint32_t line) {
     }
   }
   return std::string_view();
-}
-
-/// The format-version findings over a diff, less those whose own file
-/// carries a justified `lint: allow(format-version-discipline)` on the
-/// finding's line (the first touched line of the file's serialize
-/// functions). An annotation's own faults were already reported when
-/// the file was scanned, so only the version findings come back.
-std::vector<Finding> version_findings(
-    const std::vector<DiffTouch>& diff,
-    const std::function<const LexedFile*(const std::string&)>& lookup) {
-  std::vector<Finding> out;
-  for (Finding& f : check_format_version(diff, lookup)) {
-    const LexedFile* lexed = lookup(f.path);
-    bool kept = lexed == nullptr;
-    if (lexed != nullptr) {
-      for (const Finding& k : apply_suppressions(*lexed, {f})) {
-        kept = kept || k.rule == f.rule;
-      }
-    }
-    if (kept) out.push_back(std::move(f));
-  }
-  return out;
 }
 
 }  // namespace
@@ -135,8 +111,6 @@ RunResult run_tree(const RunOptions& options) {
   }
   std::sort(files.begin(), files.end());
 
-  // Lexed files are kept for the diff rule's working-tree lookup.
-  std::map<std::string, LexedFile> lexed_by_path;
   for (const fs::path& file : files) {
     bool ok = false;
     std::string content = read_file(file, ok);
@@ -157,31 +131,6 @@ RunResult run_tree(const RunOptions& options) {
       }
       result.findings.push_back(std::move(f));
       result.finding_keys.push_back(std::move(key));
-    }
-    lexed_by_path.emplace(rel, std::move(lexed));
-  }
-
-  if (!options.diff_text.empty()) {
-    const std::vector<DiffTouch> diff = parse_unified_diff(options.diff_text);
-    auto lookup = [&](const std::string& path) -> const LexedFile* {
-      const auto it = lexed_by_path.find(path);
-      if (it != lexed_by_path.end()) return &it->second;
-      // The diff may touch a file outside scan_dirs; load it directly.
-      bool ok = false;
-      std::string content =
-          read_file(fs::path(options.repo_root) / path, ok);
-      if (!ok) return nullptr;
-      const auto inserted =
-          lexed_by_path.emplace(path, lex(path, std::move(content)));
-      return &inserted.first->second;
-    };
-    for (Finding& f : version_findings(diff, lookup)) {
-      const auto lexed_it = lexed_by_path.find(f.path);
-      result.finding_keys.push_back(
-          lexed_it == lexed_by_path.end()
-              ? f.rule + "\t" + f.path + "\t"
-              : baseline_key(f, lexed_it->second));
-      result.findings.push_back(std::move(f));
     }
   }
 
@@ -261,7 +210,6 @@ int check_fixtures(const std::string& fixtures_dir, std::ostream& log) {
   int failures = 0;
 
   std::vector<fs::path> sources;
-  std::vector<fs::path> diffs;
   std::error_code ec;
   fs::directory_iterator it(fixtures_dir, ec);
   if (ec) {
@@ -270,22 +218,14 @@ int check_fixtures(const std::string& fixtures_dir, std::ostream& log) {
   }
   const fs::directory_iterator end;
   for (; it != end; it.increment(ec)) {
-    const fs::path& p = it->path();
-    if (p.extension() == ".diff") {
-      diffs.push_back(p);
-    } else if (p.extension() == ".cc") {
-      sources.push_back(p);
-    }
+    if (it->path().extension() == ".cc") sources.push_back(it->path());
   }
   std::sort(sources.begin(), sources.end());
-  std::sort(diffs.begin(), diffs.end());
   if (sources.empty()) {
     log << "lint fixtures: no *.cc fixtures in " << fixtures_dir << "\n";
     return 1;
   }
 
-  // Pretend files double as the diff rule's working tree.
-  std::map<std::string, LexedFile> pretend;
   for (const fs::path& path : sources) {
     bool ok = false;
     std::string content = read_file(path, ok);
@@ -325,37 +265,6 @@ int check_fixtures(const std::string& fixtures_dir, std::ostream& log) {
               << "]\n";
         }
       }
-    }
-    pretend.emplace(pretend_path, std::move(lexed));
-  }
-
-  for (const fs::path& path : diffs) {
-    bool ok = false;
-    const std::string content = read_file(path, ok);
-    if (!ok) {
-      log << "lint fixtures: cannot read " << path.string() << "\n";
-      ++failures;
-      continue;
-    }
-    // `# EXPECT: rule` lines declare how many findings the diff earns.
-    std::size_t expected = 0;
-    std::istringstream lines(content);
-    std::string line;
-    while (std::getline(lines, line)) {
-      if (line.rfind("# EXPECT:", 0) == 0) ++expected;
-    }
-    auto lookup = [&](const std::string& p) -> const LexedFile* {
-      const auto found = pretend.find(p);
-      return found == pretend.end() ? nullptr : &found->second;
-    };
-    const std::vector<Finding> findings =
-        version_findings(parse_unified_diff(content), lookup);
-    if (findings.size() != expected) {
-      ++failures;
-      log << "lint fixtures: " << path.filename().string() << " expected "
-          << expected << " format-version finding(s), got " << findings.size()
-          << "\n";
-      print_findings(findings, log);
     }
   }
   return failures;

@@ -18,9 +18,6 @@ struct RunOptions {
   std::vector<std::string> scan_dirs = {"src", "tools"};
   /// Checked-in residue file; empty disables baseline matching.
   std::string baseline_path;
-  /// When non-empty, a unified diff to run format-version-discipline
-  /// over (CI mode); file contents resolve against the working tree.
-  std::string diff_text;
 };
 
 struct RunResult {
@@ -55,10 +52,8 @@ void print_findings(const std::vector<Finding>& findings, std::ostream& os);
 /// Self-test the rule engine against the checked-in fixture corpus
 /// (tests/data/lint): every `*.cc` fixture declares a pretend path
 /// (`// LINT-PATH: src/...`) and marks expected findings with
-/// `// EXPECT: rule-name` comments; `*.diff` fixtures carry
-/// `# EXPECT: rule-name` lines and are checked against the `*.cc`
-/// fixtures' pretend files. Returns the number of fixture failures,
-/// logging each to `log`.
+/// `// EXPECT: rule-name` comments. Returns the number of fixture
+/// failures, logging each to `log`.
 [[nodiscard]] int check_fixtures(const std::string& fixtures_dir,
                                  std::ostream& log);
 

@@ -92,8 +92,8 @@ std::size_t skip_balanced(const std::vector<Token>& t, std::size_t i,
 
 const std::vector<std::string_view>& all_rules() {
   static const std::vector<std::string_view> rules = {
-      kRuleNoThrow,    kRuleFailpointSeam,  kRuleFinalizerPurity,
-      kRuleDeterminism, kRuleFormatVersion, kRuleAnnotation,
+      kRuleNoThrow,     kRuleFailpointSeam, kRuleFinalizerPurity,
+      kRuleDeterminism, kRuleAnnotation,
   };
   return rules;
 }
@@ -686,186 +686,6 @@ std::vector<Finding> apply_suppressions(const LexedFile& file,
   }
   kept.insert(kept.end(), extra.begin(), extra.end());
   return kept;
-}
-
-// --- format-version-discipline ---------------------------------------
-
-std::vector<DiffTouch> parse_unified_diff(std::string_view diff) {
-  std::vector<DiffTouch> out;
-  DiffTouch* current = nullptr;
-  std::uint32_t new_line = 0;
-  bool hunk_had_add = false;
-  bool hunk_had_remove = false;
-  std::uint32_t hunk_start = 0;
-  auto close_hunk = [&] {
-    if (current != nullptr && hunk_had_remove && !hunk_had_add &&
-        hunk_start != 0) {
-      current->removal_positions.push_back(hunk_start);
-    }
-    hunk_had_add = false;
-    hunk_had_remove = false;
-    hunk_start = 0;
-  };
-
-  std::size_t pos = 0;
-  while (pos <= diff.size()) {
-    const std::size_t eol = diff.find('\n', pos);
-    const std::string_view line =
-        diff.substr(pos, eol == std::string_view::npos ? std::string_view::npos
-                                                       : eol - pos);
-    pos = eol == std::string_view::npos ? diff.size() + 1 : eol + 1;
-
-    if (starts_with(line, "+++ ")) {
-      close_hunk();
-      std::string_view path = line.substr(4);
-      if (starts_with(path, "b/")) path.remove_prefix(2);
-      const std::size_t tab = path.find('\t');
-      if (tab != std::string_view::npos) path = path.substr(0, tab);
-      out.push_back(DiffTouch{std::string(path), {}, {}, {}});
-      current = &out.back();
-      new_line = 0;
-      continue;
-    }
-    if (starts_with(line, "@@")) {
-      close_hunk();
-      // @@ -a,b +c,d @@
-      const std::size_t plus = line.find('+');
-      new_line = 0;
-      if (plus != std::string_view::npos) {
-        std::size_t q = plus + 1;
-        while (q < line.size() &&
-               std::isdigit(static_cast<unsigned char>(line[q]))) {
-          new_line = new_line * 10 + static_cast<std::uint32_t>(line[q] - '0');
-          ++q;
-        }
-      }
-      hunk_start = new_line == 0 ? 1 : new_line;
-      continue;
-    }
-    if (current == nullptr || hunk_start == 0) continue;
-    if (starts_with(line, "+") && !starts_with(line, "+++")) {
-      current->added.push_back(
-          DiffTouch::AddedLine{new_line, std::string(line.substr(1))});
-      current->changed_texts.emplace_back(line.substr(1));
-      hunk_had_add = true;
-      ++new_line;
-      continue;
-    }
-    if (starts_with(line, "-") && !starts_with(line, "---")) {
-      current->changed_texts.emplace_back(line.substr(1));
-      hunk_had_remove = true;
-      continue;
-    }
-    if (starts_with(line, " ")) {
-      ++new_line;
-      continue;
-    }
-    // Headers, `\ No newline`, fixture `#` comments: skipped.
-  }
-  close_hunk();
-  return out;
-}
-
-namespace {
-
-/// A changed line that is blank or a pure comment cannot change
-/// serialization behavior; annotation-only edits must not demand a
-/// version bump.
-bool comment_only_line(std::string_view text) {
-  std::size_t i = 0;
-  while (i < text.size() && (text[i] == ' ' || text[i] == '\t')) ++i;
-  if (i >= text.size()) return true;
-  const std::string_view rest = text.substr(i);
-  return starts_with(rest, "//") || starts_with(rest, "*") ||
-         starts_with(rest, "/*");
-}
-
-struct VersionedArea {
-  std::string_view file;
-  std::vector<std::string_view> constants;
-};
-
-const std::vector<VersionedArea>& versioned_areas() {
-  static const std::vector<VersionedArea> areas = {
-      {"src/cpg/serialize.cpp", {"kCpgFormatVersion"}},
-      {"src/cpg/serialize.h", {"kCpgFormatVersion"}},
-      {"src/shard/format.cpp",
-       {"kShardFormatVersion", "kManifestFormatVersion"}},
-      {"src/shard/format.h",
-       {"kShardFormatVersion", "kManifestFormatVersion"}},
-  };
-  return areas;
-}
-
-}  // namespace
-
-std::vector<Finding> check_format_version(
-    const std::vector<DiffTouch>& diff,
-    const std::function<const LexedFile*(const std::string&)>& lookup) {
-  std::vector<Finding> out;
-  for (const DiffTouch& touch : diff) {
-    const VersionedArea* area = nullptr;
-    for (const VersionedArea& a : versioned_areas()) {
-      if (a.file == touch.path) area = &a;
-    }
-    if (area == nullptr) continue;
-
-    const LexedFile* lexed = lookup(touch.path);
-    if (lexed == nullptr) continue;
-    const std::vector<FunctionExtent> funcs = function_extents(*lexed);
-
-    // Which touched lines land inside a serialize/deserialize function
-    // and are not comment-only?
-    std::uint32_t first_hit = 0;
-    std::string hit_function;
-    auto consider = [&](std::uint32_t line, std::string_view text) {
-      if (!text.empty() && comment_only_line(text)) return;
-      for (const FunctionExtent& f : funcs) {
-        if (line < f.begin_line || line > f.end_line) continue;
-        if (!contains_ci(f.name, "serialize")) continue;  // covers de-
-        if (first_hit == 0 || line < first_hit) {
-          first_hit = line;
-          hit_function = f.name;
-        }
-      }
-    };
-    for (const DiffTouch::AddedLine& a : touch.added) consider(a.line, a.text);
-    for (const std::uint32_t line : touch.removal_positions)
-      consider(line, std::string_view());
-    if (first_hit == 0) continue;
-
-    // Does a ± code line in one of the versioned files touch one of the
-    // area's version constants? A mention in prose -- a README line, a
-    // comment -- is not a bump.
-    bool bumped = false;
-    for (const DiffTouch& other : diff) {
-      bool versioned = false;
-      for (const VersionedArea& a : versioned_areas()) {
-        versioned = versioned || a.file == other.path;
-      }
-      if (!versioned) continue;
-      for (const std::string& text : other.changed_texts) {
-        if (comment_only_line(text)) continue;
-        for (const std::string_view constant : area->constants) {
-          bumped = bumped || text.find(constant) != std::string::npos;
-        }
-      }
-    }
-    if (bumped) continue;
-
-    std::string constants;
-    for (const std::string_view c : area->constants) {
-      if (!constants.empty()) constants += " / ";
-      constants += c;
-    }
-    out.push_back(Finding{
-        std::string(kRuleFormatVersion), touch.path, first_hit,
-        "diff changes `" + hit_function + "` but does not touch " +
-            constants +
-            "; format changes must bump (or deliberately annotate) the "
-            "version constant"});
-  }
-  return out;
 }
 
 }  // namespace inspector::lint

@@ -31,14 +31,9 @@
 //                              paths (src/query/, src/net/,
 //                              src/shard/engine.*, and the query
 //                              kernels in src/analysis/kernels.h)
-//   format-version-discipline  a diff touching serialize/deserialize
-//                              code in cpg/ or shard/format.cpp must
-//                              also touch the matching k*FormatVersion
-//                              constant (CI mode only)
 #pragma once
 
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,8 +46,6 @@ inline constexpr std::string_view kRuleNoThrow = "no-throw-across-boundary";
 inline constexpr std::string_view kRuleFailpointSeam = "failpoint-seam";
 inline constexpr std::string_view kRuleFinalizerPurity = "finalizer-purity";
 inline constexpr std::string_view kRuleDeterminism = "determinism-hygiene";
-inline constexpr std::string_view kRuleFormatVersion =
-    "format-version-discipline";
 inline constexpr std::string_view kRuleAnnotation = "lint-annotation";
 
 /// Every enforced rule name, for --list-rules and fixture validation.
@@ -66,7 +59,7 @@ struct Finding {
 };
 
 /// A function definition's extent, for rules that reason about which
-/// function a line lives in (finalizer purity, format versioning).
+/// function a line lives in (finalizer purity).
 struct FunctionExtent {
   /// Qualified as spelled at the definition: `Dispatcher::write_loop`.
   std::string name;
@@ -81,11 +74,9 @@ struct FunctionExtent {
 [[nodiscard]] std::vector<FunctionExtent> function_extents(
     const LexedFile& file);
 
-/// Run the token-pattern rule families (everything except
-/// format-version-discipline, which needs a diff) against one file.
-/// Scoping is decided from file.path, so fixtures can opt into any
-/// rule by declaring a pretend path. Suppressions are NOT applied
-/// here; see apply_suppressions.
+/// Run every rule family against one file. Scoping is decided from
+/// file.path, so fixtures can opt into any rule by declaring a pretend
+/// path. Suppressions are NOT applied here; see apply_suppressions.
 [[nodiscard]] std::vector<Finding> run_rules(const LexedFile& file);
 
 /// Drop findings covered by `lint: allow(...)` / `allow-file(...)`
@@ -94,38 +85,5 @@ struct FunctionExtent {
 /// findings -- a suppression must say why.
 [[nodiscard]] std::vector<Finding> apply_suppressions(
     const LexedFile& file, std::vector<Finding> findings);
-
-// --- format-version-discipline (diff-driven, CI mode) ---------------
-
-/// One file's worth of touched lines from a unified diff.
-struct DiffTouch {
-  std::string path;  // new-side path, `b/` prefix stripped
-  struct AddedLine {
-    std::uint32_t line = 0;  // new-side line number
-    std::string text;        // without the leading `+`
-  };
-  std::vector<AddedLine> added;
-  /// New-side positions that removal-only hunks collapsed to (the
-  /// removed code is gone from the new file; its neighborhood still
-  /// counts as touched).
-  std::vector<std::uint32_t> removal_positions;
-  /// Raw text of every added and removed line, for the
-  /// version-constant scan.
-  std::vector<std::string> changed_texts;
-};
-
-/// Parse `git diff` unified output. Unknown lines are skipped, so the
-/// parser tolerates headers, binary notices, and `#` comment lines in
-/// fixture diffs.
-[[nodiscard]] std::vector<DiffTouch> parse_unified_diff(
-    std::string_view diff);
-
-/// Check the version-bump discipline over a parsed diff. `lookup`
-/// resolves a repo-relative path to its current lexed content (null if
-/// unavailable -- the file is then skipped); the driver backs this
-/// with the working tree, fixtures back it with pretend files.
-[[nodiscard]] std::vector<Finding> check_format_version(
-    const std::vector<DiffTouch>& diff,
-    const std::function<const LexedFile*(const std::string&)>& lookup);
 
 }  // namespace inspector::lint

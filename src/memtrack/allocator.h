@@ -14,9 +14,13 @@
 
 namespace inspector::memtrack {
 
-/// Address-space layout used by the simulated programs.
-/// Code, globals, input file mapping, and heap live in disjoint ranges
-/// so provenance queries can classify a page by its region.
+/// Address-space layout used by the simulated programs. The ranges are
+/// not disjoint: the code windows run back to back from kCodeBase, at
+/// least 8 MiB each (kCodeWindow, runtime/image_builder.h), so
+/// kGlobalsBase lies inside script 0's. Code addresses only appear as
+/// branch addresses in the PT image and globals only as data pages, so
+/// the two never meet, but an address alone does not tell code from
+/// globals.
 struct AddressLayout {
   static constexpr std::uint64_t kCodeBase = 0x0000'0000'0040'0000;
   static constexpr std::uint64_t kGlobalsBase = 0x0000'0000'0060'0000;
@@ -24,23 +28,6 @@ struct AddressLayout {
   static constexpr std::uint64_t kHeapBase = 0x0000'5600'0000'0000;
   static constexpr std::uint64_t kHeapSize = 1ull << 40;
 };
-
-/// Classification of an address by region (used by DIFT/NUMA examples).
-enum class Region : std::uint8_t { kCode, kGlobals, kInput, kHeap, kOther };
-
-[[nodiscard]] constexpr Region region_of(std::uint64_t addr) noexcept {
-  if (addr >= AddressLayout::kInputBase) return Region::kInput;
-  if (addr >= AddressLayout::kHeapBase &&
-      addr < AddressLayout::kHeapBase + AddressLayout::kHeapSize) {
-    return Region::kHeap;
-  }
-  if (addr >= AddressLayout::kGlobalsBase &&
-      addr < AddressLayout::kInputBase) {
-    return Region::kGlobals;
-  }
-  if (addr >= AddressLayout::kCodeBase) return Region::kCode;
-  return Region::kOther;
-}
 
 /// Bump allocator handing out 8-byte-aligned chunks from the heap range.
 class BumpAllocator {

@@ -326,7 +326,6 @@ namespace {
 /// Every sidecar is packed as a delta+varint sequence.
 void write_shard_body(ByteWriter& w, const ShardData& s) {
   w.u32(s.shard_index);
-  w.u32(s.shard_count);
   w.u32(s.rank_lo);
   w.u32(s.rank_hi);
   w.monotone_u64(widen(s.global_ids));
@@ -573,7 +572,6 @@ Result<ShardData> deserialize_shard_body(std::span<const std::uint8_t> body,
     ByteReader r(body);
     ShardData s;
     s.shard_index = r.u32();
-    s.shard_count = r.u32();
     s.rank_lo = r.u32();
     s.rank_hi = r.u32();
     // Sidecars decode straight into their arrays (a value past 32 bits
@@ -586,7 +584,6 @@ Result<ShardData> deserialize_shard_body(std::span<const std::uint8_t> body,
     s.frontier_out = read_frontier(r);
     // In-place view: the embedded graph is the dominant payload, and
     // every budget-driven cache miss decodes one -- no second copy.
-    // lint: allow(format-version-discipline) the shard bytes are unchanged; the CPG decoder's two stages only took names the rule covers
     auto parts = cpg::deserialize_graph_parts(r.u8_view());
     if (!parts.ok()) return parts.status();
     if (cost != nullptr) cost->decode_us += laps.lap();

@@ -67,9 +67,10 @@ inline constexpr std::uint32_t kManifestFormatVersion = 5;
 /// (util/varint.h) before the codec frame, so the file shrinks twice:
 /// once from the packing itself and again because the LZ codec sees a
 /// lower-entropy stream; version 4 is an LZ block whose decoded-bytes
-/// checksum is snapshot::stripe_hash instead of FNV-1a.
+/// checksum is snapshot::stripe_hash instead of FNV-1a; version 5 drops
+/// the store-wide shard count from the body (the manifest holds it).
 inline constexpr std::uint32_t kShardMagic = 0x53475043;
-inline constexpr std::uint32_t kShardFormatVersion = 4;
+inline constexpr std::uint32_t kShardFormatVersion = 5;
 
 inline constexpr const char* kManifestFileName = "MANIFEST.bin";
 
@@ -172,11 +173,6 @@ class PageTable {
 /// linearly, so each lives contiguous and starts on its own line.
 struct ShardData {
   std::uint32_t shard_index = 0;
-  /// Store-wide shard count *at the time this file was written* --
-  /// informational only. An incremental append can grow or shrink the
-  /// store without rewriting kept files, so the manifest (not this
-  /// field) is authoritative for the current count.
-  std::uint32_t shard_count = 0;
   std::uint32_t rank_lo = 0;
   std::uint32_t rank_hi = 0;
   util::aligned_vector<cpg::NodeId> global_ids;  ///< local id -> global id,

@@ -167,7 +167,6 @@ Status materialize_shards(const cpg::Graph& graph, const ShardPlan& plan,
         for (std::size_t s = b; s < e; ++s) {
           ShardData data;
           data.shard_index = static_cast<std::uint32_t>(s);
-          data.shard_count = k;
           data.rank_lo = plan.rank_fences[s];
           data.rank_hi = plan.rank_fences[s + 1];
           data.global_ids.assign(plan.shard_nodes[s].begin(),

@@ -45,21 +45,24 @@ StoreMetrics& store_metrics() {
   return *m;
 }
 
-/// Backoff for retry `attempt` (1-based): exponential from the policy
-/// floor, capped, with deterministic jitter in the upper half so
-/// concurrent retries of different shards spread out but a given
-/// (seed, shard, attempt) always waits the same time.
-std::uint64_t backoff_ms(const RetryPolicy& policy, std::uint32_t shard,
-                         std::uint32_t attempt) {
-  std::uint64_t base = policy.initial_backoff_ms;
-  for (std::uint32_t i = 1; i < attempt && base < policy.max_backoff_ms; ++i) {
+/// Read attempts per shard load: the first and two retries.
+constexpr std::uint32_t kReadAttempts = 3;
+constexpr std::uint64_t kInitialBackoffMs = 1;
+constexpr std::uint64_t kMaxBackoffMs = 50;
+
+/// Backoff for retry `attempt` (1-based): exponential from the floor,
+/// capped, with deterministic jitter in the upper half so concurrent
+/// retries of different shards spread out but a given (shard, attempt)
+/// always waits the same time.
+std::uint64_t backoff_ms(std::uint32_t shard, std::uint32_t attempt) {
+  std::uint64_t base = kInitialBackoffMs;
+  for (std::uint32_t i = 1; i < attempt && base < kMaxBackoffMs; ++i) {
     base *= 2;
   }
-  base = std::min(base, policy.max_backoff_ms);
+  base = std::min(base, kMaxBackoffMs);
   if (base <= 1) return base;
-  // splitmix64 of (seed, shard, attempt) -> jitter in [0, base/2].
-  std::uint64_t x = policy.jitter_seed ^
-                    (static_cast<std::uint64_t>(shard) << 32) ^ attempt;
+  // splitmix64 of (shard, attempt) -> jitter in [0, base/2].
+  std::uint64_t x = (static_cast<std::uint64_t>(shard) << 32) ^ attempt;
   x += 0x9E3779B97F4A7C15ULL;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ULL;
   x = (x ^ (x >> 27)) * 0x94D049BB133111EBULL;
@@ -274,18 +277,15 @@ Result<std::shared_ptr<const LoadedShard>> ShardStore::load(
   LoadCost cost;
   LoadCost* const costed = span.active() ? &cost : nullptr;
   const auto read_with_retry = [&]() -> Result<ShardData> {
-    const RetryPolicy& policy = options_.retry_policy;
-    const std::uint32_t attempts = std::max<std::uint32_t>(
-        policy.max_attempts, 1);
     for (std::uint32_t attempt = 1;; ++attempt) {
       auto data =
           ShardReader::read_shard(dir_, manifest_.shards[shard], costed);
-      if (data.ok() || attempt >= attempts ||
+      if (data.ok() || attempt >= kReadAttempts ||
           data.status().code() != StatusCode::kUnavailable) {
         return data;
       }
       ++retries;
-      const std::uint64_t wait_ms = backoff_ms(policy, shard, attempt);
+      const std::uint64_t wait_ms = backoff_ms(shard, attempt);
       backoff_slept_ms += wait_ms;
       std::this_thread::sleep_for(std::chrono::milliseconds(wait_ms));
     }

@@ -66,27 +66,11 @@ struct LoadedShard {
   std::vector<std::uint32_t> level_offsets_, level_ids_;
 };
 
-/// Bounded retry with exponential backoff for *transient* shard-read
-/// failures (StatusCode::kUnavailable only -- corrupt bytes and
-/// missing files are permanent and never retried). The backoff doubles
-/// per attempt up to max_backoff_ms, with deterministic seeded jitter
-/// so a K-worker fan-out hitting the same flaky disk does not retry in
-/// lockstep -- and so tests replay the exact same schedule.
-struct RetryPolicy {
-  /// Total read attempts per load (1 = no retries).
-  std::uint32_t max_attempts = 3;
-  std::uint64_t initial_backoff_ms = 1;
-  std::uint64_t max_backoff_ms = 50;
-  /// Seed folded into the per-(shard, attempt) jitter hash.
-  std::uint64_t jitter_seed = 0;
-};
-
 struct StoreOptions {
   /// Resident-shard ceiling in *decoded* bytes (0 = unlimited). A
   /// single shard larger than the budget still loads -- the cache then
   /// holds just that shard.
   std::uint64_t memory_budget_bytes = 0;
-  RetryPolicy retry_policy;
 };
 
 class ShardStore {
@@ -109,7 +93,7 @@ class ShardStore {
     std::uint64_t peak_resident_bytes = 0;
     std::uint64_t total_bytes = 0;          ///< whole store on disk (encoded)
     std::uint64_t total_decoded_bytes = 0;  ///< whole store once decoded
-    /// Transient read failures retried under the RetryPolicy.
+    /// Transient read failures retried (see ShardStore::load).
     std::uint64_t retries = 0;
     /// Total milliseconds slept in retry backoff (the latency cost of
     /// riding out transient failures, distinct from the retry count).
@@ -146,8 +130,12 @@ class ShardStore {
     return manifest_.node_shard[global];
   }
 
-  /// Fetch one shard, loading and evicting as needed. Transient read
-  /// failures retry under options.retry_policy; a load that still
+  /// Fetch one shard, loading and evicting as needed. A transient read
+  /// failure (kUnavailable; corrupt bytes and missing files are
+  /// permanent) is retried: 3 attempts in all, with a backoff doubling
+  /// from 1 ms, capped at 50 ms, and jittered per (shard, attempt) so
+  /// concurrent loads hitting one flaky disk do not retry in lockstep,
+  /// and every run sleeps the same schedule. A load that still
   /// fails -- corrupt bytes, a missing file, exhausted retries --
   /// quarantines the shard, and this and every later load of it
   /// returns kUnavailable naming the shard, its file, and the original

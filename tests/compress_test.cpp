@@ -586,8 +586,8 @@ TEST(StripeHash, KnownAnswerForAShardBody) {
     stored |= static_cast<std::uint64_t>(blocks[0][8 + i]) << (8 * i);
   }
   EXPECT_EQ(stripe_hash(body.value()), stored);
-  EXPECT_EQ(body->size(), 1962u);
-  EXPECT_EQ(stored, 0xAB30777DACD6441FULL);
+  EXPECT_EQ(body->size(), 1958u);
+  EXPECT_EQ(stored, 0xA39786AB3E58F3B4ULL);
 }
 
 TEST(StripeHash, EverySingleBitFlipChangesTheValue) {

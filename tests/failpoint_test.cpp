@@ -176,10 +176,7 @@ TEST(FailpointStore, TransientReadsRetryUnderThePolicy) {
   const std::string dir = temp_path("failpoint_retry");
   ASSERT_TRUE(shard::write_store(source, dir, shard::PlanOptions{3}).ok());
 
-  shard::StoreOptions options;
-  options.retry_policy.max_attempts = 3;
-  options.retry_policy.initial_backoff_ms = 0;
-  auto store = shard::ShardStore::open(dir, options);
+  auto store = shard::ShardStore::open(dir);
   ASSERT_TRUE(store.ok()) << store.status().message();
 
   // Two injected transient failures sit inside the three-attempt
@@ -209,7 +206,7 @@ TEST(FailpointStore, TransientReadsRetryUnderThePolicy) {
   EXPECT_EQ(store.value()->stats().retries, 4u);
 
   // Reopening lifts the quarantine.
-  auto reopened = shard::ShardStore::open(dir, options);
+  auto reopened = shard::ShardStore::open(dir);
   ASSERT_TRUE(reopened.ok());
   EXPECT_TRUE(reopened.value()->load(1).ok());
 }
@@ -232,10 +229,7 @@ TEST(FailpointStore, PermanentFaultsAreNotRetried) {
   bytes.value()[bytes->size() / 2] ^= 0xFF;
   ASSERT_TRUE(shard::write_file_bytes(file, *bytes).ok());
 
-  shard::StoreOptions options;
-  options.retry_policy.max_attempts = 5;
-  options.retry_policy.initial_backoff_ms = 0;
-  auto store = shard::ShardStore::open(dir, options);
+  auto store = shard::ShardStore::open(dir);
   ASSERT_TRUE(store.ok());
   const auto loaded = store.value()->load(0);
   ASSERT_FALSE(loaded.ok());

@@ -1,10 +1,10 @@
 // inspector_lint internals: the lexer's comment/string/preprocessor
 // handling (the property that separates token-pattern linting from
 // regex-over-text), function-extent extraction, each rule family on
-// inline sources, the suppression annotations, unified-diff parsing,
-// and the baseline machinery via run_tree over a temp tree. The
-// checked-in fixture corpus (tests/data/lint, ctest `lint_fixtures`)
-// covers the end-to-end rule behavior; these tests pin the pieces.
+// inline sources, the suppression annotations, and the baseline
+// machinery via run_tree over a temp tree. The checked-in fixture
+// corpus (tests/data/lint, ctest `lint_fixtures`) covers the
+// end-to-end rule behavior; these tests pin the pieces.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -255,88 +255,6 @@ TEST(LintSuppress, AllowFileCoversOneRuleOnly) {
             std::vector<std::string>{std::string(kRuleNoThrow)});
 }
 
-// --- diff parsing and format-version-discipline ----------------------
-
-TEST(LintDiff, AddedLinesCarryNewSideNumbers) {
-  const auto diff = parse_unified_diff(
-      "--- a/f.cpp\n"
-      "+++ b/f.cpp\n"
-      "@@ -10,3 +20,4 @@\n"
-      " context\n"
-      "+added one\n"
-      " context\n"
-      "+added two\n");
-  ASSERT_EQ(diff.size(), 1u);
-  EXPECT_EQ(diff[0].path, "f.cpp");
-  ASSERT_EQ(diff[0].added.size(), 2u);
-  EXPECT_EQ(diff[0].added[0].line, 21u);
-  EXPECT_EQ(diff[0].added[0].text, "added one");
-  EXPECT_EQ(diff[0].added[1].line, 23u);
-  EXPECT_TRUE(diff[0].removal_positions.empty());
-}
-
-TEST(LintDiff, RemovalOnlyHunkRecordsPosition) {
-  const auto diff = parse_unified_diff(
-      "--- a/f.cpp\n"
-      "+++ b/f.cpp\n"
-      "@@ -5,1 +4,0 @@\n"
-      "-gone\n");
-  ASSERT_EQ(diff.size(), 1u);
-  EXPECT_TRUE(diff[0].added.empty());
-  ASSERT_EQ(diff[0].removal_positions.size(), 1u);
-  EXPECT_EQ(diff[0].removal_positions[0], 4u);
-}
-
-TEST(LintDiff, VersionBumpAnywhereInDiffSatisfiesTheRule) {
-  const LexedFile pretend =
-      lex("src/cpg/serialize.cpp",
-          "int x;\n"
-          "std::vector<int> serialize_graph(int n) {\n"
-          "  return {n};\n"
-          "}\n");
-  auto lookup = [&](const std::string& p) -> const LexedFile* {
-    return p == pretend.path ? &pretend : nullptr;
-  };
-  const std::string touch_serialize =
-      "--- a/src/cpg/serialize.cpp\n"
-      "+++ b/src/cpg/serialize.cpp\n"
-      "@@ -2,2 +2,3 @@\n"
-      " std::vector<int> serialize_graph(int n) {\n"
-      "+  n += 1;\n"
-      "   return {n};\n";
-  const auto bad = check_format_version(parse_unified_diff(touch_serialize),
-                                        lookup);
-  ASSERT_EQ(bad.size(), 1u);
-  EXPECT_EQ(bad[0].rule, kRuleFormatVersion);
-  EXPECT_EQ(bad[0].line, 3u);
-
-  const std::string with_bump = touch_serialize +
-      "--- a/src/cpg/serialize.h\n"
-      "+++ b/src/cpg/serialize.h\n"
-      "@@ -1,1 +1,1 @@\n"
-      "-constexpr int kCpgFormatVersion = 1;\n"
-      "+constexpr int kCpgFormatVersion = 2;\n";
-  EXPECT_TRUE(
-      check_format_version(parse_unified_diff(with_bump), lookup).empty());
-
-  // Prose naming the constant -- a document line, a comment in the
-  // versioned header -- is not a bump.
-  const std::string with_mentions = touch_serialize +
-      "--- a/README.md\n"
-      "+++ b/README.md\n"
-      "@@ -1,1 +1,1 @@\n"
-      "-kCpgFormatVersion is 1.\n"
-      "+kCpgFormatVersion stays 1.\n"
-      "--- a/src/cpg/serialize.h\n"
-      "+++ b/src/cpg/serialize.h\n"
-      "@@ -1,1 +1,1 @@\n"
-      "-// kCpgFormatVersion: bump on any change.\n"
-      "+// kCpgFormatVersion: bump on any layout change.\n";
-  EXPECT_EQ(
-      check_format_version(parse_unified_diff(with_mentions), lookup).size(),
-      1u);
-}
-
 // --- baseline machinery via run_tree ---------------------------------
 
 class LintTreeTest : public ::testing::Test {
@@ -384,42 +302,6 @@ TEST_F(LintTreeTest, BaselineAbsorbsAndReportsStale) {
   EXPECT_EQ(result.baselined, 1u);
   ASSERT_EQ(result.stale_baseline.size(), 1u);
   EXPECT_NE(result.stale_baseline[0].find("gone.cpp"), std::string::npos);
-}
-
-TEST_F(LintTreeTest, VersionAllowCoversOnlyTheFirstTouchedLine) {
-  std::filesystem::create_directories(root_ / "src" / "cpg");
-  write("src/cpg/serialize.cpp",
-        "// lint: allow(format-version-discipline) same bytes, new reader\n"
-        "int deserialize_parts(int n) {\n"
-        "  n += 1;\n"
-        "  return n;\n"
-        "}\n");
-  RunOptions options;
-  options.repo_root = root_.string();
-  // The first touched line of the function is the annotated one.
-  options.diff_text =
-      "--- a/src/cpg/serialize.cpp\n"
-      "+++ b/src/cpg/serialize.cpp\n"
-      "@@ -1,4 +1,5 @@\n"
-      "+// lint: allow(format-version-discipline) same bytes, new reader\n"
-      "-int deserialize(int n) {\n"
-      "+int deserialize_parts(int n) {\n"
-      "   n += 1;\n";
-  EXPECT_TRUE(run_tree(options).findings.empty());
-
-  // A later diff whose first touched line is elsewhere is not covered.
-  options.diff_text =
-      "--- a/src/cpg/serialize.cpp\n"
-      "+++ b/src/cpg/serialize.cpp\n"
-      "@@ -2,3 +2,3 @@\n"
-      " int deserialize_parts(int n) {\n"
-      "-  n += 2;\n"
-      "+  n += 1;\n"
-      "   return n;\n";
-  const RunResult result = run_tree(options);
-  ASSERT_EQ(result.findings.size(), 1u);
-  EXPECT_EQ(result.findings[0].rule, kRuleFormatVersion);
-  EXPECT_EQ(result.findings[0].line, 3u);
 }
 
 TEST_F(LintTreeTest, BaselineSurvivesReindentation) {

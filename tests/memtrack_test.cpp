@@ -295,12 +295,4 @@ TEST(BumpAllocator, ZeroSizeAllocationsAreDistinct) {
   EXPECT_NE(a, b);
 }
 
-TEST(Regions, ClassifyAddresses) {
-  EXPECT_EQ(region_of(AddressLayout::kCodeBase + 8), Region::kCode);
-  EXPECT_EQ(region_of(AddressLayout::kGlobalsBase + 8), Region::kGlobals);
-  EXPECT_EQ(region_of(AddressLayout::kHeapBase + 8), Region::kHeap);
-  EXPECT_EQ(region_of(AddressLayout::kInputBase + 8), Region::kInput);
-  EXPECT_EQ(region_of(0x10), Region::kOther);
-}
-
 }  // namespace

@@ -35,10 +35,10 @@ TEST(ShardCompatErrors, OldAndFutureShardVersionsAreTypedErrors) {
   const auto current = shard::read_file_bytes(dir + "/" + info.file);
   ASSERT_TRUE(current.ok());
 
-  // Earlier generations (3 checksummed LZ bodies with FNV-1a) and the
-  // next one.
+  // Earlier generations (3 checksummed LZ bodies with FNV-1a, 4 stored
+  // the store-wide shard count) and the next one.
   for (const std::uint32_t version :
-       {2u, 3u, shard::kShardFormatVersion + 1}) {
+       {2u, 3u, 4u, shard::kShardFormatVersion + 1}) {
     auto bytes = current.value();
     // The header is magic u32 + version u32, little-endian.
     bytes[4] = static_cast<std::uint8_t>(version);

@@ -6,8 +6,6 @@
 // suppression syntax, and README.md "Static analysis" for usage.
 //
 //   inspector_lint                      lint src/ under the repo root
-//   inspector_lint --ci                 + format-version-discipline
-//                                         over `git diff <base>`
 //   inspector_lint --check-fixtures D   self-test against the fixture
 //                                         corpus (tier-1 ctest)
 //   inspector_lint --write-baseline     emit baseline lines for the
@@ -16,11 +14,8 @@
 // Exit status: 0 clean, 1 findings, 2 usage or IO error.
 //
 // lint: allow-file(finalizer-purity) findings print to stdout by design; this tool is not a serving path
-#include <cstdio>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -37,34 +32,10 @@ int usage() {
          "  --baseline FILE     residue baseline (default:\n"
          "                      <root>/tools/lint_baseline.txt if present)\n"
          "  --no-baseline       ignore the baseline file\n"
-         "  --ci                also enforce format-version-discipline\n"
-         "                      over `git diff <base>`\n"
-         "  --diff-base REF     base for --ci (default: HEAD)\n"
-         "  --diff-file FILE    read the diff from FILE instead of git\n"
          "  --check-fixtures D  self-test the rules against fixture dir D\n"
          "  --write-baseline    print baseline lines for current findings\n"
          "  --list-rules        print the enforced rule names\n";
   return 2;
-}
-
-/// `git diff` for --ci. popen keeps the tool dependency-free; an
-/// unreadable diff degrades to "no diff" with a warning, because the
-/// other rule families must still run (e.g. in a tarball checkout).
-std::string git_diff(const std::string& root, const std::string& base) {
-  const std::string cmd =
-      "git -C '" + root + "' diff --no-color -U3 " + base + " 2>/dev/null";
-  std::string out;
-  if (FILE* pipe = popen(cmd.c_str(), "r")) {
-    char buf[4096];
-    std::size_t n = 0;
-    while ((n = fread(buf, 1, sizeof buf, pipe)) > 0) out.append(buf, n);
-    if (pclose(pipe) != 0) {
-      std::cerr << "inspector_lint: `git diff " << base
-                << "` failed; skipping format-version-discipline\n";
-      return {};
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -72,11 +43,8 @@ std::string git_diff(const std::string& root, const std::string& base) {
 int main(int argc, char** argv) {
   inspector::lint::RunOptions options;
   options.scan_dirs.clear();
-  bool ci = false;
   bool write_baseline = false;
   bool no_baseline = false;
-  std::string diff_base = "HEAD";
-  std::string diff_file;
   std::string fixtures_dir;
 
   for (int i = 1; i < argc; ++i) {
@@ -102,16 +70,6 @@ int main(int argc, char** argv) {
       options.baseline_path = v;
     } else if (arg == "--no-baseline") {
       no_baseline = true;
-    } else if (arg == "--ci") {
-      ci = true;
-    } else if (arg == "--diff-base") {
-      const char* v = value();
-      if (!v) return usage();
-      diff_base = v;
-    } else if (arg == "--diff-file") {
-      const char* v = value();
-      if (!v) return usage();
-      diff_file = v;
     } else if (arg == "--check-fixtures") {
       const char* v = value();
       if (!v) return usage();
@@ -147,21 +105,6 @@ int main(int argc, char** argv) {
     if (std::ifstream(candidate).good()) options.baseline_path = candidate;
   }
   if (no_baseline) options.baseline_path.clear();
-
-  if (ci || !diff_file.empty()) {
-    if (!diff_file.empty()) {
-      std::ifstream in(diff_file, std::ios::binary);
-      if (!in) {
-        std::cerr << "inspector_lint: cannot read " << diff_file << "\n";
-        return 2;
-      }
-      std::ostringstream buf;
-      buf << in.rdbuf();
-      options.diff_text = std::move(buf).str();
-    } else {
-      options.diff_text = git_diff(options.repo_root, diff_base);
-    }
-  }
 
   const inspector::lint::RunResult result = inspector::lint::run_tree(options);
   if (result.files_scanned == 0) {

@@ -141,15 +141,8 @@ struct ToolArgs {
   std::string metrics_out;      ///< Prometheus text file
 };
 
-/// Export interval for --metrics-out under --serve (default 1s).
-std::uint64_t metrics_interval_ms() {
-  if (const char* env = std::getenv("INSPECTOR_METRICS_INTERVAL_MS")) {
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0) return v;
-  }
-  return 1000;
-}
+/// Export interval for --metrics-out under --serve.
+constexpr std::chrono::seconds kMetricsInterval{1};
 
 void write_metrics_file(const std::string& path) {
   std::ofstream out(path, std::ios::trunc);
@@ -168,17 +161,16 @@ void export_metrics_at_exit(const ToolArgs& args) {
   }
 }
 
-/// Rewrites --metrics-out every INSPECTOR_METRICS_INTERVAL_MS while a
-/// server runs; one final write on destruction. Inert without a path.
+/// Rewrites --metrics-out every kMetricsInterval while a server runs;
+/// one final write on destruction. Inert without a path.
 class MetricsExporter {
  public:
   explicit MetricsExporter(std::string path) : path_(std::move(path)) {
     if (path_.empty()) return;
     thread_ = std::thread([this] {
-      const auto interval = std::chrono::milliseconds(metrics_interval_ms());
       std::unique_lock lock(mu_);
       for (;;) {
-        if (cv_.wait_for(lock, interval, [&] { return stop_; })) break;
+        if (cv_.wait_for(lock, kMetricsInterval, [&] { return stop_; })) break;
         lock.unlock();
         write_metrics_file(path_);
         lock.lock();
